@@ -3,7 +3,9 @@
 Both kernels take a shape as parallel tuples (inner, outer) of per-row column
 bounds: row i occupies columns inner[i] <= j < outer[i].  They are the hot
 loops of every exhaustive sweep; skewsupport._kernels is a compiled twin with
-the same contract.
+the same contract.  The compiled descent_tally walks every filling; the one
+here counts them by fill state instead, so its work grows with the number of
+order ideals of the shape rather than with the number of fillings.
 """
 
 BACKEND = "python"
@@ -15,31 +17,59 @@ def descent_tally(inner, outer):
     A standard filling places 1..n, rows increasing left to right and columns
     increasing top to bottom; position i is a descent when i+1 sits in a lower
     row.  Returns {bitmask: count} with bit i-1 for a descent at i.
+
+    Standard fillings are the linear extensions of the poset of boxes, so
+    rather than walking them one by one this counts them with a transfer over
+    fill states: the per-row count of boxes filled so far, which is an order
+    ideal of that poset.  Each state is solved once (see _completions) and the
+    tally keeps the walk's first-seen key order.
     """
-    nrows = len(outer)
     n = sum(outer) - sum(inner)
     if n == 0:
         return {0: 1}
+    memo: dict = {}  # local to this call, so nothing outlives it
     tally: dict[int, int] = {}
-    nxt = list(inner)  # next unfilled column in each row
-
-    def place(step, prev_row, mask):
-        if step == n:
-            tally[mask] = tally.get(mask, 0) + 1
-            return
-        bit = 1 << (step - 1) if step else 0
-        for row in range(nrows):
-            col = nxt[row]
-            if col >= outer[row]:
-                continue
-            if row and col >= inner[row - 1] and nxt[row - 1] <= col:
-                continue  # the box above exists and is still unfilled
-            nxt[row] = col + 1
-            place(step + 1, row, mask | bit if step and row > prev_row else mask)
-            nxt[row] = col
-
-    place(0, -1, 0)
+    for masks in _completions(tuple(inner), 0, n, inner, outer, memo).values():
+        for mask, count in masks.items():
+            tally[mask] = tally.get(mask, 0) + count
     return tally
+
+
+def _completions(state, step, n, inner, outer, memo):
+    """{row of entry step+1: {descent bits: count}} over completions of state.
+
+    `state` holds the next unfilled column of each row with `step` entries
+    placed; the bits cover descents at positions step+1..n-1.  Rows come in
+    increasing order and each bit dict in first-seen order, which is the
+    order a top-row-first walk over the fillings meets them.
+    """
+    out = {}
+    bit = 1 << step  # a descent at step+1: entry step+2 sits in a lower row
+    for row in range(len(outer)):
+        col = state[row]
+        if col >= outer[row]:
+            continue
+        if row and col >= inner[row - 1] and state[row - 1] <= col:
+            continue  # the box above exists and is still unfilled
+        if step + 1 == n:
+            out[row] = {0: 1}
+            continue
+        nxt = state[:row] + (col + 1,) + state[row + 1:]
+        rest = memo.get(nxt)
+        if rest is None:
+            rest = memo[nxt] = _completions(nxt, step + 1, n, inner, outer,
+                                            memo)
+        acc: dict[int, int] = {}
+        for below, masks in rest.items():
+            if below > row:
+                for mask, count in masks.items():
+                    mask |= bit
+                    acc[mask] = acc.get(mask, 0) + count
+            else:
+                for mask, count in masks.items():
+                    acc[mask] = acc.get(mask, 0) + count
+        out[row] = acc
+    return out
 
 
 def lr_tally(inner, outer):

@@ -21,8 +21,13 @@ from skewsupport.tableaux import (
 )
 
 
-def distinct_permutations(parts: Partition):
-    """All distinct rearrangements of a multiset of parts, in lex order."""
+@lru_cache(maxsize=None)
+def distinct_permutations(parts: Partition) -> tuple:
+    """All distinct rearrangements of a multiset of parts, in lex order.
+
+    Cached per partition; callers ask only for partitions of sizes within
+    the size guard.
+    """
     pool = sorted(parts)
     out: list[Composition] = []
     k = len(pool)
@@ -44,7 +49,7 @@ def distinct_permutations(parts: Partition):
             pool[i] = p
 
     rec()
-    return out
+    return tuple(out)
 
 
 def s_expansion(shape: SkewShape, max_size=None) -> Expansion:
@@ -120,30 +125,43 @@ def positive_support(exp: Expansion) -> frozenset:
     return frozenset(k for k, v in exp.items() if v > 0)
 
 
+def difference_positive(ea: Expansion, eb: Expansion) -> bool:
+    """Whether ea - eb has only nonnegative coefficients."""
+    return all(v > 0 for v in ea.minus(eb).values())
+
+
+def contains_support(ea: Expansion, eb: Expansion,
+                     convention: str = "nonzero") -> bool:
+    """Whether the support of ea contains that of eb.
+
+    `convention` only matters for the D-basis, where coefficients can be
+    negative: "nonzero" takes all keys, "positive" only those with positive
+    coefficient.
+    """
+    if convention == "positive":
+        return positive_support(ea) >= positive_support(eb)
+    if convention != "nonzero":
+        raise ValueError(f"unknown support convention {convention!r}")
+    return ea.support() >= eb.support()
+
+
 def positivity(a: SkewShape, b: SkewShape, basis: str) -> bool:
     """Whether s_a - s_b has only nonnegative coefficients in the basis."""
     if a.size != b.size:
         raise SizeMismatchError(
             f"shapes have different sizes: {a.size} vs {b.size}"
         )
-    diff = expansion_of(a, basis).minus(expansion_of(b, basis))
-    return all(v > 0 for v in diff.values())
+    return difference_positive(expansion_of(a, basis), expansion_of(b, basis))
 
 
 def support_contains(a: SkewShape, b: SkewShape, basis: str,
                      convention: str = "nonzero") -> bool:
     """Whether the basis support of s_a contains that of s_b.
 
-    `convention` only matters for the D-basis, where coefficients can be
-    negative: "nonzero" takes all keys, "positive" only those with positive
-    coefficient.
+    See contains_support for `convention`.
     """
-    if convention not in ("nonzero", "positive"):
-        raise ValueError(f"unknown support convention {convention!r}")
-    ea, eb = expansion_of(a, basis), expansion_of(b, basis)
-    if convention == "positive":
-        return positive_support(ea) >= positive_support(eb)
-    return ea.support() >= eb.support()
+    return contains_support(expansion_of(a, basis), expansion_of(b, basis),
+                            convention)
 
 
 def d_support_conventions_agree(a: SkewShape, b: SkewShape) -> bool:

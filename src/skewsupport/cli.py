@@ -215,6 +215,9 @@ def _cmd_saturation(args) -> int:
 
 
 def _cmd_tableaux(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        print("skewsupport: error: --limit must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     shape = parse_shape(args.shape)
     tabs = list(enumerate_syt(shape))
     shown = tabs if args.limit is None else tabs[: args.limit]

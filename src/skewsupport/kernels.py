@@ -6,7 +6,9 @@ for debugging the compiled twin).
 
 import os
 
-if os.environ.get("SKEWSUPPORT_PURE") == "1":
+from skewsupport.config import ENV_PURE
+
+if os.environ.get(ENV_PURE) == "1":
     from skewsupport import _kernels_py as _impl
 else:
     try:

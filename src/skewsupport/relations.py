@@ -88,9 +88,15 @@ def relate(a: SkewShape, b: SkewShape) -> RelationMatrix:
         raise SizeMismatchError(
             f"shapes have different sizes: {a.size} vs {b.size}"
         )
-    positive = {basis: bases.positivity(a, b, basis) for basis in _POS_KEYS}
-    contains = {basis: bases.support_contains(a, b, basis) for basis in BASES}
-    contains["d_positive"] = bases.support_contains(a, b, "d", "positive")
+    # fetch each of the ten expansions once; every condition reads these
+    ea = {basis: bases.expansion_of(a, basis) for basis in BASES}
+    eb = {basis: bases.expansion_of(b, basis) for basis in BASES}
+    positive = {basis: bases.difference_positive(ea[basis], eb[basis])
+                for basis in _POS_KEYS}
+    contains = {basis: bases.contains_support(ea[basis], eb[basis])
+                for basis in BASES}
+    contains["d_positive"] = bases.contains_support(ea["d"], eb["d"],
+                                                    "positive")
     dominated = {
         "rows": overlaps.overlaps_dominated(a, b),
         "cols": overlaps.overlaps_dominated(a.transpose(), b.transpose()),

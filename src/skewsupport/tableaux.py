@@ -205,13 +205,21 @@ def _f_masks(shape: SkewShape) -> dict:
     return kernels.descent_tally(shape.inner_padded, shape.outer)
 
 
+@lru_cache(maxsize=None)
+def _compositions(n: int) -> tuple:
+    """mask_to_comp(mask, n) for every descent mask of size n, by mask.
+
+    One table per size, and sizes stop at the size guard every caller
+    checks first.
+    """
+    return tuple(mask_to_comp(m, n) for m in range(1 << max(0, n - 1)))
+
+
 def f_expansion(shape: SkewShape, max_size=None) -> Expansion:
     """Fundamental quasisymmetric expansion, straight from standard fillings."""
     _check_size(shape, max_size)
-    n = shape.size
-    return Expansion(
-        "f", {mask_to_comp(m, n): c for m, c in _f_masks(shape).items()}
-    )
+    comps = _compositions(shape.size)
+    return Expansion("f", {comps[m]: c for m, c in _f_masks(shape).items()})
 
 
 def f_support(shape: SkewShape, max_size=None) -> frozenset:
@@ -235,9 +243,8 @@ def m_expansion(shape: SkewShape, max_size=None) -> Expansion:
         for m in range(len(vec)):
             if m & bit:
                 vec[m] += vec[m ^ bit]
-    return Expansion(
-        "m", {mask_to_comp(m, n): v for m, v in enumerate(vec) if v}
-    )
+    comps = _compositions(n)
+    return Expansion("m", {comps[m]: v for m, v in enumerate(vec) if v})
 
 
 @lru_cache(maxsize=None)

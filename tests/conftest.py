@@ -15,8 +15,10 @@ except ImportError:
 
 
 def all_shapes_upto(n: int):
+    # an explicit limit, so a small SKEWSUPPORT_MAX_SIZE in the session's
+    # environment cannot break loading this file
     for size in range(1, n + 1):
-        yield from enumerate_shapes(size)
+        yield from enumerate_shapes(size, max_size=n)
 
 
 if HAVE_HYPOTHESIS:

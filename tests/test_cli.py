@@ -132,6 +132,16 @@ def test_tableaux_limit(capsys):
     assert len(data["tableaux"]) == 2
 
 
+def test_tableaux_negative_limit_rejected(capsys):
+    code, out, err = run_cli(capsys, "tableaux", "2,1", "--limit", "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "skewsupport: error: --limit must be >= 0\n"
+    code, out, _ = run_cli(capsys, "tableaux", "2,1", "--limit", "0")
+    assert code == EXIT_OK
+    assert json.loads(out)["tableaux"] == []
+
+
 def test_byte_identical_reruns(capsys):
     outputs = set()
     for _ in range(2):

@@ -1,5 +1,6 @@
 import pytest
 
+from skewsupport import bases
 from skewsupport.errors import SizeMismatchError
 from skewsupport.relations import (
     WITNESSES,
@@ -8,6 +9,7 @@ from skewsupport.relations import (
     verify_implications,
 )
 from skewsupport.shapes import enumerate_shapes, parse_shape
+from skewsupport.tableaux import BASES
 
 
 def test_relation_matrix_shape_and_json():
@@ -20,6 +22,22 @@ def test_relation_matrix_shape_and_json():
     }
     assert set(obj["overlap_dominated"]) == {"rows", "cols", "rects"}
     assert obj["violations"] == []
+
+
+def test_relate_agrees_with_pairwise_bases_queries():
+    # relate() fetches each expansion once; its answers must be those of the
+    # one-basis-at-a-time queries in bases
+    for n in range(1, 6):
+        shapes = enumerate_shapes(n)
+        for a in shapes:
+            for b in shapes:
+                m = relate(a, b)
+                for basis in BASES:
+                    assert m.positive[basis] == bases.positivity(a, b, basis)
+                    assert m.contains[basis] == bases.support_contains(
+                        a, b, basis)
+                assert m.contains["d_positive"] == bases.support_contains(
+                    a, b, "d", "positive")
 
 
 def test_cli_contract_example_pair():

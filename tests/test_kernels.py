@@ -1,13 +1,19 @@
 import subprocess
 import sys
 from collections import Counter
+from math import factorial
 
 import pytest
 
 from skewsupport import _kernels_py as pure
 from skewsupport import kernels
 from skewsupport.config import ENV_PURE
-from skewsupport.shapes import enumerate_shapes, sort_desc
+from skewsupport.shapes import (
+    enumerate_shapes,
+    format_shape,
+    parse_shape,
+    sort_desc,
+)
 from skewsupport.tableaux import enumerate_syt
 
 try:
@@ -44,6 +50,72 @@ def test_descent_tally_against_explicit_tableaux():
                 expected[mask] += 1
             got = kernels.descent_tally(s.inner_padded, s.outer)
             assert got == dict(expected)
+
+
+def _walk_descent_tally(inner, outer):
+    """Reference tally: walk every standard filling, one at a time."""
+    nrows = len(outer)
+    n = sum(outer) - sum(inner)
+    if n == 0:
+        return {0: 1}
+    tally = {}
+    nxt = list(inner)
+
+    def place(step, prev_row, mask):
+        if step == n:
+            tally[mask] = tally.get(mask, 0) + 1
+            return
+        bit = 1 << (step - 1) if step else 0
+        for row in range(nrows):
+            col = nxt[row]
+            if col >= outer[row]:
+                continue
+            if row and col >= inner[row - 1] and nxt[row - 1] <= col:
+                continue
+            nxt[row] = col + 1
+            place(step + 1, row, mask | bit if step and row > prev_row else mask)
+            nxt[row] = col
+
+    place(0, -1, 0)
+    return tally
+
+
+SIZE8_SHAPES = (
+    "8,7,6,5,4,3,2,1/7,6,5,4,3,2,1",  # eight disconnected boxes
+    "8",
+    "1,1,1,1,1,1,1,1",
+    "4,4",
+    "3,3,2",
+    "4,3,1",
+    "5,4,2/2,1",
+    "4,4,2,1/2,1",
+    "6,5,4,2/5,3,1",
+    "4,4,4/2,2",
+)
+
+
+def _assert_matches_walk(shape):
+    ip, o = shape.inner_padded, shape.outer
+    got, expected = pure.descent_tally(ip, o), _walk_descent_tally(ip, o)
+    assert got == expected, format_shape(shape)
+    assert list(got) == list(expected), format_shape(shape)  # key order
+
+
+def test_pure_descent_tally_matches_walk_size7():
+    for s in enumerate_shapes(7):
+        _assert_matches_walk(s)
+
+
+def test_pure_descent_tally_matches_walk_size8():
+    for text in SIZE8_SHAPES:
+        s = parse_shape(text)
+        assert s.size == 8
+        _assert_matches_walk(s)
+    antichain = parse_shape(SIZE8_SHAPES[0])
+    assert antichain.n_rows == antichain.n_cols == 8
+    tally = pure.descent_tally(antichain.inner_padded, antichain.outer)
+    assert sum(tally.values()) == factorial(8)
+    assert len(tally) == 1 << 7  # every descent set occurs
 
 
 def test_descent_tally_frozen():
