@@ -12,11 +12,12 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from skewsupport import __version__
 from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.bases import expansion_of
-from skewsupport.tableaux import BASES, enumerate_syt
+from skewsupport.tableaux import BASES, enumerate_syt, f_expansion
 from skewsupport.errors import SkewSupportError
 from skewsupport.kernels import BACKEND
 from skewsupport.overlaps import OverlapProfile, overlap_cols, rects
@@ -219,12 +220,13 @@ def _cmd_tableaux(args) -> int:
         print("skewsupport: error: --limit must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     shape = parse_shape(args.shape)
-    tabs = list(enumerate_syt(shape))
-    shown = tabs if args.limit is None else tabs[: args.limit]
+    # the count comes from the descent tally, so only shown fillings are built
+    count = sum(f_expansion(shape).coeffs.values())
+    shown = list(islice(enumerate_syt(shape), args.limit))
     _emit({
         "shape": format_shape(shape),
-        "count": len(tabs),
-        "truncated": len(shown) < len(tabs),
+        "count": count,
+        "truncated": len(shown) < count,
         "tableaux": [
             {
                 "rows": [list(r) for r in t.rows],

@@ -9,6 +9,10 @@ class InvalidShapeError(SkewSupportError, ValueError):
     """Input does not describe a valid partition or skew shape."""
 
 
+class InvalidArgumentError(SkewSupportError, ValueError):
+    """A size, count, shard or setting is outside its allowed range."""
+
+
 class SizeLimitError(SkewSupportError, ValueError):
     """Requested computation exceeds the configured size bound."""
 

@@ -15,7 +15,11 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 from skewsupport.config import default_jobs, effective_max_size
-from skewsupport.errors import InvalidShapeError, SizeLimitError
+from skewsupport.errors import (
+    InvalidArgumentError,
+    InvalidShapeError,
+    SizeLimitError,
+)
 from skewsupport.overlaps import OverlapProfile
 from skewsupport.shapes import (
     SkewShape,
@@ -175,7 +179,7 @@ def verify_conjecture(n: int, shard=(1, 1), jobs=None, max_size=None) -> dict:
     """
     index, count = shard
     if not (1 <= index <= count):
-        raise ValueError(f"shard index {index} outside 1..{count}")
+        raise InvalidArgumentError(f"shard index {index} outside 1..{count}")
     shapes = enumerate_shapes(n, max_size)
     masks, profiles = _fingerprints(shapes, jobs or default_jobs())
 
@@ -256,14 +260,32 @@ def verify_conjecture(n: int, shard=(1, 1), jobs=None, max_size=None) -> dict:
 
 
 def merge_conjecture_reports(reports) -> dict:
-    """Combine disjoint shard reports of the same sweep into one."""
+    """Combine the k shard reports of one sweep into one.
+
+    The reports must be shards 1..k of k, each exactly once, and together
+    cover every ordered pair of distinct F-support classes; anything less is
+    an incomplete sweep and cannot pass.
+    """
     if not reports:
-        raise ValueError("no reports to merge")
+        raise InvalidArgumentError("no reports to merge")
     first = reports[0]
     for r in reports[1:]:
         for key in ("n", "shape_count", "class_count_suppf", "class_count_nc"):
             if r[key] != first[key]:
-                raise ValueError(f"reports disagree on {key}")
+                raise InvalidArgumentError(f"reports disagree on {key}")
+    k = len(reports)
+    indices = sorted(r["shard"]["index"] for r in reports)
+    counts = {r["shard"]["count"] for r in reports}
+    if indices != list(range(1, k + 1)) or counts != {k}:
+        raise InvalidArgumentError(
+            f"reports must be shards 1..{k} of {k}, each once"
+        )
+    classes = first["class_count_suppf"]
+    pairs = sum(r["pairs_checked"] for r in reports)
+    if pairs != classes * (classes - 1):
+        raise InvalidArgumentError(
+            f"reports check {pairs} of {classes * (classes - 1)} class pairs"
+        )
     def _cat(key):
         seen = []
         for r in reports:
@@ -277,7 +299,7 @@ def merge_conjecture_reports(reports) -> dict:
         "shape_count": first["shape_count"],
         "class_count_suppf": first["class_count_suppf"],
         "class_count_nc": first["class_count_nc"],
-        "pairs_checked": sum(r["pairs_checked"] for r in reports),
+        "pairs_checked": pairs,
         "partition_mismatches": _cat("partition_mismatches"),
         "forward_violations": _cat("forward_violations"),
         "reverse_counterexamples": _cat("reverse_counterexamples"),
@@ -495,7 +517,7 @@ def saturation_check(n: int, factor: int, max_size=None) -> dict:
     Schur-side regression is recomputed alongside.
     """
     if factor < 1:
-        raise ValueError(f"scale factor must be >= 1, got {factor}")
+        raise InvalidArgumentError(f"scale factor must be >= 1, got {factor}")
     if n * factor > effective_max_size(max_size):
         raise SizeLimitError(f"scaled size {n * factor} exceeds the limit")
     shapes = enumerate_shapes(n, max_size)

@@ -18,7 +18,11 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from skewsupport.config import effective_max_size
-from skewsupport.errors import InvalidShapeError, SizeLimitError
+from skewsupport.errors import (
+    InvalidArgumentError,
+    InvalidShapeError,
+    SizeLimitError,
+)
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -35,14 +39,6 @@ def check_partition(parts, what="partition") -> Partition:
         if i and out[i - 1] < p:
             raise InvalidShapeError(f"{what} parts must weakly decrease: {out}")
     return out
-
-
-def is_partition(parts) -> bool:
-    try:
-        check_partition(parts)
-    except (InvalidShapeError, TypeError, ValueError):
-        return False
-    return True
 
 
 def check_composition(parts, what="composition") -> Composition:
@@ -197,11 +193,6 @@ class SkewShape:
             for i in range(len(self.outer))
             for j in range(inner[i], self.outer[i])
         ]
-
-    def has_box(self, i: int, j: int) -> bool:
-        if not 0 <= i < len(self.outer):
-            return False
-        return self.inner_padded[i] <= j < self.outer[i]
 
     def row_lengths(self) -> Composition:
         """Row lengths top to bottom (a composition of the size)."""
@@ -371,7 +362,7 @@ def enumerate_shapes(n: int, max_size=None) -> list[SkewShape]:
     """
     limit = effective_max_size(max_size)
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise InvalidArgumentError(f"n must be >= 0, got {n}")
     if n > limit:
         raise SizeLimitError(f"n={n} exceeds the size limit {limit}")
     if n == 0:

@@ -129,12 +129,6 @@ class StandardTableau:
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j - self.shape.inner_padded[i]]
 
-    def row_of(self, value: int) -> int:
-        for i, row in enumerate(self.rows):
-            if value in row:
-                return i
-        raise ValueError(f"no entry {value}")
-
     def descent_set(self) -> frozenset[int]:
         """Values i such that i+1 sits in a strictly lower row."""
         where = {}

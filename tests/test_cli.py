@@ -11,6 +11,7 @@ from skewsupport.cli import (
     EXIT_USAGE,
     main,
 )
+from skewsupport.config import ENV_JOBS, ENV_MAX_SIZE
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +131,14 @@ def test_tableaux_limit(capsys):
     data = json.loads(out)
     assert data["truncated"] is False
     assert len(data["tableaux"]) == 2
+    # eight disconnected boxes: 8! fillings, only the shown one is built
+    code, out, _ = run_cli(
+        capsys, "tableaux", "8,7,6,5,4,3,2,1/7,6,5,4,3,2,1", "--limit", "1"
+    )
+    data = json.loads(out)
+    assert data["count"] == 40320
+    assert data["truncated"] is True
+    assert len(data["tableaux"]) == 1
 
 
 def test_tableaux_negative_limit_rejected(capsys):
@@ -153,7 +162,7 @@ def test_byte_identical_reruns(capsys):
     assert len(outputs) == 2
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == EXIT_USAGE
@@ -165,6 +174,26 @@ def test_usage_errors(capsys):
     assert main(["expand", "9,9,9,9/1"]) == EXIT_USAGE
     assert main(["--max-size", "0", "shapes", "--n", "2"]) == EXIT_USAGE
     capsys.readouterr()
+    for argv in (
+        ["shapes", "--n", "-1"],
+        ["verify", "conjecture", "--n", "3", "--shard", "0/0"],
+        ["verify", "conjecture", "--n", "3", "--shard", "3/2"],
+        ["saturation", "--n", "2", "--scale", "0"],
+    ):
+        _assert_one_line_error(capsys, argv)
+    for name in (ENV_MAX_SIZE, ENV_JOBS):
+        monkeypatch.setenv(name, "many")
+        _assert_one_line_error(
+            capsys, ["verify", "conjecture", "--n", "3"]
+        )
+        monkeypatch.delenv(name)
+
+
+def _assert_one_line_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE, argv
+    assert out == ""
+    assert err.startswith("skewsupport: error: ") and err.count("\n") == 1
 
 
 def test_max_size_override_and_restore(capsys):

@@ -1,13 +1,7 @@
-import subprocess
-import sys
 from collections import Counter
 from math import factorial
 
-import pytest
-
-from skewsupport import _kernels_py as pure
 from skewsupport import kernels
-from skewsupport.config import ENV_PURE
 from skewsupport.shapes import (
     enumerate_shapes,
     format_shape,
@@ -16,26 +10,9 @@ from skewsupport.shapes import (
 )
 from skewsupport.tableaux import enumerate_syt
 
-try:
-    from skewsupport import _kernels as compiled
-except ImportError:
-    compiled = None
-
 
 def test_backend_identifier():
-    assert pure.BACKEND == "python"
-    assert kernels.BACKEND in ("python", "compiled")
-    if compiled is not None:
-        assert compiled.BACKEND == "compiled"
-
-
-@pytest.mark.skipif(compiled is None, reason="extension not built")
-def test_backends_agree():
-    for n in range(1, 7):
-        for s in enumerate_shapes(n):
-            ip, o = s.inner_padded, s.outer
-            assert compiled.descent_tally(ip, o) == pure.descent_tally(ip, o)
-            assert compiled.lr_tally(ip, o) == pure.lr_tally(ip, o)
+    assert kernels.BACKEND == "python"
 
 
 def test_descent_tally_against_explicit_tableaux():
@@ -96,7 +73,7 @@ SIZE8_SHAPES = (
 
 def _assert_matches_walk(shape):
     ip, o = shape.inner_padded, shape.outer
-    got, expected = pure.descent_tally(ip, o), _walk_descent_tally(ip, o)
+    got, expected = kernels.descent_tally(ip, o), _walk_descent_tally(ip, o)
     assert got == expected, format_shape(shape)
     assert list(got) == list(expected), format_shape(shape)  # key order
 
@@ -113,7 +90,7 @@ def test_pure_descent_tally_matches_walk_size8():
         _assert_matches_walk(s)
     antichain = parse_shape(SIZE8_SHAPES[0])
     assert antichain.n_rows == antichain.n_cols == 8
-    tally = pure.descent_tally(antichain.inner_padded, antichain.outer)
+    tally = kernels.descent_tally(antichain.inner_padded, antichain.outer)
     assert sum(tally.values()) == factorial(8)
     assert len(tally) == 1 << 7  # every descent set occurs
 
@@ -157,31 +134,3 @@ def test_lr_tally_frozen():
     }
     assert kernels.lr_tally((0, 0), (2, 2)) == {(2, 2): 1}
     assert kernels.lr_tally((0,), (5,)) == {(5,): 1}
-
-
-def test_pure_backend_env_override(child_env):
-    # A stand-in compiled extension, present only inside the child, so the
-    # override has something to override even where the extension is not
-    # built.
-    code = (
-        "import sys, types\n"
-        "stub = types.ModuleType('skewsupport._kernels')\n"
-        "stub.BACKEND = 'compiled'\n"
-        "stub.descent_tally = stub.lr_tally = None\n"
-        "sys.modules['skewsupport._kernels'] = stub\n"
-        "from skewsupport.kernels import BACKEND\n"
-        "print(BACKEND)\n"
-    )
-
-    def backend(env):
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.returncode == 0, out.stderr
-        return out.stdout.strip()
-
-    assert backend(child_env(**{ENV_PURE: "1"})) == "python"
-    assert backend(child_env()) == "compiled"

@@ -1,6 +1,10 @@
 import pytest
 
-from skewsupport.errors import InvalidShapeError, SizeLimitError
+from skewsupport.errors import (
+    InvalidArgumentError,
+    InvalidShapeError,
+    SizeLimitError,
+)
 from skewsupport.overlaps import OverlapProfile
 from skewsupport.posets import (
     ShapeClassPoset,
@@ -155,6 +159,14 @@ def test_verify_conjecture_shard_validation():
     b = verify_conjecture(4)
     with pytest.raises(ValueError):
         merge_conjecture_reports([a, b])
+    s1, s2 = (verify_conjecture(6, shard=(i, 4)) for i in (1, 2))
+    with pytest.raises(InvalidArgumentError):
+        merge_conjecture_reports([s1, s1])  # duplicate shard
+    with pytest.raises(InvalidArgumentError):
+        merge_conjecture_reports([s1, s2])  # shards 3 and 4 missing
+    short = dict(a, pairs_checked=a["pairs_checked"] - 1)
+    with pytest.raises(InvalidArgumentError):
+        merge_conjecture_reports([short])  # a pair left unchecked
 
 
 def test_verify_conjecture_parallel_fingerprints_match():
