@@ -86,6 +86,45 @@ def dominance_leq(lam: Partition, mu: Partition) -> bool:
     return True
 
 
+def dominance_key(profile: OverlapProfile, n: int) -> int:
+    """Every prefix sum of every row statistic, packed into one int.
+
+    For shapes of size n there are at most n depths and n parts per depth,
+    and no prefix sum exceeds n.  Each statistic is padded with zeros to n
+    parts, each depth to n statistics, and every prefix sum gets one field
+    of ``n.bit_length() + 1`` bits, so the top bit of each field stays clear.
+    Equal keys mean equal profiles.  Padding does not change dominance: past
+    the end of a statistic its prefix sums stay constant while those of a
+    dominating statistic never fall.
+    """
+    w = n.bit_length() + 1
+    key = 0
+    for k in range(1, n + 1):
+        stat = profile.row_stat(k)
+        total = 0
+        for i in range(n):
+            if i < len(stat):
+                total += stat[i]
+            key = key << w | total
+    return key
+
+
+def dominance_guard(n: int) -> int:
+    """The top bit of every field of a size-n dominance_key."""
+    w = n.bit_length() + 1
+    return sum(1 << (w * f + w - 1) for f in range(n * n))
+
+
+def key_dominated(ka: int, kb: int, guard: int) -> bool:
+    """Whether the profile keyed ka is dominated by the profile keyed kb.
+
+    Setting the guard bits of kb and subtracting ka works field by field,
+    since no field of ka reaches its guard bit and so no borrow crosses a
+    field; a guard bit survives exactly where kb's field is at least ka's.
+    """
+    return ((kb | guard) - ka) & guard == guard
+
+
 def overlaps_dominated(a: SkewShape, b: SkewShape) -> bool:
     """Whether every depth-k row statistic of a is dominated by b's.
 

@@ -20,7 +20,12 @@ from skewsupport.errors import (
     InvalidShapeError,
     SizeLimitError,
 )
-from skewsupport.overlaps import OverlapProfile
+from skewsupport.overlaps import (
+    OverlapProfile,
+    dominance_guard,
+    dominance_key,
+    key_dominated,
+)
 from skewsupport.shapes import (
     SkewShape,
     direct_sum,
@@ -52,16 +57,21 @@ class ShapeClassPoset:
         return tuple(cls[0] for cls in self.classes)
 
     def hasse_edges(self) -> list[tuple[int, int]]:
-        """Covering pairs (above, below): relation minus two-step paths."""
-        rel = self.relation
-        edges = [
-            (i, j)
-            for i, j in sorted(rel)
-            if not any(
-                (i, k) in rel and (k, j) in rel
-                for k in range(len(self.classes))
-            )
-        ]
+        """Covering pairs (above, below): relation minus two-step paths.
+
+        below[i] is the bitset of the classes under class i.  (i, j) is a
+        covering pair iff bit j is in below[i] but in no below[k] for a
+        class k in below[i].  Pairs come out sorted.
+        """
+        below = [0] * len(self.classes)
+        for i, j in self.relation:
+            below[i] |= 1 << j
+        edges = []
+        for i, bits in enumerate(below):
+            two_step = 0
+            for k in _bit_indices(bits):
+                two_step |= below[k]
+            edges.extend((i, j) for j in _bit_indices(bits & ~two_step))
         return edges
 
     def to_json_obj(self) -> dict:
@@ -100,25 +110,42 @@ class ShapeClassPoset:
         return "\n".join(lines) + "\n"
 
 
-def _group(shapes, fingerprint) -> tuple[tuple[SkewShape, ...], ...]:
+def _bit_indices(bits: int):
+    """Indices of the set bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _classes_of(fingerprints) -> dict:
+    """Indices grouped by equal fingerprint, in first-seen order."""
     groups: dict = {}
-    for s in shapes:
-        groups.setdefault(fingerprint(s), []).append(s)
-    classes = [tuple(sorted(members)) for members in groups.values()]
-    classes.sort(key=lambda cls: cls[0])
-    return tuple(classes)
+    for i, f in enumerate(fingerprints):
+        groups.setdefault(f, []).append(i)
+    return groups
+
+
+def _group(shapes, fingerprints):
+    """Classes of equal fingerprint, and the fingerprint of each class.
+
+    shapes are sorted, so each class is sorted and the classes come out
+    ordered by their least members.
+    """
+    members = sorted(_classes_of(fingerprints).values())
+    classes = tuple(tuple(shapes[i] for i in m) for m in members)
+    return classes, [fingerprints[m[0]] for m in members]
 
 
 def build_suppf(n: int, max_size=None) -> ShapeClassPoset:
     """Classes by equal F-support, ordered by strict support containment."""
     shapes = enumerate_shapes(n, max_size)
-    classes = _group(shapes, f_support_mask)
-    masks = [f_support_mask(cls[0]) for cls in classes]
+    classes, masks = _group(shapes, [f_support_mask(s) for s in shapes])
     relation = frozenset(
         (i, j)
-        for i in range(len(classes))
-        for j in range(len(classes))
-        if i != j and masks[i] != masks[j] and masks[i] | masks[j] == masks[i]
+        for i, mi in enumerate(masks)
+        for j, mj in enumerate(masks)
+        if mi != mj and mi | mj == mi
     )
     return ShapeClassPoset("suppf", n, classes, relation)
 
@@ -130,15 +157,15 @@ def build_nc(n: int, max_size=None) -> ShapeClassPoset:
     every depth (more spread out means higher).
     """
     shapes = enumerate_shapes(n, max_size)
-    classes = _group(shapes, OverlapProfile.of)
-    profiles = [OverlapProfile.of(cls[0]) for cls in classes]
+    classes, keys = _group(
+        shapes, [dominance_key(OverlapProfile.of(s), n) for s in shapes]
+    )
+    guard = dominance_guard(n)
     relation = frozenset(
         (i, j)
-        for i in range(len(classes))
-        for j in range(len(classes))
-        if i != j
-        and profiles[i] != profiles[j]
-        and profiles[i].dominated_by(profiles[j])
+        for i, ki in enumerate(keys)
+        for j, kj in enumerate(keys)
+        if ki != kj and key_dominated(ki, kj, guard)
     )
     return ShapeClassPoset("nc", n, classes, relation)
 
@@ -146,26 +173,43 @@ def build_nc(n: int, max_size=None) -> ShapeClassPoset:
 # ------------------------------------------------- the equivalence sweep
 
 
-def _shard_of(a: SkewShape, b: SkewShape, count: int) -> int:
-    key = f"{format_shape(a)}|{format_shape(b)}".encode()
-    return zlib.crc32(key) % count
+def _shard_of(a: str, b: str, count: int) -> int:
+    """Shard of the ordered pair of shapes named a and b."""
+    return zlib.crc32(f"{a}|{b}".encode()) % count
 
 
 def _fingerprint_chunk(shapes):
-    return [(s, f_support_mask(s), OverlapProfile.of(s)) for s in shapes]
+    return [
+        (f_support_mask(s), dominance_key(OverlapProfile.of(s), s.size))
+        for s in shapes
+    ]
 
 
 def _fingerprints(shapes, jobs: int):
-    if jobs <= 1 or len(shapes) < 64:
-        rows = _fingerprint_chunk(shapes)
+    """F-support masks and dominance keys, as lists in the order of shapes.
+
+    A shape and its half-turn have the same skew Schur function and the same
+    overlap profile, so only one shape of each such pair is fingerprinted.
+    """
+    position = {s: i for i, s in enumerate(shapes)}
+    twin = [position[s.rotate()] for s in shapes]
+    todo = [i for i, t in enumerate(twin) if i <= t]
+    work = [shapes[i] for i in todo]
+    if jobs <= 1 or len(work) < 64:
+        rows = _fingerprint_chunk(work)
     else:
-        chunks = [shapes[i::jobs] for i in range(jobs)]
         with get_context("fork").Pool(jobs) as pool:
-            rows = [row for part in pool.map(_fingerprint_chunk, chunks)
-                    for row in part]
-    masks = {s: m for s, m, _ in rows}
-    profiles = {s: p for s, _, p in rows}
-    return masks, profiles
+            parts = pool.map(_fingerprint_chunk,
+                             [work[j::jobs] for j in range(jobs)])
+        rows = [None] * len(work)
+        for j, part in enumerate(parts):
+            rows[j::jobs] = part
+    masks = [0] * len(shapes)
+    keys = [0] * len(shapes)
+    for i, (mask, key) in zip(todo, rows):
+        masks[i] = masks[twin[i]] = mask
+        keys[i] = keys[twin[i]] = key
+    return masks, keys
 
 
 def verify_conjecture(n: int, shard=(1, 1), jobs=None, max_size=None) -> dict:
@@ -181,67 +225,53 @@ def verify_conjecture(n: int, shard=(1, 1), jobs=None, max_size=None) -> dict:
     if not (1 <= index <= count):
         raise InvalidArgumentError(f"shard index {index} outside 1..{count}")
     shapes = enumerate_shapes(n, max_size)
-    masks, profiles = _fingerprints(shapes, jobs or default_jobs())
-
-    by_mask: dict = {}
-    for s in shapes:
-        by_mask.setdefault(masks[s], []).append(s)
-    by_profile: dict = {}
-    for s in shapes:
-        by_profile.setdefault(profiles[s], []).append(s)
+    masks, keys = _fingerprints(shapes, jobs or default_jobs())
+    by_mask = _classes_of(masks)
+    by_key = _classes_of(keys)
 
     partition_mismatches = []
-    for members in by_mask.values():
-        first = profiles[members[0]]
-        for other in members[1:]:
-            if profiles[other] != first:
-                partition_mismatches.append(
-                    {
-                        "a": format_shape(members[0]),
-                        "b": format_shape(other),
-                        "kind": "equal_support_different_profile",
-                    }
-                )
-    for members in by_profile.values():
-        first = masks[members[0]]
-        for other in members[1:]:
-            if masks[other] != first:
-                partition_mismatches.append(
-                    {
-                        "a": format_shape(members[0]),
-                        "b": format_shape(other),
-                        "kind": "equal_profile_different_support",
-                    }
-                )
+    for groups, other_side, kind in (
+        (by_mask, keys, "equal_support_different_profile"),
+        (by_key, masks, "equal_profile_different_support"),
+    ):
+        for first, *rest in groups.values():
+            for other in rest:
+                if other_side[other] != other_side[first]:
+                    partition_mismatches.append(
+                        {
+                            "a": format_shape(shapes[first]),
+                            "b": format_shape(shapes[other]),
+                            "kind": kind,
+                        }
+                    )
 
-    reps = sorted(min(members) for members in by_mask.values())
+    # shapes are sorted, so the first index of a class is its least shape
+    reps = [
+        (masks[i], keys[i], format_shape(shapes[i]))
+        for i in sorted(members[0] for members in by_mask.values())
+    ]
+    guard = dominance_guard(n)
     forward, reverse = [], []
     pairs = 0
-    for a in reps:
-        for b in reps:
-            if a == b:
+    for x, (ma, ka, a) in enumerate(reps):
+        for y, (mb, kb, b) in enumerate(reps):
+            if x == y:
                 continue
             if count > 1 and _shard_of(a, b, count) != index - 1:
                 continue
             pairs += 1
-            contains = masks[a] != masks[b] and masks[a] | masks[b] == masks[a]
-            dominated = profiles[a] != profiles[b] and profiles[a].dominated_by(
-                profiles[b]
-            )
+            contains = ma != mb and ma | mb == ma
+            dominated = ka != kb and key_dominated(ka, kb, guard)
             if contains and not dominated:
-                forward.append(
-                    {"a": format_shape(a), "b": format_shape(b)}
-                )
+                forward.append({"a": a, "b": b})
             if dominated and not contains:
-                reverse.append(
-                    {"a": format_shape(a), "b": format_shape(b)}
-                )
+                reverse.append({"a": a, "b": b})
     return {
         "n": n,
         "shard": {"index": index, "count": count},
         "shape_count": len(shapes),
         "class_count_suppf": len(by_mask),
-        "class_count_nc": len(by_profile),
+        "class_count_nc": len(by_key),
         "pairs_checked": pairs,
         "partition_mismatches": partition_mismatches,
         "forward_violations": forward,
@@ -412,7 +442,7 @@ def multfree_report(n: int, max_size=None) -> dict:
     """
     shapes = enumerate_shapes(n, max_size)
     classification_mismatches = []
-    free = []
+    free, classified = [], []
     for s in shapes:
         tag = multfree_classify(s)
         brute = is_f_multiplicity_free(s)
@@ -426,10 +456,13 @@ def multfree_report(n: int, max_size=None) -> dict:
             )
         if brute:
             free.append(s)
+            if tag is not None:
+                classified.append(s)
+    # the rules only speak of classified shapes; the rest are listed above
     comparability_mismatches = []
-    masks = {s: f_support_mask(s) for s in free}
-    for a in free:
-        for b in free:
+    masks = {s: f_support_mask(s) for s in classified}
+    for a in classified:
+        for b in classified:
             predicted = multfree_comparable(a, b)
             actual = masks[a] | masks[b] == masks[a]
             if predicted != actual:

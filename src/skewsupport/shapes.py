@@ -210,9 +210,16 @@ class SkewShape:
         return SkewShape(transpose_partition(self.outer), transpose_partition(self.inner))
 
     def rotate(self) -> "SkewShape":
-        """Rotate the diagram by a half turn."""
-        rmax, cmax = self.n_rows - 1, self.n_cols - 1
-        return SkewShape.from_boxes((rmax - r, cmax - c) for r, c in self.boxes())
+        """Rotate the diagram by a half turn.
+
+        Row i, columns [a, b), becomes row n_rows-1-i, columns [C-b, C-a)
+        for C = n_cols.
+        """
+        c = self.n_cols
+        return SkewShape(
+            tuple(c - a for a in reversed(self.inner_padded)),
+            tuple(c - b for b in reversed(self.outer)),
+        )
 
     def is_connected(self) -> bool:
         inner = self.inner_padded

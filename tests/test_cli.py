@@ -113,6 +113,26 @@ def test_multfree(capsys):
     assert len(data["subposet"]["hasse_edges"]) == 10
 
 
+def test_multfree_unclassified_shape_exits_2(capsys, monkeypatch):
+    import skewsupport.posets as posets_mod
+
+    match = posets_mod._match_pattern
+
+    def miss_two_row(s):
+        hit = match(s)
+        return None if hit and hit[0] == "two-row" else hit
+
+    monkeypatch.setattr(posets_mod, "_match_pattern", miss_two_row)
+    code, out, err = run_cli(capsys, "multfree", "--n", "5")
+    assert code == EXIT_THEOREM
+    data = json.loads(out)
+    assert data["pass"] is False
+    assert {"shape": "3,2", "classified": False, "expansion_multfree": True} in (
+        data["classification_mismatches"]
+    )
+    assert err == ""
+
+
 def test_saturation(capsys):
     code, out, _ = run_cli(capsys, "saturation", "--n", "3", "--scale", "2")
     assert code == EXIT_OK

@@ -3,7 +3,10 @@ import pytest
 from skewsupport.errors import SizeMismatchError
 from skewsupport.overlaps import (
     OverlapProfile,
+    dominance_guard,
+    dominance_key,
     dominance_leq,
+    key_dominated,
     overlap_cols,
     overlap_rows,
     overlaps_dominated,
@@ -121,6 +124,18 @@ def test_dominance_partial_order_on_small_partitions():
             for c in parts:
                 if dominance_leq(a, b) and dominance_leq(b, c):
                     assert dominance_leq(a, c)
+
+
+def test_dominance_key_matches_profiles():
+    # all ordered pairs of same-size shapes up to size 6 (272 shapes at n=6)
+    for n in range(7):
+        profiles = [OverlapProfile.of(s) for s in enumerate_shapes(n)]
+        keys = [dominance_key(p, n) for p in profiles]
+        guard = dominance_guard(n)
+        for pa, ka in zip(profiles, keys):
+            for pb, kb in zip(profiles, keys):
+                assert key_dominated(ka, kb, guard) == pa.dominated_by(pb)
+                assert (ka == kb) == (pa == pb)
 
 
 def test_overlaps_dominated_and_equivalences():

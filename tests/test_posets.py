@@ -1,13 +1,17 @@
+from multiprocessing import get_context
+
 import pytest
 
+from skewsupport import posets
 from skewsupport.errors import (
     InvalidArgumentError,
     InvalidShapeError,
     SizeLimitError,
 )
-from skewsupport.overlaps import OverlapProfile
+from skewsupport.overlaps import OverlapProfile, dominance_key
 from skewsupport.posets import (
     ShapeClassPoset,
+    _fingerprints,
     build_nc,
     build_suppf,
     column_row_shape,
@@ -70,20 +74,22 @@ def test_rotation_stays_in_its_class():
 
 
 def test_hasse_is_transitive_reduction():
-    poset = build_suppf(4)
-    rel = poset.relation
-    hasse = set(poset.hasse_edges())
-    assert hasse <= rel
-    for i, j in rel - hasse:
-        assert any(
-            (i, k) in rel and (k, j) in rel
-            for k in range(len(poset.classes))
-        )
-    for i, j in hasse:
-        assert not any(
-            (i, k) in rel and (k, j) in rel
-            for k in range(len(poset.classes))
-        )
+    for poset in (build_suppf(6), build_nc(6)):
+        rel = poset.relation
+        edges = poset.hasse_edges()
+        assert edges == sorted(edges)
+        hasse = set(edges)
+        assert hasse <= rel
+        for i, j in rel - hasse:
+            assert any(
+                (i, k) in rel and (k, j) in rel
+                for k in range(len(poset.classes))
+            )
+        for i, j in hasse:
+            assert not any(
+                (i, k) in rel and (k, j) in rel
+                for k in range(len(poset.classes))
+            )
 
 
 def test_n6_snapshot_frozen():
@@ -169,10 +175,39 @@ def test_verify_conjecture_shard_validation():
         merge_conjecture_reports([short])  # a pair left unchecked
 
 
-def test_verify_conjecture_parallel_fingerprints_match():
-    serial = verify_conjecture(5, jobs=1)
-    parallel = verify_conjecture(5, jobs=2)
-    assert serial == parallel
+def test_verify_conjecture_shard_counts_frozen():
+    counts = [
+        verify_conjecture(6, shard=(i, 4))["pairs_checked"] for i in range(1, 5)
+    ]
+    assert counts == [1060, 1084, 1071, 1075]
+
+
+def test_verify_conjecture_parallel_fingerprints_match(monkeypatch):
+    pools = []
+
+    def counting_context(method):
+        pools.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(posets, "get_context", counting_context)
+    for n in (5, 6):
+        serial = verify_conjecture(n, jobs=1)
+        assert pools == []
+        parallel = verify_conjecture(n, jobs=2)
+        assert serial == parallel
+    # n=5 has 48 half-turn representatives, n=6 has 152: only n=6 is
+    # enough to start the pool
+    assert pools == ["fork"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fingerprints_match_per_shape(jobs):
+    for n in range(8):
+        shapes = enumerate_shapes(n)
+        masks, keys = _fingerprints(shapes, jobs)
+        for s, mask, key in zip(shapes, masks, keys):
+            assert mask == f_support_mask(s), format_shape(s)
+            assert key == dominance_key(OverlapProfile.of(s), n)
 
 
 # ------------------------------------------------------ multiplicity-free

@@ -191,6 +191,15 @@ def test_rotate_frozen_example():
     assert parse_shape("332/22").rotate() == parse_shape("311/1")
 
 
+def test_rotate_matches_box_route():
+    # oracle: turn every box (r, c) into (rows-1-r, cols-1-c) and rebuild
+    for n in range(9):
+        for s in enumerate_shapes(n, max_size=8):
+            rmax, cmax = s.n_rows - 1, s.n_cols - 1
+            boxes = [(rmax - r, cmax - c) for r, c in s.boxes()]
+            assert s.rotate() == SkewShape.from_boxes(boxes), format_shape(s)
+
+
 def test_row_and_col_lengths(small_shapes):
     for s in small_shapes:
         assert sum(s.row_lengths()) == s.size
