@@ -15,6 +15,7 @@ from skewsupport.errors import SizeMismatchError
 from skewsupport.shapes import Composition, Partition, SkewShape
 from skewsupport.tableaux import (
     Expansion,
+    _check_size,
     f_expansion,
     m_expansion,
     schur_expansion,
@@ -54,6 +55,7 @@ def distinct_permutations(parts: Partition) -> tuple:
 
 def s_expansion(shape: SkewShape, max_size=None) -> Expansion:
     """Quasisymmetric Schur expansion: each Schur term spreads over rearrangements."""
+    _check_size(shape, max_size)
     out: dict[Composition, int] = {}
     for lam, c in schur_expansion(shape).items():
         for alpha in distinct_permutations(lam):
@@ -96,6 +98,7 @@ def _straight_d(lam: Partition) -> tuple:
 
 def d_expansion(shape: SkewShape, max_size=None) -> Expansion:
     """Dual immaculate expansion, assembled through the Schur expansion."""
+    _check_size(shape, max_size)
     out: dict[Composition, int] = {}
     for lam, c in schur_expansion(shape).items():
         for key, val in _straight_d(lam):
@@ -109,6 +112,7 @@ def d_expansion(shape: SkewShape, max_size=None) -> Expansion:
 
 def expansion_of(shape: SkewShape, basis: str, max_size=None) -> Expansion:
     if basis == "schur":
+        _check_size(shape, max_size)
         return schur_expansion(shape)
     if basis == "f":
         return f_expansion(shape, max_size)
@@ -127,22 +131,9 @@ def positive_support(exp: Expansion) -> frozenset:
 
 def difference_positive(ea: Expansion, eb: Expansion) -> bool:
     """Whether ea - eb has only nonnegative coefficients."""
-    return all(v > 0 for v in ea.minus(eb).values())
-
-
-def contains_support(ea: Expansion, eb: Expansion,
-                     convention: str = "nonzero") -> bool:
-    """Whether the support of ea contains that of eb.
-
-    `convention` only matters for the D-basis, where coefficients can be
-    negative: "nonzero" takes all keys, "positive" only those with positive
-    coefficient.
-    """
-    if convention == "positive":
-        return positive_support(ea) >= positive_support(eb)
-    if convention != "nonzero":
-        raise ValueError(f"unknown support convention {convention!r}")
-    return ea.support() >= eb.support()
+    a, b = ea.coeffs, eb.coeffs
+    return (all(a.get(key, 0) >= v for key, v in b.items())
+            and all(v > 0 for key, v in a.items() if key not in b))
 
 
 def positivity(a: SkewShape, b: SkewShape, basis: str) -> bool:
@@ -158,10 +149,16 @@ def support_contains(a: SkewShape, b: SkewShape, basis: str,
                      convention: str = "nonzero") -> bool:
     """Whether the basis support of s_a contains that of s_b.
 
-    See contains_support for `convention`.
+    `convention` only matters for the D-basis, where coefficients can be
+    negative: "nonzero" takes all keys, "positive" only those with positive
+    coefficient.
     """
-    return contains_support(expansion_of(a, basis), expansion_of(b, basis),
-                            convention)
+    ea, eb = expansion_of(a, basis), expansion_of(b, basis)
+    if convention == "positive":
+        return positive_support(ea) >= positive_support(eb)
+    if convention != "nonzero":
+        raise ValueError(f"unknown support convention {convention!r}")
+    return ea.support() >= eb.support()
 
 
 def d_support_conventions_agree(a: SkewShape, b: SkewShape) -> bool:

@@ -23,7 +23,3 @@ class SizeMismatchError(SkewSupportError, ValueError):
 
 class ConsistencyError(SkewSupportError, RuntimeError):
     """Two routes that must agree produced different answers."""
-
-
-class VerificationError(SkewSupportError, RuntimeError):
-    """An exhaustive check hit a violation of a proved statement."""

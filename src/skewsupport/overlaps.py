@@ -8,6 +8,7 @@ column statistics are row statistics of the transpose.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from skewsupport.errors import SizeMismatchError
 from skewsupport.shapes import Partition, SkewShape, sort_desc
@@ -109,8 +110,23 @@ def dominance_key(profile: OverlapProfile, n: int) -> int:
     return key
 
 
+def rects_key(profile: OverlapProfile, n: int) -> int:
+    """rects(k, l) for k, l = 1..n, each at most n, in dominance_key's fields.
+
+    Depths past the profile's last non-empty one hold no rectangle, so they
+    are shifted in as zero fields.
+    """
+    w = n.bit_length() + 1
+    key = 0
+    for stat in profile.rows:
+        for l in range(1, n + 1):
+            key = key << w | sum(o - l + 1 for o in stat if o >= l)
+    return key << w * n * (n - profile.depth)
+
+
+@lru_cache(maxsize=None)
 def dominance_guard(n: int) -> int:
-    """The top bit of every field of a size-n dominance_key."""
+    """The top bit of every field of a size-n dominance_key or rects_key."""
     w = n.bit_length() + 1
     return sum(1 << (w * f + w - 1) for f in range(n * n))
 

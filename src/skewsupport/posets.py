@@ -7,7 +7,8 @@ ordered, by support containment and by overlap dominance respectively; a
 bigger support corresponds to more dominated overlaps.  The containment
 direction of the correspondence is a proved theorem (checked here as a
 sweep); the dominance-to-containment direction is open, so any reverse
-failure is reported as a discovery rather than an error.
+failure is reported as a discovery rather than an error.  Every sweep reads
+its per-shape data from one pass that handles each half-turn pair once.
 """
 
 import zlib
@@ -126,28 +127,56 @@ def _classes_of(fingerprints) -> dict:
     return groups
 
 
-def _group(shapes, fingerprints):
-    """Classes of equal fingerprint, and the fingerprint of each class.
+def _fingerprints(shapes, fingerprint, jobs: int = 1) -> list:
+    """fingerprint(s) for every shape s, as a list in the order of shapes.
+
+    A shape A and its half-turn A° have the same skew Schur function and
+    overlap profile, and scale(A°) = scale(A)°, so every fingerprint here is
+    computed for one of A, A° and copied to the other.  jobs > 1 maps over a
+    fork pool, which needs a module-level fingerprint.
+    """
+    position = {s: i for i, s in enumerate(shapes)}
+    twin = [position[s.rotate()] for s in shapes]
+    todo = [i for i, t in enumerate(twin) if i <= t]
+    work = [shapes[i] for i in todo]
+    if jobs <= 1 or len(work) < 64:
+        rows = [fingerprint(s) for s in work]
+    else:
+        with get_context("fork").Pool(jobs) as pool:
+            rows = pool.map(fingerprint, work)
+    out = [None] * len(shapes)
+    for i, row in zip(todo, rows):
+        out[i] = out[twin[i]] = row
+    return out
+
+
+def _mask_and_key(s: SkewShape) -> tuple[int, int]:
+    return f_support_mask(s), dominance_key(OverlapProfile.of(s), s.size)
+
+
+def _poset(kind, n, shapes, fingerprints, above) -> ShapeClassPoset:
+    """Classes of equal fingerprint, ordered by above(fi, fj) for fi != fj.
 
     shapes are sorted, so each class is sorted and the classes come out
     ordered by their least members.
     """
     members = sorted(_classes_of(fingerprints).values())
     classes = tuple(tuple(shapes[i] for i in m) for m in members)
-    return classes, [fingerprints[m[0]] for m in members]
+    prints = [fingerprints[m[0]] for m in members]
+    relation = frozenset(
+        (i, j)
+        for i, fi in enumerate(prints)
+        for j, fj in enumerate(prints)
+        if fi != fj and above(fi, fj)
+    )
+    return ShapeClassPoset(kind, n, classes, relation)
 
 
 def build_suppf(n: int, max_size=None) -> ShapeClassPoset:
     """Classes by equal F-support, ordered by strict support containment."""
     shapes = enumerate_shapes(n, max_size)
-    classes, masks = _group(shapes, [f_support_mask(s) for s in shapes])
-    relation = frozenset(
-        (i, j)
-        for i, mi in enumerate(masks)
-        for j, mj in enumerate(masks)
-        if mi != mj and mi | mj == mi
-    )
-    return ShapeClassPoset("suppf", n, classes, relation)
+    return _poset("suppf", n, shapes, _fingerprints(shapes, f_support_mask),
+                  lambda mi, mj: mi | mj == mi)
 
 
 def build_nc(n: int, max_size=None) -> ShapeClassPoset:
@@ -157,17 +186,11 @@ def build_nc(n: int, max_size=None) -> ShapeClassPoset:
     every depth (more spread out means higher).
     """
     shapes = enumerate_shapes(n, max_size)
-    classes, keys = _group(
-        shapes, [dominance_key(OverlapProfile.of(s), n) for s in shapes]
-    )
     guard = dominance_guard(n)
-    relation = frozenset(
-        (i, j)
-        for i, ki in enumerate(keys)
-        for j, kj in enumerate(keys)
-        if ki != kj and key_dominated(ki, kj, guard)
-    )
-    return ShapeClassPoset("nc", n, classes, relation)
+    keys = _fingerprints(shapes,
+                         lambda s: dominance_key(OverlapProfile.of(s), n))
+    return _poset("nc", n, shapes, keys,
+                  lambda ki, kj: key_dominated(ki, kj, guard))
 
 
 # ------------------------------------------------- the equivalence sweep
@@ -176,40 +199,6 @@ def build_nc(n: int, max_size=None) -> ShapeClassPoset:
 def _shard_of(a: str, b: str, count: int) -> int:
     """Shard of the ordered pair of shapes named a and b."""
     return zlib.crc32(f"{a}|{b}".encode()) % count
-
-
-def _fingerprint_chunk(shapes):
-    return [
-        (f_support_mask(s), dominance_key(OverlapProfile.of(s), s.size))
-        for s in shapes
-    ]
-
-
-def _fingerprints(shapes, jobs: int):
-    """F-support masks and dominance keys, as lists in the order of shapes.
-
-    A shape and its half-turn have the same skew Schur function and the same
-    overlap profile, so only one shape of each such pair is fingerprinted.
-    """
-    position = {s: i for i, s in enumerate(shapes)}
-    twin = [position[s.rotate()] for s in shapes]
-    todo = [i for i, t in enumerate(twin) if i <= t]
-    work = [shapes[i] for i in todo]
-    if jobs <= 1 or len(work) < 64:
-        rows = _fingerprint_chunk(work)
-    else:
-        with get_context("fork").Pool(jobs) as pool:
-            parts = pool.map(_fingerprint_chunk,
-                             [work[j::jobs] for j in range(jobs)])
-        rows = [None] * len(work)
-        for j, part in enumerate(parts):
-            rows[j::jobs] = part
-    masks = [0] * len(shapes)
-    keys = [0] * len(shapes)
-    for i, (mask, key) in zip(todo, rows):
-        masks[i] = masks[twin[i]] = mask
-        keys[i] = keys[twin[i]] = key
-    return masks, keys
 
 
 def verify_conjecture(n: int, shard=(1, 1), jobs=None, max_size=None) -> dict:
@@ -225,7 +214,8 @@ def verify_conjecture(n: int, shard=(1, 1), jobs=None, max_size=None) -> dict:
     if not (1 <= index <= count):
         raise InvalidArgumentError(f"shard index {index} outside 1..{count}")
     shapes = enumerate_shapes(n, max_size)
-    masks, keys = _fingerprints(shapes, jobs or default_jobs())
+    masks, keys = zip(*_fingerprints(shapes, _mask_and_key,
+                                     jobs or default_jobs()))
     by_mask = _classes_of(masks)
     by_key = _classes_of(keys)
 
@@ -396,6 +386,26 @@ def multfree_classify(s: SkewShape):
     return None
 
 
+def _comparable(ta: dict, tb: dict, n: int) -> bool:
+    """The published comparability rule, read from two classification tags.
+
+    Equal tag classes (the same shape up to half-turn) have equal support.
+    Otherwise only a column plus a row of leg ell contains another support:
+    the hooks' of leg ell and ell - 1, and (n-2, 2)'s if ell = 2 or its
+    transpose's if ell = n - 2.
+    """
+    transposed = "transpose" in tb["via"]
+    if (ta["kind"], ta["ell"], "transpose" in ta["via"]) == (
+            tb["kind"], tb["ell"], transposed):
+        return True
+    if ta["kind"] != "column-plus-row":
+        return False
+    ell = ta["ell"]
+    if tb["kind"] == "hook":
+        return tb["ell"] in (ell, ell - 1)
+    return tb["kind"] == "two-row" and ell == (n - 2 if transposed else 2)
+
+
 def multfree_comparable(a: SkewShape, b: SkewShape) -> bool:
     """Whether the F-support of a contains that of b, for classified shapes.
 
@@ -407,28 +417,10 @@ def multfree_comparable(a: SkewShape, b: SkewShape) -> bool:
         raise InvalidShapeError(
             f"shapes have different sizes: {a.size} vs {b.size}"
         )
-    if multfree_classify(a) is None or multfree_classify(b) is None:
+    ta, tb = multfree_classify(a), multfree_classify(b)
+    if ta is None or tb is None:
         raise InvalidShapeError("both shapes must be multiplicity-free")
-    n = a.size
-    if b in (a, a.rotate()):
-        return True
-    for aa in {a, a.rotate()}:
-        hit = _match_pattern(aa)
-        if not hit or hit[0] != "column-plus-row":
-            continue
-        ell = hit[1]
-        for bb in {b, b.rotate()}:
-            if bb == hook_shape(n, ell) or (
-                ell >= 1 and bb == hook_shape(n, ell - 1)
-            ):
-                return True
-            if n >= 4 and ell == 2 and bb == SkewShape((n - 2, 2)):
-                return True
-            if n >= 4 and ell == n - 2 and bb == SkewShape(
-                (2, 2) + (1,) * (n - 4)
-            ):
-                return True
-    return False
+    return _comparable(ta, tb, a.size)
 
 
 def multfree_report(n: int, max_size=None) -> dict:
@@ -441,11 +433,13 @@ def multfree_report(n: int, max_size=None) -> dict:
     subposet of the support poset as well.
     """
     shapes = enumerate_shapes(n, max_size)
+    prints = _fingerprints(
+        shapes, lambda s: (f_support_mask(s), is_f_multiplicity_free(s))
+    )
     classification_mismatches = []
-    free, classified = [], []
-    for s in shapes:
+    free, classified = set(), []
+    for s, (mask, brute) in zip(shapes, prints):
         tag = multfree_classify(s)
-        brute = is_f_multiplicity_free(s)
         if (tag is not None) != brute:
             classification_mismatches.append(
                 {
@@ -455,16 +449,15 @@ def multfree_report(n: int, max_size=None) -> dict:
                 }
             )
         if brute:
-            free.append(s)
+            free.add(s)
             if tag is not None:
-                classified.append(s)
+                classified.append((s, tag, mask))
     # the rules only speak of classified shapes; the rest are listed above
     comparability_mismatches = []
-    masks = {s: f_support_mask(s) for s in classified}
-    for a in classified:
-        for b in classified:
-            predicted = multfree_comparable(a, b)
-            actual = masks[a] | masks[b] == masks[a]
+    for a, ta, ma in classified:
+        for b, tb, mb in classified:
+            predicted = _comparable(ta, tb, n)
+            actual = ma | mb == ma
             if predicted != actual:
                 comparability_mismatches.append(
                     {
@@ -474,26 +467,16 @@ def multfree_report(n: int, max_size=None) -> dict:
                         "computed": actual,
                     }
                 )
-    poset = build_suppf(n, max_size)
-    free_set = set(free)
-    keep = [
-        i
-        for i, cls in enumerate(poset.classes)
-        if any(s in free_set for s in cls)
-    ]
+    # the subposet: every class holding a multiplicity-free shape
+    free_masks = {mask for mask, brute in prints if brute}
+    kept = [i for i, (mask, _) in enumerate(prints) if mask in free_masks]
+    sub = _poset("suppf", n, [shapes[i] for i in kept],
+                 [prints[i][0] for i in kept], lambda mi, mj: mi | mj == mi)
     impure = [
-        format_shape(poset.classes[i][0])
-        for i in keep
-        if not all(s in free_set for s in poset.classes[i])
+        format_shape(cls[0])
+        for cls in sub.classes
+        if not all(s in free for s in cls)
     ]
-    sub_classes = tuple(poset.classes[i] for i in keep)
-    renumber = {old: new for new, old in enumerate(keep)}
-    sub_relation = frozenset(
-        (renumber[i], renumber[j])
-        for i, j in poset.relation
-        if i in renumber and j in renumber
-    )
-    sub = ShapeClassPoset("suppf", n, sub_classes, sub_relation)
     return {
         "n": n,
         "shape_count": len(shapes),
@@ -554,17 +537,18 @@ def saturation_check(n: int, factor: int, max_size=None) -> dict:
     if n * factor > effective_max_size(max_size):
         raise SizeLimitError(f"scaled size {n * factor} exceeds the limit")
     shapes = enumerate_shapes(n, max_size)
-    masks = {s: f_support_mask(s) for s in shapes}
-    scaled_masks = {s: f_support_mask(scale(s, factor)) for s in shapes}
+    prints = _fingerprints(
+        shapes, lambda s: (f_support_mask(s), f_support_mask(scale(s, factor)))
+    )
     only_if, if_dir = [], []
     pairs = 0
-    for a in shapes:
-        for b in shapes:
-            if a == b:
+    for a, (ma, sa) in zip(shapes, prints):
+        for b, (mb, sb) in zip(shapes, prints):
+            if a is b:
                 continue
             pairs += 1
-            before = masks[a] | masks[b] == masks[a]
-            after = scaled_masks[a] | scaled_masks[b] == scaled_masks[a]
+            before = ma | mb == ma
+            after = sa | sb == sa
             if before and not after:
                 only_if.append({"a": format_shape(a), "b": format_shape(b)})
             if after and not before:

@@ -2,10 +2,13 @@
 
 For same-size shapes A and B the relation matrix records, per basis, whether
 s_A - s_B is positive and whether the support of A contains that of B, plus
-the three equivalent overlap-dominance conditions.  check_implications lists
-every broken arrow of the known implication diagram; an exhaustive sweep over
-all ordered pairs must find none, while also confirming the four published
-non-implications at their witness pairs.
+the three equivalent overlap-dominance conditions.  It is compare(record(A),
+record(B)): a shape's record holds its five expansions, their supports and
+its packed row, column and rectangle dominance keys.  relate() compares one
+pair; verify_implications records each shape once per size and compares
+every ordered pair.  check_implications lists every broken arrow of the
+known implication diagram; an exhaustive sweep must find none, while also
+confirming the four published non-implications at their witness pairs.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,6 @@ from skewsupport.shapes import (
 )
 from skewsupport.tableaux import BASES
 
-_POS_KEYS = BASES
 _SUP_KEYS = BASES + ("d_positive",)
 _DOM_KEYS = ("rows", "cols", "rects")
 
@@ -58,28 +60,53 @@ class RelationMatrix:
 
     def get(self, condition: str) -> bool:
         kind, _, key = condition.partition(":")
-        return {"positive": self.positive,
-                "contains": self.contains,
-                "dominated": self.dominated}[kind][key]
+        return getattr(self, kind)[key]
 
     def to_json_obj(self) -> dict:
         return {
             "a": format_shape(self.a),
             "b": format_shape(self.b),
-            "positive": {k: self.positive[k] for k in _POS_KEYS},
+            "positive": {k: self.positive[k] for k in BASES},
             "support_contains": {k: self.contains[k] for k in _SUP_KEYS},
             "overlap_dominated": {k: self.dominated[k] for k in _DOM_KEYS},
             "violations": check_implications(self),
         }
 
 
-def _rects_leq(a: SkewShape, b: SkewShape) -> bool:
-    """rects(k, l) of a never exceeds b's, for every rectangle size."""
-    for k in range(1, max(a.n_rows, b.n_rows) + 1):
-        for l in range(1, max(a.n_cols, b.n_cols) + 1):
-            if overlaps.rects(a, k, l) > overlaps.rects(b, k, l):
-                return False
-    return True
+@dataclass(frozen=True)
+class ShapeRecord:
+    """Everything compare() reads about one shape."""
+
+    shape: SkewShape
+    expansions: dict  # basis -> Expansion
+    supports: dict  # basis or "d_positive" -> frozenset of indices
+    keys: tuple  # packed dominance keys, in _DOM_KEYS order
+
+
+def record(shape: SkewShape) -> ShapeRecord:
+    """Expansions, supports and dominance keys of one shape."""
+    n = shape.size
+    expansions = {basis: bases.expansion_of(shape, basis) for basis in BASES}
+    supports = {basis: e.support() for basis, e in expansions.items()}
+    supports["d_positive"] = bases.positive_support(expansions["d"])
+    rows = overlaps.OverlapProfile.of(shape)
+    cols = overlaps.OverlapProfile.of(shape.transpose())
+    keys = (overlaps.dominance_key(rows, n), overlaps.dominance_key(cols, n),
+            overlaps.rects_key(rows, n))
+    return ShapeRecord(shape, expansions, supports, keys)
+
+
+def compare(ra: ShapeRecord, rb: ShapeRecord) -> RelationMatrix:
+    """Relation matrix of two records of shapes of one size."""
+    ea, eb = ra.expansions, rb.expansions
+    positive = {basis: bases.difference_positive(ea[basis], eb[basis])
+                for basis in BASES}
+    contains = {key: ra.supports[key] >= rb.supports[key]
+                for key in _SUP_KEYS}
+    guard = overlaps.dominance_guard(ra.shape.size)
+    dominated = {key: overlaps.key_dominated(ka, kb, guard)
+                 for key, ka, kb in zip(_DOM_KEYS, ra.keys, rb.keys)}
+    return RelationMatrix(ra.shape, rb.shape, positive, contains, dominated)
 
 
 def relate(a: SkewShape, b: SkewShape) -> RelationMatrix:
@@ -88,21 +115,7 @@ def relate(a: SkewShape, b: SkewShape) -> RelationMatrix:
         raise SizeMismatchError(
             f"shapes have different sizes: {a.size} vs {b.size}"
         )
-    # fetch each of the ten expansions once; every condition reads these
-    ea = {basis: bases.expansion_of(a, basis) for basis in BASES}
-    eb = {basis: bases.expansion_of(b, basis) for basis in BASES}
-    positive = {basis: bases.difference_positive(ea[basis], eb[basis])
-                for basis in _POS_KEYS}
-    contains = {basis: bases.contains_support(ea[basis], eb[basis])
-                for basis in BASES}
-    contains["d_positive"] = bases.contains_support(ea["d"], eb["d"],
-                                                    "positive")
-    dominated = {
-        "rows": overlaps.overlaps_dominated(a, b),
-        "cols": overlaps.overlaps_dominated(a.transpose(), b.transpose()),
-        "rects": _rects_leq(a, b),
-    }
-    return RelationMatrix(a, b, positive, contains, dominated)
+    return compare(record(a), record(b))
 
 
 def check_implications(m: RelationMatrix) -> list[str]:
@@ -128,7 +141,7 @@ WITNESSES = (
 )
 
 
-def verify_implications(n: int, progress=None, max_size=None) -> dict:
+def verify_implications(n: int, max_size=None) -> dict:
     """Check every arrow on every ordered same-size pair of sizes 1..n.
 
     Returns a report dict; report["violations"] is empty exactly when the
@@ -138,20 +151,17 @@ def verify_implications(n: int, progress=None, max_size=None) -> dict:
     violations = []
     pairs = 0
     for size in range(1, n + 1):
-        shapes = enumerate_shapes(size, max_size)
-        for a in shapes:
-            for b in shapes:
-                if a == b:
+        records = [record(s) for s in enumerate_shapes(size, max_size)]
+        for ra in records:
+            for rb in records:
+                if ra is rb:
                     continue
-                m = relate(a, b)
                 pairs += 1
-                for broken in check_implications(m):
+                for broken in check_implications(compare(ra, rb)):
                     violations.append(
-                        {"a": format_shape(a), "b": format_shape(b),
-                         "arrow": broken}
+                        {"a": format_shape(ra.shape),
+                         "b": format_shape(rb.shape), "arrow": broken}
                     )
-        if progress is not None:
-            progress(size, pairs)
     witnesses = {}
     for a_str, b_str, holds, fails in WITNESSES:
         wa, wb = parse_shape(a_str), parse_shape(b_str)

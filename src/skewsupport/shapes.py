@@ -182,10 +182,6 @@ class SkewShape:
     def inner_padded(self) -> tuple[int, ...]:
         return self.inner + (0,) * (len(self.outer) - len(self.inner))
 
-    def row_interval(self, i: int) -> tuple[int, int]:
-        """Half-open column range occupied by row i."""
-        return (self.inner_padded[i], self.outer[i])
-
     def boxes(self):
         inner = self.inner_padded
         return [

@@ -12,7 +12,7 @@ from skewsupport.bases import (
     s_expansion,
     support_contains,
 )
-from skewsupport.errors import SizeMismatchError
+from skewsupport.errors import SizeLimitError, SizeMismatchError
 from skewsupport.shapes import enumerate_shapes, parse_shape, straight
 from skewsupport.tableaux import Expansion, f_expansion, schur_expansion
 
@@ -103,6 +103,8 @@ def test_expansion_of_dispatch():
     s = parse_shape("22")
     for basis in ("schur", "f", "m", "s", "d"):
         assert expansion_of(s, basis).basis == basis
+        with pytest.raises(SizeLimitError):
+            expansion_of(parse_shape("3,1"), basis, max_size=2)
     with pytest.raises(ValueError):
         expansion_of(s, "q")
 

@@ -26,7 +26,8 @@ def test_relation_matrix_shape_and_json():
 
 def test_relate_agrees_with_pairwise_bases_queries():
     # relate() fetches each expansion once; its answers must be those of the
-    # one-basis-at-a-time queries in bases
+    # one-basis-at-a-time queries in bases, and positivity that of the
+    # coefficientwise difference
     for n in range(1, 6):
         shapes = enumerate_shapes(n)
         for a in shapes:
@@ -34,6 +35,10 @@ def test_relate_agrees_with_pairwise_bases_queries():
                 m = relate(a, b)
                 for basis in BASES:
                     assert m.positive[basis] == bases.positivity(a, b, basis)
+                    diff = bases.expansion_of(a, basis).minus(
+                        bases.expansion_of(b, basis))
+                    assert m.positive[basis] == all(
+                        v > 0 for v in diff.values())
                     assert m.contains[basis] == bases.support_contains(
                         a, b, basis)
                 assert m.contains["d_positive"] == bases.support_contains(
@@ -117,9 +122,6 @@ def test_verify_implications_small():
     assert confirmed["3,1,1/1 vs 3,2/1"] is True
     assert confirmed["3,1,1/1 vs 2,2"] is True
     assert "4,2,1/2 vs 4,3,1/2,1" not in confirmed  # size 5 out of range
-
-
-def test_verify_implications_progress_hook():
-    seen = []
-    verify_implications(2, progress=lambda n, pairs: seen.append((n, pairs)))
-    assert seen == [(1, 0), (2, 6)]
+    report = verify_implications(5)
+    assert report["pass"]
+    assert report["pairs_checked"] == 8316

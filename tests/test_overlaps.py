@@ -13,6 +13,7 @@ from skewsupport.overlaps import (
     profile,
     profile_equal,
     rects,
+    rects_key,
 )
 from skewsupport.shapes import enumerate_shapes, parse_shape, scale
 
@@ -147,23 +148,33 @@ def test_overlaps_dominated_and_equivalences():
 
 
 def test_row_col_rect_dominance_equivalence():
-    """The three overlap-dominance conditions agree on every ordered pair."""
+    """The three overlap-dominance conditions agree on every ordered pair,
+    and so do the packed column and rectangle keys."""
 
-    def rects_leq(a, b):
-        return all(
-            rects(a, k, l) <= rects(b, k, l)
-            for k in range(1, max(a.n_rows, b.n_rows) + 1)
-            for l in range(1, max(a.n_cols, b.n_cols) + 1)
-        )
+    def rects_table(s, n):
+        # rects(k, l) is 0 once k or l passes the shape, so 1..n covers all
+        return [rects(s, k, l) for k in range(1, n + 1)
+                for l in range(1, n + 1)]
 
-    for n in range(1, 6):
-        shapes = enumerate_shapes(n)
-        for a in shapes:
-            for b in shapes:
-                by_rows = overlaps_dominated(a, b)
-                by_cols = overlaps_dominated(a.transpose(), b.transpose())
-                by_rects = rects_leq(a, b)
+    def rects_leq(ta, tb):
+        return all(x <= y for x, y in zip(ta, tb))
+
+    for n in range(1, 7):
+        guard = dominance_guard(n)
+        rows = []
+        for s in enumerate_shapes(n):
+            prof = OverlapProfile.of(s)
+            tprof = OverlapProfile.of(s.transpose())
+            rows.append((prof, tprof, rects_table(s, n),
+                         dominance_key(tprof, n), rects_key(prof, n)))
+        for pa, qa, ta, ca, ra in rows:
+            for pb, qb, tb, cb, rb in rows:
+                by_rows = pa.dominated_by(pb)
+                by_cols = qa.dominated_by(qb)
+                by_rects = rects_leq(ta, tb)
                 assert by_rows == by_cols == by_rects
+                assert key_dominated(ca, cb, guard) == by_cols
+                assert key_dominated(ra, rb, guard) == by_rects
 
 
 def test_rotation_preserves_profile(small_shapes):

@@ -204,8 +204,8 @@ def test_verify_conjecture_parallel_fingerprints_match(monkeypatch):
 def test_fingerprints_match_per_shape(jobs):
     for n in range(8):
         shapes = enumerate_shapes(n)
-        masks, keys = _fingerprints(shapes, jobs)
-        for s, mask, key in zip(shapes, masks, keys):
+        prints = _fingerprints(shapes, posets._mask_and_key, jobs)
+        for s, (mask, key) in zip(shapes, prints):
             assert mask == f_support_mask(s), format_shape(s)
             assert key == dominance_key(OverlapProfile.of(s), n)
 
