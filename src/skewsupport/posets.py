@@ -7,12 +7,14 @@ ordered, by support containment and by overlap dominance respectively; a
 bigger support corresponds to more dominated overlaps.  The containment
 direction of the correspondence is a proved theorem (checked here as a
 sweep); the dominance-to-containment direction is open, so any reverse
-failure is reported as a discovery rather than an error.  Every sweep reads
-its per-shape data from one pass that handles each half-turn pair once.
+failure is reported as a discovery rather than an error.  Sweeps fingerprint
+one shape per multiset of components up to half-turn, as s_{A+B} = s_A s_B
+(EC2 Sec. 7.10) and A + B has the row overlaps of A and B (RSvW 2007, Sec. 2).
 """
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import get_context
 
 from skewsupport.config import default_jobs, effective_max_size
@@ -52,10 +54,6 @@ class ShapeClassPoset:
     n: int
     classes: tuple[tuple[SkewShape, ...], ...]
     relation: frozenset  # pairs (above, below) of class indices
-
-    @property
-    def representatives(self) -> tuple[SkewShape, ...]:
-        return tuple(cls[0] for cls in self.classes)
 
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Covering pairs (above, below): relation minus two-step paths.
@@ -127,31 +125,56 @@ def _classes_of(fingerprints) -> dict:
     return groups
 
 
+def _component_key(s: SkewShape) -> tuple:
+    """The sorted tuple of s's connected components, each up to half-turn.
+
+    A component ends at row i if row i + 1 ends at or left of row i's start.
+    Each is its row intervals shifted to column 0, or its half-turn's if less.
+    """
+    outer, inner = s.outer, s.inner_padded
+    comps, top = [], 0
+    for i in range(len(outer)):
+        if i + 1 == len(outer) or outer[i + 1] <= inner[i]:
+            left, width = inner[i], outer[top] - inner[i]
+            rows = tuple((inner[r] - left, outer[r] - left)
+                         for r in range(top, i + 1))
+            turned = tuple((width - b, width - a) for a, b in reversed(rows))
+            comps.append(min(rows, turned))
+            top = i + 1
+    return tuple(sorted(comps))
+
+
 def _fingerprints(shapes, fingerprint, jobs: int = 1) -> list:
     """fingerprint(s) for every shape s, as a list in the order of shapes.
 
-    A shape A and its half-turn A° have the same skew Schur function and
-    overlap profile, and scale(A°) = scale(A)°, so every fingerprint here is
-    computed for one of A, A° and copied to the other.  jobs > 1 maps over a
-    fork pool, which needs a module-level fingerprint.
+    s_{A+B} = s_A s_B for a direct sum and s_A is half-turn invariant (EC2
+    Sec. 7.10); A + B has the row overlaps of A and B, which share no column
+    (Reiner-Shaw-van Willigenburg 2007, Sec. 2); scale commutes with both.
+    So each fingerprint is computed once per _component_key, on the first shape
+    with it.  jobs > 1 maps over a fork pool, which needs a module-level one.
     """
-    position = {s: i for i, s in enumerate(shapes)}
-    twin = [position[s.rotate()] for s in shapes]
-    todo = [i for i, t in enumerate(twin) if i <= t]
-    work = [shapes[i] for i in todo]
+    first: dict = {}  # key -> (slot, first shape with that key)
+    slots = [first.setdefault(_component_key(s), (len(first), s))[0]
+             for s in shapes]
+    work = [s for _, s in first.values()]
     if jobs <= 1 or len(work) < 64:
         rows = [fingerprint(s) for s in work]
     else:
         with get_context("fork").Pool(jobs) as pool:
             rows = pool.map(fingerprint, work)
-    out = [None] * len(shapes)
-    for i, row in zip(todo, rows):
-        out[i] = out[twin[i]] = row
-    return out
+    return [rows[slot] for slot in slots]
 
 
 def _mask_and_key(s: SkewShape) -> tuple[int, int]:
     return f_support_mask(s), dominance_key(OverlapProfile.of(s), s.size)
+
+
+def _mask_and_multfree(s: SkewShape) -> tuple[int, bool]:
+    return f_support_mask(s), is_f_multiplicity_free(s)
+
+
+def _mask_and_scaled(s: SkewShape, factor: int) -> tuple[int, int]:
+    return f_support_mask(s), f_support_mask(scale(s, factor))
 
 
 def _poset(kind, n, shapes, fingerprints, above) -> ShapeClassPoset:
@@ -433,9 +456,7 @@ def multfree_report(n: int, max_size=None) -> dict:
     subposet of the support poset as well.
     """
     shapes = enumerate_shapes(n, max_size)
-    prints = _fingerprints(
-        shapes, lambda s: (f_support_mask(s), is_f_multiplicity_free(s))
-    )
+    prints = _fingerprints(shapes, _mask_and_multfree)
     classification_mismatches = []
     free, classified = set(), []
     for s, (mask, brute) in zip(shapes, prints):
@@ -537,9 +558,7 @@ def saturation_check(n: int, factor: int, max_size=None) -> dict:
     if n * factor > effective_max_size(max_size):
         raise SizeLimitError(f"scaled size {n * factor} exceeds the limit")
     shapes = enumerate_shapes(n, max_size)
-    prints = _fingerprints(
-        shapes, lambda s: (f_support_mask(s), f_support_mask(scale(s, factor)))
-    )
+    prints = _fingerprints(shapes, partial(_mask_and_scaled, factor=factor))
     only_if, if_dir = [], []
     pairs = 0
     for a, (ma, sa) in zip(shapes, prints):

@@ -4,7 +4,6 @@ import pytest
 
 from skewsupport.bases import (
     d_expansion,
-    d_support_conventions_agree,
     distinct_permutations,
     expansion_of,
     positive_support,
@@ -115,6 +114,8 @@ def test_positivity_and_size_mismatch():
     assert not positivity(a, b, "schur")
     with pytest.raises(SizeMismatchError):
         positivity(a, parse_shape("3"), "f")
+    with pytest.raises(SizeMismatchError):
+        support_contains(parse_shape("2,2"), parse_shape("3"), "f")
 
 
 def test_schur_positive_but_not_d_positive():
@@ -136,7 +137,9 @@ def test_d_support_conventions_agree_on_small_pairs():
         shapes = enumerate_shapes(n)
         for a in shapes:
             for b in shapes:
-                assert d_support_conventions_agree(a, b)
+                assert support_contains(a, b, "d", "nonzero") == (
+                    support_contains(a, b, "d", "positive")
+                )
 
 
 def test_d_support_convention_divergence_example():

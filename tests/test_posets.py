@@ -1,3 +1,4 @@
+from functools import partial
 from multiprocessing import get_context
 
 import pytest
@@ -11,6 +12,7 @@ from skewsupport.errors import (
 from skewsupport.overlaps import OverlapProfile, dominance_key
 from skewsupport.posets import (
     ShapeClassPoset,
+    _component_key,
     _fingerprints,
     build_nc,
     build_suppf,
@@ -25,9 +27,11 @@ from skewsupport.posets import (
     verify_conjecture,
 )
 from skewsupport.shapes import (
+    direct_sum,
     enumerate_shapes,
     format_shape,
     parse_shape,
+    scale,
     straight,
 )
 from skewsupport.tableaux import f_support_mask, is_f_multiplicity_free
@@ -100,7 +104,7 @@ def test_n6_snapshot_frozen():
     assert len(suppf.hasse_edges()) == 123
     assert len(nc.hasse_edges()) == 123
     assert suppf.relation == nc.relation
-    assert [format_shape(s) for s in suppf.representatives[:5]] == [
+    assert [format_shape(cls[0]) for cls in suppf.classes[:5]] == [
         "1,1,1,1,1,1",
         "2,1,1,1,1",
         "2,1,1,1,1,1/1",
@@ -195,9 +199,28 @@ def test_verify_conjecture_parallel_fingerprints_match(monkeypatch):
         assert pools == []
         parallel = verify_conjecture(n, jobs=2)
         assert serial == parallel
-    # n=5 has 48 half-turn representatives, n=6 has 152: only n=6 is
-    # enough to start the pool
+    # n=5 has 34 component keys, n=6 has 87: only n=6 is enough to start
+    # the pool
     assert pools == ["fork"]
+
+
+def test_component_key():
+    for n in range(1, 8):
+        for s in enumerate_shapes(n):
+            assert _component_key(s.rotate()) == _component_key(s)
+    connected = [
+        s for n in range(1, 7) for s in enumerate_shapes(n)
+        if s.is_connected()
+    ]
+    for a in connected:
+        for b in connected:
+            if a.size + b.size <= 7:
+                key = _component_key(direct_sum(a, b))
+                assert _component_key(direct_sum(b, a)) == key
+                assert _component_key(direct_sum(a.rotate(), b)) == key
+    counts = [len({_component_key(s) for s in enumerate_shapes(n)})
+              for n in range(1, 9)]
+    assert counts == [1, 3, 6, 16, 34, 87, 198, 493]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -208,6 +231,24 @@ def test_fingerprints_match_per_shape(jobs):
         for s, (mask, key) in zip(shapes, prints):
             assert mask == f_support_mask(s), format_shape(s)
             assert key == dominance_key(OverlapProfile.of(s), n)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_multfree_and_saturation_fingerprints_match_per_shape(jobs):
+    for n in range(8):
+        shapes = enumerate_shapes(n)
+        prints = _fingerprints(shapes, posets._mask_and_multfree, jobs)
+        for s, row in zip(shapes, prints):
+            assert row == (f_support_mask(s), is_f_multiplicity_free(s)), (
+                format_shape(s))
+    # n = 6 has 87 component keys, enough to start the pool at jobs=2
+    fingerprint = partial(posets._mask_and_scaled, factor=2)
+    for n in range(7):
+        shapes = enumerate_shapes(n)
+        prints = _fingerprints(shapes, fingerprint, jobs)
+        for s, row in zip(shapes, prints):
+            assert row == (f_support_mask(s),
+                           f_support_mask(scale(s, 2))), format_shape(s)
 
 
 # ------------------------------------------------------ multiplicity-free
@@ -356,5 +397,5 @@ def test_saturation_guards():
 def test_poset_dataclass_accessors():
     poset = build_suppf(3)
     assert isinstance(poset, ShapeClassPoset)
-    assert len(poset.representatives) == 6
+    assert len(poset.classes) == 6
     assert all(cls[0] == min(cls) for cls in poset.classes)
