@@ -11,8 +11,12 @@ provided.
 
 from functools import lru_cache
 
-from skewsupport.errors import SizeMismatchError
-from skewsupport.shapes import Composition, Partition, SkewShape
+from skewsupport.shapes import (
+    Composition,
+    Partition,
+    SkewShape,
+    check_same_size,
+)
 from skewsupport.tableaux import (
     Expansion,
     _check_size,
@@ -53,9 +57,9 @@ def distinct_permutations(parts: Partition) -> tuple:
     return tuple(out)
 
 
-def s_expansion(shape: SkewShape, max_size=None) -> Expansion:
+def s_expansion(shape: SkewShape) -> Expansion:
     """Quasisymmetric Schur expansion: each Schur term spreads over rearrangements."""
-    _check_size(shape, max_size)
+    _check_size(shape)
     out: dict[Composition, int] = {}
     for lam, c in schur_expansion(shape).items():
         for alpha in distinct_permutations(lam):
@@ -96,9 +100,9 @@ def _straight_d(lam: Partition) -> tuple:
     return tuple((key, val) for key, val in out.items() if val)
 
 
-def d_expansion(shape: SkewShape, max_size=None) -> Expansion:
+def d_expansion(shape: SkewShape) -> Expansion:
     """Dual immaculate expansion, assembled through the Schur expansion."""
-    _check_size(shape, max_size)
+    _check_size(shape)
     out: dict[Composition, int] = {}
     for lam, c in schur_expansion(shape).items():
         for key, val in _straight_d(lam):
@@ -110,18 +114,18 @@ def d_expansion(shape: SkewShape, max_size=None) -> Expansion:
     return Expansion("d", out)
 
 
-def expansion_of(shape: SkewShape, basis: str, max_size=None) -> Expansion:
+def expansion_of(shape: SkewShape, basis: str) -> Expansion:
     if basis == "schur":
-        _check_size(shape, max_size)
+        _check_size(shape)
         return schur_expansion(shape)
     if basis == "f":
-        return f_expansion(shape, max_size)
+        return f_expansion(shape)
     if basis == "m":
-        return m_expansion(shape, max_size)
+        return m_expansion(shape)
     if basis == "s":
-        return s_expansion(shape, max_size)
+        return s_expansion(shape)
     if basis == "d":
-        return d_expansion(shape, max_size)
+        return d_expansion(shape)
     raise ValueError(f"unknown basis {basis!r}")
 
 
@@ -136,16 +140,9 @@ def difference_positive(ea: Expansion, eb: Expansion) -> bool:
             and all(v > 0 for key, v in a.items() if key not in b))
 
 
-def _check_same_size(a: SkewShape, b: SkewShape) -> None:
-    if a.size != b.size:
-        raise SizeMismatchError(
-            f"shapes have different sizes: {a.size} vs {b.size}"
-        )
-
-
 def positivity(a: SkewShape, b: SkewShape, basis: str) -> bool:
     """Whether s_a - s_b has only nonnegative coefficients in the basis."""
-    _check_same_size(a, b)
+    check_same_size(a, b)
     return difference_positive(expansion_of(a, basis), expansion_of(b, basis))
 
 
@@ -157,7 +154,7 @@ def support_contains(a: SkewShape, b: SkewShape, basis: str,
     negative: "nonzero" takes all keys, "positive" only those with positive
     coefficient.
     """
-    _check_same_size(a, b)
+    check_same_size(a, b)
     ea, eb = expansion_of(a, basis), expansion_of(b, basis)
     if convention == "positive":
         return positive_support(ea) >= positive_support(eb)

@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version",
                     version=f"%(prog)s {__version__} ({BACKEND} backend)")
     ap.add_argument("--max-size", type=int, default=None,
-                    help="override the size guard (or SKEWSUPPORT_MAX_SIZE)")
+                    help="size guard for one call (sets SKEWSUPPORT_MAX_SIZE)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("shapes", help="list shapes of a given size")

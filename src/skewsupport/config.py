@@ -29,10 +29,6 @@ def max_size() -> int:
     return value
 
 
-def effective_max_size(override=None) -> int:
-    return max_size() if override is None else int(override)
-
-
 def default_jobs() -> int:
     raw = os.environ.get(ENV_JOBS)
     if raw is None:

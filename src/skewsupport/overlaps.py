@@ -10,8 +10,7 @@ column statistics are row statistics of the transpose.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from skewsupport.errors import SizeMismatchError
-from skewsupport.shapes import Partition, SkewShape, sort_desc
+from skewsupport.shapes import Partition, SkewShape, check_same_size, sort_desc
 
 
 def overlap_rows(shape: SkewShape, k: int) -> Partition:
@@ -66,10 +65,6 @@ class OverlapProfile:
             dominance_leq(stat, other.row_stat(k))
             for k, stat in enumerate(self.rows, start=1)
         )
-
-
-def profile(shape: SkewShape) -> OverlapProfile:
-    return OverlapProfile.of(shape)
 
 
 def dominance_leq(lam: Partition, mu: Partition) -> bool:
@@ -147,12 +142,6 @@ def overlaps_dominated(a: SkewShape, b: SkewShape) -> bool:
     Only defined for shapes of equal size; the dominance order is not
     meaningful across sizes here.
     """
-    if a.size != b.size:
-        raise SizeMismatchError(
-            f"shapes have different sizes: {a.size} vs {b.size}"
-        )
+    check_same_size(a, b)
     return OverlapProfile.of(a).dominated_by(OverlapProfile.of(b))
 
-
-def profile_equal(a: SkewShape, b: SkewShape) -> bool:
-    return OverlapProfile.of(a) == OverlapProfile.of(b)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 from multiprocessing import get_context
 
-from skewsupport.config import default_jobs, effective_max_size
+from skewsupport.config import default_jobs, max_size
 from skewsupport.errors import (
     InvalidArgumentError,
     InvalidShapeError,
@@ -31,6 +31,7 @@ from skewsupport.overlaps import (
 )
 from skewsupport.shapes import (
     SkewShape,
+    check_same_size,
     direct_sum,
     enumerate_shapes,
     format_shape,
@@ -195,20 +196,20 @@ def _poset(kind, n, shapes, fingerprints, above) -> ShapeClassPoset:
     return ShapeClassPoset(kind, n, classes, relation)
 
 
-def build_suppf(n: int, max_size=None) -> ShapeClassPoset:
+def build_suppf(n: int) -> ShapeClassPoset:
     """Classes by equal F-support, ordered by strict support containment."""
-    shapes = enumerate_shapes(n, max_size)
+    shapes = enumerate_shapes(n)
     return _poset("suppf", n, shapes, _fingerprints(shapes, f_support_mask),
                   lambda mi, mj: mi | mj == mi)
 
 
-def build_nc(n: int, max_size=None) -> ShapeClassPoset:
+def build_nc(n: int) -> ShapeClassPoset:
     """Classes by equal overlap profile, ordered by strict dominance.
 
     A class sits above another when its row statistics are dominated at
     every depth (more spread out means higher).
     """
-    shapes = enumerate_shapes(n, max_size)
+    shapes = enumerate_shapes(n)
     guard = dominance_guard(n)
     keys = _fingerprints(shapes,
                          lambda s: dominance_key(OverlapProfile.of(s), n))
@@ -224,7 +225,7 @@ def _shard_of(a: str, b: str, count: int) -> int:
     return zlib.crc32(f"{a}|{b}".encode()) % count
 
 
-def verify_conjecture(n: int, shard=(1, 1), jobs=None, max_size=None) -> dict:
+def verify_conjecture(n: int, shard=(1, 1), jobs=None) -> dict:
     """Check "support containment <=> overlap dominance" at size n.
 
     Forward failures (containment without dominance) contradict a proved
@@ -236,7 +237,7 @@ def verify_conjecture(n: int, shard=(1, 1), jobs=None, max_size=None) -> dict:
     index, count = shard
     if not (1 <= index <= count):
         raise InvalidArgumentError(f"shard index {index} outside 1..{count}")
-    shapes = enumerate_shapes(n, max_size)
+    shapes = enumerate_shapes(n)
     masks, keys = zip(*_fingerprints(shapes, _mask_and_key,
                                      jobs or default_jobs()))
     by_mask = _classes_of(masks)
@@ -436,17 +437,14 @@ def multfree_comparable(a: SkewShape, b: SkewShape) -> bool:
     its rotation) pass, and otherwise only the three published family
     pattern pairs do, up to rotating either side.
     """
-    if a.size != b.size:
-        raise InvalidShapeError(
-            f"shapes have different sizes: {a.size} vs {b.size}"
-        )
+    check_same_size(a, b)
     ta, tb = multfree_classify(a), multfree_classify(b)
     if ta is None or tb is None:
         raise InvalidShapeError("both shapes must be multiplicity-free")
     return _comparable(ta, tb, a.size)
 
 
-def multfree_report(n: int, max_size=None) -> dict:
+def multfree_report(n: int) -> dict:
     """Classification vs expansion agreement, plus the class subposet.
 
     Checks, for every shape of size n, that the pattern classification
@@ -455,7 +453,7 @@ def multfree_report(n: int, max_size=None) -> dict:
     every ordered pair of classified shapes.  Returns the restricted
     subposet of the support poset as well.
     """
-    shapes = enumerate_shapes(n, max_size)
+    shapes = enumerate_shapes(n)
     prints = _fingerprints(shapes, _mask_and_multfree)
     classification_mismatches = []
     free, classified = set(), []
@@ -545,7 +543,7 @@ def schur_saturation_regression() -> dict:
     }
 
 
-def saturation_check(n: int, factor: int, max_size=None) -> dict:
+def saturation_check(n: int, factor: int) -> dict:
     """Probe F-support saturation: does containment survive scaling, both ways?
 
     Sweeps all ordered pairs of size-n shapes comparing containment before
@@ -555,9 +553,9 @@ def saturation_check(n: int, factor: int, max_size=None) -> dict:
     """
     if factor < 1:
         raise InvalidArgumentError(f"scale factor must be >= 1, got {factor}")
-    if n * factor > effective_max_size(max_size):
+    if n * factor > max_size():
         raise SizeLimitError(f"scaled size {n * factor} exceeds the limit")
-    shapes = enumerate_shapes(n, max_size)
+    shapes = enumerate_shapes(n)
     prints = _fingerprints(shapes, partial(_mask_and_scaled, factor=factor))
     only_if, if_dir = [], []
     pairs = 0

@@ -14,9 +14,9 @@ confirming the four published non-implications at their witness pairs.
 from dataclasses import dataclass
 
 from skewsupport import bases, overlaps
-from skewsupport.errors import SizeMismatchError
 from skewsupport.shapes import (
     SkewShape,
+    check_same_size,
     enumerate_shapes,
     format_shape,
     parse_shape,
@@ -111,10 +111,7 @@ def compare(ra: ShapeRecord, rb: ShapeRecord) -> RelationMatrix:
 
 def relate(a: SkewShape, b: SkewShape) -> RelationMatrix:
     """Full relation matrix for an ordered same-size pair."""
-    if a.size != b.size:
-        raise SizeMismatchError(
-            f"shapes have different sizes: {a.size} vs {b.size}"
-        )
+    check_same_size(a, b)
     return compare(record(a), record(b))
 
 
@@ -141,7 +138,7 @@ WITNESSES = (
 )
 
 
-def verify_implications(n: int, max_size=None) -> dict:
+def verify_implications(n: int) -> dict:
     """Check every arrow on every ordered same-size pair of sizes 1..n.
 
     Returns a report dict; report["violations"] is empty exactly when the
@@ -151,7 +148,7 @@ def verify_implications(n: int, max_size=None) -> dict:
     violations = []
     pairs = 0
     for size in range(1, n + 1):
-        records = [record(s) for s in enumerate_shapes(size, max_size)]
+        records = [record(s) for s in enumerate_shapes(size)]
         for ra in records:
             for rb in records:
                 if ra is rb:

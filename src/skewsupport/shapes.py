@@ -17,11 +17,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
 
-from skewsupport.config import effective_max_size
+from skewsupport.config import max_size
 from skewsupport.errors import (
     InvalidArgumentError,
     InvalidShapeError,
     SizeLimitError,
+    SizeMismatchError,
 )
 
 Partition = tuple[int, ...]
@@ -355,7 +356,14 @@ def format_shape(shape: SkewShape) -> str:
     return outer + "/" + ",".join(str(p) for p in shape.inner)
 
 
-def enumerate_shapes(n: int, max_size=None) -> list[SkewShape]:
+def check_same_size(a: SkewShape, b: SkewShape) -> None:
+    if a.size != b.size:
+        raise SizeMismatchError(
+            f"shapes have different sizes: {a.size} vs {b.size}"
+        )
+
+
+def enumerate_shapes(n: int) -> list[SkewShape]:
     """All canonical skew shapes with n boxes, sorted by (outer, inner).
 
     Rows are generated top to bottom as column intervals [a, b).  The
@@ -363,7 +371,7 @@ def enumerate_shapes(n: int, max_size=None) -> list[SkewShape]:
     row is non-empty, consecutive rows satisfy b' >= a (no column gap), and
     the last row starts at column 0.
     """
-    limit = effective_max_size(max_size)
+    limit = max_size()
     if n < 0:
         raise InvalidArgumentError(f"n must be >= 0, got {n}")
     if n > limit:

@@ -15,13 +15,12 @@ from functools import lru_cache
 from math import factorial
 
 from skewsupport import kernels
-from skewsupport.config import effective_max_size
+from skewsupport.config import max_size
 from skewsupport.errors import ConsistencyError, InvalidShapeError, SizeLimitError
 from skewsupport.shapes import (
     Composition,
     Partition,
     SkewShape,
-    comp_to_mask,
     mask_to_comp,
     sort_desc,
     transpose_partition,
@@ -64,12 +63,6 @@ class Expansion:
     def items(self):
         return self.coeffs.items()
 
-    def is_nonnegative(self) -> bool:
-        return all(v > 0 for v in self.coeffs.values())
-
-    def is_multiplicity_free(self) -> bool:
-        return all(v == 1 for v in self.coeffs.values())
-
     def minus(self, other: "Expansion") -> dict:
         """Coefficientwise difference as a plain dict (zeros dropped)."""
         if other.basis != self.basis:
@@ -91,8 +84,8 @@ class Expansion:
         }
 
 
-def _check_size(shape: SkewShape, max_size) -> None:
-    limit = effective_max_size(max_size)
+def _check_size(shape: SkewShape) -> None:
+    limit = max_size()
     if shape.size > limit:
         raise SizeLimitError(
             f"shape has {shape.size} boxes, over the size limit {limit}"
@@ -126,9 +119,6 @@ class StandardTableau:
                     if rows[i - 1][j - plo] >= row[j - lo]:
                         raise InvalidShapeError(f"column {j} not increasing")
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j - self.shape.inner_padded[i]]
-
     def descent_set(self) -> frozenset[int]:
         """Values i such that i+1 sits in a strictly lower row."""
         where = {}
@@ -157,13 +147,13 @@ class StandardTableau:
         return "\n".join(lines)
 
 
-def enumerate_syt(shape: SkewShape, max_size=None):
+def enumerate_syt(shape: SkewShape):
     """Yield all standard tableaux of the shape, in a fixed order.
 
     Entries 1..n are placed in increasing order; candidate boxes for the next
     entry are tried top row first, so the stream is deterministic.
     """
-    _check_size(shape, max_size)
+    _check_size(shape)
     outer, inner = shape.outer, shape.inner_padded
     nrows = len(outer)
     n = shape.size
@@ -190,10 +180,6 @@ def enumerate_syt(shape: SkewShape, max_size=None):
     yield from place(1)
 
 
-def descent_composition(tab: StandardTableau) -> Composition:
-    return tab.descent_composition()
-
-
 @lru_cache(maxsize=None)
 def _f_masks(shape: SkewShape) -> dict:
     return kernels.descent_tally(shape.inner_padded, shape.outer)
@@ -209,25 +195,25 @@ def _compositions(n: int) -> tuple:
     return tuple(mask_to_comp(m, n) for m in range(1 << max(0, n - 1)))
 
 
-def f_expansion(shape: SkewShape, max_size=None) -> Expansion:
+def f_expansion(shape: SkewShape) -> Expansion:
     """Fundamental quasisymmetric expansion, straight from standard fillings."""
-    _check_size(shape, max_size)
+    _check_size(shape)
     comps = _compositions(shape.size)
     return Expansion("f", {comps[m]: c for m, c in _f_masks(shape).items()})
 
 
-def f_support(shape: SkewShape, max_size=None) -> frozenset:
-    return f_expansion(shape, max_size).support()
+def f_support(shape: SkewShape) -> frozenset:
+    return f_expansion(shape).support()
 
 
-def m_expansion(shape: SkewShape, max_size=None) -> Expansion:
+def m_expansion(shape: SkewShape) -> Expansion:
     """Monomial expansion via the subset-sum transform of the F-expansion.
 
     Each F term indexed by subset S contributes to every M term indexed by a
     superset of S, so the coefficient vector over subsets of [n-1] is the
     zeta transform of the F vector.
     """
-    _check_size(shape, max_size)
+    _check_size(shape)
     n = shape.size
     vec = [0] * (1 << max(0, n - 1))
     for mask, c in _f_masks(shape).items():
@@ -241,15 +227,11 @@ def m_expansion(shape: SkewShape, max_size=None) -> Expansion:
     return Expansion("m", {comps[m]: v for m, v in enumerate(vec) if v})
 
 
-@lru_cache(maxsize=None)
-def _schur_lr(shape: SkewShape) -> dict:
-    return kernels.lr_tally(shape.inner_padded, shape.outer)
-
-
-def schur_expansion_lr(shape: SkewShape, max_size=None) -> Expansion:
+def schur_expansion_lr(shape: SkewShape) -> Expansion:
     """Schur expansion by counting lattice semistandard fillings."""
-    _check_size(shape, max_size)
-    return Expansion("schur", dict(_schur_lr(shape)))
+    _check_size(shape)
+    tally = kernels.lr_tally(shape.inner_padded, shape.outer)
+    return Expansion("schur", tally)
 
 
 def partitions_of(n: int):
@@ -315,7 +297,7 @@ def _strip_removals(mu: Partition, size: int) -> list[Partition]:
     return out
 
 
-def schur_expansion_kostka(shape: SkewShape, max_size=None) -> Expansion:
+def schur_expansion_kostka(shape: SkewShape) -> Expansion:
     """Schur expansion by inverting the Kostka matrix against the M-expansion.
 
     The monomial coefficients of a symmetric function determine its Schur
@@ -323,8 +305,8 @@ def schur_expansion_kostka(shape: SkewShape, max_size=None) -> Expansion:
     residual monomial coefficient is forced.  Non-symmetric input (which a
     correct M-expansion can never produce) raises ConsistencyError.
     """
-    _check_size(shape, max_size)
-    mono = m_expansion(shape, max_size)
+    _check_size(shape)
+    mono = m_expansion(shape)
     by_partition: dict[Partition, int] = {}
     for comp, coeff in mono.items():
         lam = sort_desc(comp)
@@ -374,8 +356,8 @@ def schur_expansion(shape: SkewShape) -> Expansion:
     return exp
 
 
-def schur_support(shape: SkewShape, max_size=None) -> frozenset:
-    _check_size(shape, max_size)
+def schur_support(shape: SkewShape) -> frozenset:
+    _check_size(shape)
     return schur_expansion(shape).support()
 
 
@@ -384,7 +366,7 @@ def _straight_f_masks(lam: Partition) -> dict:
     return kernels.descent_tally((0,) * len(lam), lam)
 
 
-def f_expansion_via_schur(shape: SkewShape, max_size=None) -> Expansion:
+def f_expansion_via_schur(shape: SkewShape) -> Expansion:
     """F-expansion assembled from the Schur expansion.
 
     Since skew Schur functions are nonnegative combinations of straight
@@ -392,7 +374,7 @@ def f_expansion_via_schur(shape: SkewShape, max_size=None) -> Expansion:
     shapes' F-expansions.  Much faster than direct enumeration on shapes
     with many standard fillings; must agree with f_expansion exactly.
     """
-    _check_size(shape, max_size)
+    _check_size(shape)
     n = shape.size
     acc: dict[int, int] = {}
     for lam, c in schur_expansion(shape).items():
@@ -434,9 +416,9 @@ def f_support_from_mask(bits: int, n: int) -> frozenset:
     return frozenset(out)
 
 
-def is_f_multiplicity_free(shape: SkewShape, max_size=None) -> bool:
+def is_f_multiplicity_free(shape: SkewShape) -> bool:
     """Whether every standard filling has a distinct descent composition."""
-    _check_size(shape, max_size)
+    _check_size(shape)
     return all(c == 1 for c in _f_masks(shape).values())
 
 

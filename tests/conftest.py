@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import skewsupport
+from skewsupport import config
 from skewsupport.shapes import enumerate_shapes
 
 try:
@@ -15,14 +16,14 @@ except ImportError:
 
 
 def all_shapes_upto(n: int):
-    # an explicit limit, so a small SKEWSUPPORT_MAX_SIZE in the session's
-    # environment cannot break loading this file
     for size in range(1, n + 1):
-        yield from enumerate_shapes(size, max_size=n)
+        yield from enumerate_shapes(size)
 
 
 if HAVE_HYPOTHESIS:
-    _POOL = [s for s in all_shapes_upto(6)]
+    # capped by the size guard, so a small SKEWSUPPORT_MAX_SIZE in the
+    # session's environment cannot break loading this file
+    _POOL = list(all_shapes_upto(min(6, config.max_size())))
 
     def shape_strategy():
         return st.sampled_from(_POOL)

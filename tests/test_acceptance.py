@@ -295,9 +295,7 @@ def test_nightly_sweep(n):
 @pytest.mark.longrun
 @pytest.mark.parametrize("n", [11, 12])
 def test_longrun_sweep_sharded(n):
-    shards = [
-        verify_conjecture(n, shard=(i, 4), max_size=n) for i in range(1, 5)
-    ]
+    shards = [verify_conjecture(n, shard=(i, 4)) for i in range(1, 5)]
     merged = merge_conjecture_reports(shards)
     assert merged["pass_theorem"] is True
     assert merged["pass_conjecture"] is True

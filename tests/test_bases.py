@@ -11,9 +11,15 @@ from skewsupport.bases import (
     s_expansion,
     support_contains,
 )
+from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.errors import SizeLimitError, SizeMismatchError
 from skewsupport.shapes import enumerate_shapes, parse_shape, straight
-from skewsupport.tableaux import Expansion, f_expansion, schur_expansion
+from skewsupport.tableaux import (
+    BASES,
+    Expansion,
+    f_expansion,
+    schur_expansion,
+)
 
 
 def exp(basis, terms):
@@ -98,12 +104,18 @@ def test_d_expansion_linear_in_schur_terms():
 # ------------------------------------------------ positivity and supports
 
 
-def test_expansion_of_dispatch():
+def test_expansion_of_dispatch(monkeypatch):
     s = parse_shape("22")
-    for basis in ("schur", "f", "m", "s", "d"):
+    for basis in BASES:
         assert expansion_of(s, basis).basis == basis
+    # every basis reads the one guard, including those built on Schur
+    monkeypatch.setenv(ENV_MAX_SIZE, "20")
+    for basis in BASES:
+        assert expansion_of(parse_shape("15,"), basis)[(15,)] == 1
+    monkeypatch.setenv(ENV_MAX_SIZE, "2")
+    for basis in BASES:
         with pytest.raises(SizeLimitError):
-            expansion_of(parse_shape("3,1"), basis, max_size=2)
+            expansion_of(parse_shape("3,1"), basis)
     with pytest.raises(ValueError):
         expansion_of(s, "q")
 

@@ -207,6 +207,19 @@ def test_usage_errors(capsys, monkeypatch):
             capsys, ["verify", "conjecture", "--n", "3"]
         )
         monkeypatch.delenv(name)
+    # every sweep stops at the guard, and --max-size lifts it for one call;
+    # saturation also doubles its fixed 6-box Schur regression pair
+    monkeypatch.setenv(ENV_MAX_SIZE, "3")
+    for lift, argv in (
+        ("4", ["verify", "figure6", "--n", "4"]),
+        ("4", ["verify", "conjecture", "--n", "4"]),
+        ("4", ["poset", "--n", "4"]),
+        ("4", ["poset", "--n", "4", "--which", "nc"]),
+        ("4", ["multfree", "--n", "4"]),
+        ("12", ["saturation", "--n", "2", "--scale", "2"]),
+    ):
+        _assert_one_line_error(capsys, argv)
+        assert run_cli(capsys, "--max-size", lift, *argv)[0] == EXIT_OK, argv
 
 
 def _assert_one_line_error(capsys, argv):

@@ -10,8 +10,6 @@ from skewsupport.overlaps import (
     overlap_cols,
     overlap_rows,
     overlaps_dominated,
-    profile,
-    profile_equal,
     rects,
     rects_key,
 )
@@ -179,7 +177,6 @@ def test_row_col_rect_dominance_equivalence():
 
 def test_rotation_preserves_profile(small_shapes):
     for s in small_shapes:
-        assert profile_equal(s, s.rotate())
         assert OverlapProfile.of(s) == OverlapProfile.of(s.rotate())
 
 
@@ -194,11 +191,6 @@ def test_scaling_preserves_dominance():
         ]
         for a, b in pairs:
             assert overlaps_dominated(scale(a, 2), scale(b, 2))
-
-
-def test_profile_function_matches_class(small_shapes):
-    for s in small_shapes:
-        assert profile(s) == OverlapProfile.of(s)
 
 
 if given is not None:

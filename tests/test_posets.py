@@ -8,6 +8,7 @@ from skewsupport.errors import (
     InvalidArgumentError,
     InvalidShapeError,
     SizeLimitError,
+    SizeMismatchError,
 )
 from skewsupport.overlaps import OverlapProfile, dominance_key
 from skewsupport.posets import (
@@ -300,10 +301,10 @@ def test_comparable_decisions():
     assert multfree_comparable(
         column_row_shape(6, 4), straight((2, 2, 1, 1))
     )
+    with pytest.raises(SizeMismatchError):
+        multfree_comparable(straight((4, 1)), straight((2, 2)))
     with pytest.raises(InvalidShapeError):
-        multfree_comparable(straight((4, 1)), straight((2, 2)))  # sizes
-    with pytest.raises(InvalidShapeError):
-        multfree_comparable(parse_shape("321/11"), straight((3, 2, 1)))
+        multfree_comparable(parse_shape("321/11"), straight((2, 2)))
 
 
 def test_comparable_matches_support_exhaustively_n6():

@@ -1,5 +1,6 @@
 import pytest
 
+from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.errors import InvalidShapeError, SizeLimitError
 from skewsupport.shapes import (
     SkewShape,
@@ -130,12 +131,13 @@ def test_enumeration_counts_frozen():
     assert counts == [1, 3, 9, 28, 87, 272, 850, 2659, 8318]
 
 
-def test_enumeration_respects_size_limit():
+def test_enumeration_respects_size_limit(monkeypatch):
     with pytest.raises(SizeLimitError):
         enumerate_shapes(15)
-    assert len(enumerate_shapes(3, max_size=3)) == 9
+    monkeypatch.setenv(ENV_MAX_SIZE, "3")
+    assert len(enumerate_shapes(3)) == 9
     with pytest.raises(SizeLimitError):
-        enumerate_shapes(4, max_size=3)
+        enumerate_shapes(4)
 
 
 # ------------------------------------------------------- parse and format
@@ -194,7 +196,7 @@ def test_rotate_frozen_example():
 def test_rotate_matches_box_route():
     # oracle: turn every box (r, c) into (rows-1-r, cols-1-c) and rebuild
     for n in range(9):
-        for s in enumerate_shapes(n, max_size=8):
+        for s in enumerate_shapes(n):
             rmax, cmax = s.n_rows - 1, s.n_cols - 1
             boxes = [(rmax - r, cmax - c) for r, c in s.boxes()]
             assert s.rotate() == SkewShape.from_boxes(boxes), format_shape(s)
