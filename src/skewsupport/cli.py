@@ -100,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--shard", type=_parse_shard, default=(1, 1),
                    metavar="INDEX/COUNT",
                    help="run one 1-based shard of the pair sweep")
-    v.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers for fingerprinting")
 
     p = sub.add_parser("poset", help="class poset as JSON or DOT")
     p.add_argument("--n", type=int, required=True)
@@ -180,7 +178,7 @@ def _cmd_verify_figure6(args) -> int:
 
 
 def _cmd_verify_conjecture(args) -> int:
-    report = verify_conjecture(args.n, shard=args.shard, jobs=args.jobs)
+    report = verify_conjecture(args.n, shard=args.shard)
     _emit(report)
     if not report["pass_theorem"]:
         return EXIT_THEOREM

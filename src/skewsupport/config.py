@@ -33,4 +33,10 @@ def default_jobs() -> int:
     raw = os.environ.get(ENV_JOBS)
     if raw is None:
         return 1
-    return max(1, _env_int(ENV_JOBS, raw))
+    value = _env_int(ENV_JOBS, raw)
+    cpus = os.cpu_count() or 1
+    if not 1 <= value <= cpus:
+        raise InvalidArgumentError(
+            f"{ENV_JOBS} must be in 1..{cpus}, got {raw}"
+        )
+    return value

@@ -145,20 +145,22 @@ def _component_key(s: SkewShape) -> tuple:
     return tuple(sorted(comps))
 
 
-def _fingerprints(shapes, fingerprint, jobs: int = 1) -> list:
+def _fingerprints(shapes, fingerprint) -> list:
     """fingerprint(s) for every shape s, as a list in the order of shapes.
 
     s_{A+B} = s_A s_B for a direct sum and s_A is half-turn invariant (EC2
     Sec. 7.10); A + B has the row overlaps of A and B, which share no column
     (Reiner-Shaw-van Willigenburg 2007, Sec. 2); scale commutes with both.
     So each fingerprint is computed once per _component_key, on the first shape
-    with it.  jobs > 1 maps over a fork pool, which needs a module-level one.
+    with it.  SKEWSUPPORT_JOBS > 1 maps over a fork pool of that many workers,
+    which needs a module-level fingerprint.
     """
+    jobs = default_jobs()
     first: dict = {}  # key -> (slot, first shape with that key)
     slots = [first.setdefault(_component_key(s), (len(first), s))[0]
              for s in shapes]
     work = [s for _, s in first.values()]
-    if jobs <= 1 or len(work) < 64:
+    if jobs == 1:
         rows = [fingerprint(s) for s in work]
     else:
         with get_context("fork").Pool(jobs) as pool:
@@ -166,8 +168,12 @@ def _fingerprints(shapes, fingerprint, jobs: int = 1) -> list:
     return [rows[slot] for slot in slots]
 
 
+def _key(s: SkewShape) -> int:
+    return dominance_key(OverlapProfile.of(s), s.size)
+
+
 def _mask_and_key(s: SkewShape) -> tuple[int, int]:
-    return f_support_mask(s), dominance_key(OverlapProfile.of(s), s.size)
+    return f_support_mask(s), _key(s)
 
 
 def _mask_and_multfree(s: SkewShape) -> tuple[int, bool]:
@@ -211,9 +217,7 @@ def build_nc(n: int) -> ShapeClassPoset:
     """
     shapes = enumerate_shapes(n)
     guard = dominance_guard(n)
-    keys = _fingerprints(shapes,
-                         lambda s: dominance_key(OverlapProfile.of(s), n))
-    return _poset("nc", n, shapes, keys,
+    return _poset("nc", n, shapes, _fingerprints(shapes, _key),
                   lambda ki, kj: key_dominated(ki, kj, guard))
 
 
@@ -225,7 +229,7 @@ def _shard_of(a: str, b: str, count: int) -> int:
     return zlib.crc32(f"{a}|{b}".encode()) % count
 
 
-def verify_conjecture(n: int, shard=(1, 1), jobs=None) -> dict:
+def verify_conjecture(n: int, shard=(1, 1)) -> dict:
     """Check "support containment <=> overlap dominance" at size n.
 
     Forward failures (containment without dominance) contradict a proved
@@ -238,8 +242,7 @@ def verify_conjecture(n: int, shard=(1, 1), jobs=None) -> dict:
     if not (1 <= index <= count):
         raise InvalidArgumentError(f"shard index {index} outside 1..{count}")
     shapes = enumerate_shapes(n)
-    masks, keys = zip(*_fingerprints(shapes, _mask_and_key,
-                                     jobs or default_jobs()))
+    masks, keys = zip(*_fingerprints(shapes, _mask_and_key))
     by_mask = _classes_of(masks)
     by_key = _classes_of(keys)
 
@@ -516,6 +519,9 @@ SCHUR_REGRESSION = {
     "b": "4,4,2,1/3,1,1",
     "witness": (6, 3, 3),
 }
+# the regression expands both shapes doubled
+_REGRESSION_SIZE = 2 * max(
+    parse_shape(SCHUR_REGRESSION[k]).size for k in ("a", "b"))
 
 
 def schur_saturation_regression() -> dict:
@@ -549,12 +555,17 @@ def saturation_check(n: int, factor: int) -> dict:
     Sweeps all ordered pairs of size-n shapes comparing containment before
     and after scaling by `factor`.  Disagreements in either direction are
     open-question data, reported as discoveries, never as errors.  The fixed
-    Schur-side regression is recomputed alongside.
+    Schur-side regression is recomputed alongside, so the size guard must
+    admit both n * factor and the regression's doubled shapes.
     """
     if factor < 1:
         raise InvalidArgumentError(f"scale factor must be >= 1, got {factor}")
-    if n * factor > max_size():
-        raise SizeLimitError(f"scaled size {n * factor} exceeds the limit")
+    need, limit = max(n * factor, _REGRESSION_SIZE), max_size()
+    if need > limit:
+        raise SizeLimitError(
+            f"saturation needs shapes of {need} boxes, over the size limit "
+            f"{limit}"
+        )
     shapes = enumerate_shapes(n)
     prints = _fingerprints(shapes, partial(_mask_and_scaled, factor=factor))
     only_if, if_dir = [], []

@@ -262,18 +262,6 @@ def scale(a: SkewShape, factor: int) -> SkewShape:
     )
 
 
-def trim(a: SkewShape, depth: int = 1) -> SkewShape:
-    """Delete the leftmost box of every row, `depth` times."""
-    if depth < 0:
-        raise ValueError(f"trim depth must be >= 0, got {depth}")
-    for _ in range(depth):
-        inner = a.inner_padded
-        a = SkewShape(
-            a.outer, tuple(min(x + 1, b) for x, b in zip(inner, a.outer))
-        )
-    return a
-
-
 def ribbon_from_composition(alpha) -> SkewShape:
     """The connected ribbon whose row lengths, top to bottom, are alpha."""
     alpha = check_composition(alpha)
@@ -299,11 +287,6 @@ def ribbon_stats(alpha) -> tuple[Partition, Partition]:
     n = sum(alpha)
     complement = frozenset(range(1, n)) - subset_of(alpha)
     return sort_desc(alpha), sort_desc(comp_of(complement, n))
-
-
-def is_elongated_ribbon(shape: SkewShape) -> bool:
-    """A ribbon all of whose rows have length at least 2."""
-    return shape.is_ribbon() and all(l >= 2 for l in shape.row_lengths())
 
 
 def _parse_parts(token: str, what: str) -> Partition:

@@ -41,6 +41,31 @@ if HAVE_HYPOTHESIS:
         ).map(tuple)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _no_caller_settings():
+    """Run every test without the caller's ``SKEWSUPPORT_*`` variables.
+
+    Tests set the ones they need themselves, so an exported size guard or
+    worker count cannot change what the suite checks.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        for name in [k for k in os.environ if k.startswith("SKEWSUPPORT_")]:
+            mp.delenv(name)
+        yield
+
+
+@pytest.fixture
+def set_jobs(monkeypatch):
+    """Set ``SKEWSUPPORT_JOBS`` for one test, whatever the host's CPU count."""
+    cpus = os.cpu_count() or 1
+
+    def set_(jobs: int):
+        monkeypatch.setattr(os, "cpu_count", lambda: max(cpus, jobs))
+        monkeypatch.setenv(config.ENV_JOBS, str(jobs))
+
+    return set_
+
+
 @pytest.fixture(scope="session")
 def small_shapes():
     """Every canonical shape with at most 5 boxes."""
@@ -54,16 +79,13 @@ def child_env():
     The child imports the same ``skewsupport`` as this session: the
     directory holding the package goes first on ``PYTHONPATH`` as an
     absolute path, so it works from a plain checkout or an install and
-    from any working directory.  No ``SKEWSUPPORT_*`` variable of the
-    caller leaks in; pass the ones the test needs as keywords.
+    from any working directory.  The session has none of the caller's
+    ``SKEWSUPPORT_*`` variables; pass the ones the test needs as keywords.
     """
     src = str(Path(skewsupport.__file__).resolve().parent.parent)
 
     def build(**overrides):
-        env = {
-            k: v for k, v in os.environ.items()
-            if not k.startswith("SKEWSUPPORT_")
-        }
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [src, env.get("PYTHONPATH")])
         )

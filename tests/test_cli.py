@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from multiprocessing import get_context
 
 import pytest
 
@@ -11,7 +13,9 @@ from skewsupport.cli import (
     EXIT_USAGE,
     main,
 )
-from skewsupport.config import ENV_JOBS, ENV_MAX_SIZE
+from skewsupport import posets
+from skewsupport.config import ENV_JOBS, ENV_MAX_SIZE, default_jobs
+from skewsupport.errors import InvalidArgumentError
 
 
 def run_cli(capsys, *argv):
@@ -201,12 +205,28 @@ def test_usage_errors(capsys, monkeypatch):
         ["saturation", "--n", "2", "--scale", "0"],
     ):
         _assert_one_line_error(capsys, argv)
-    for name in (ENV_MAX_SIZE, ENV_JOBS):
-        monkeypatch.setenv(name, "many")
+    for name, value in (
+        (ENV_MAX_SIZE, "many"),
+        (ENV_JOBS, "many"),
+        (ENV_JOBS, "0"),
+        (ENV_JOBS, str((os.cpu_count() or 1) + 1)),
+    ):
+        monkeypatch.setenv(name, value)
         _assert_one_line_error(
             capsys, ["verify", "conjecture", "--n", "3"]
         )
         monkeypatch.delenv(name)
+    # a huge worker count is refused before any pool could start
+    monkeypatch.setenv(ENV_JOBS, "10000")
+    with pytest.raises(InvalidArgumentError):
+        default_jobs()
+    monkeypatch.delenv(ENV_JOBS)
+    # saturation's fixed Schur regression doubles a 6-box pair, so it needs
+    # a guard of 12 whatever --n is, and says so before sweeping
+    monkeypatch.setenv(ENV_MAX_SIZE, "4")
+    err = _assert_one_line_error(
+        capsys, ["saturation", "--n", "2", "--scale", "2"])
+    assert "12 boxes" in err
     # every sweep stops at the guard, and --max-size lifts it for one call;
     # saturation also doubles its fixed 6-box Schur regression pair
     monkeypatch.setenv(ENV_MAX_SIZE, "3")
@@ -227,6 +247,31 @@ def _assert_one_line_error(capsys, argv):
     assert code == EXIT_USAGE, argv
     assert out == ""
     assert err.startswith("skewsupport: error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "conjecture", "--n", "6"],
+    ["poset", "--n", "6"],
+    ["poset", "--n", "6", "--which", "nc", "--format", "dot"],
+    ["multfree", "--n", "6"],
+    ["saturation", "--n", "4", "--scale", "2"],
+])
+def test_every_sweep_reads_the_worker_setting(argv, capsys, monkeypatch,
+                                              set_jobs):
+    pools = []
+
+    def counting_context(method):
+        pools.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(posets, "get_context", counting_context)
+    set_jobs(2)
+    pooled = run_cli(capsys, *argv)
+    assert pools == ["fork"]
+    set_jobs(1)
+    assert run_cli(capsys, *argv) == pooled
+    assert pools == ["fork"]
 
 
 def test_max_size_override_and_restore(capsys):

@@ -187,7 +187,7 @@ def test_verify_conjecture_shard_counts_frozen():
     assert counts == [1060, 1084, 1071, 1075]
 
 
-def test_verify_conjecture_parallel_fingerprints_match(monkeypatch):
+def test_verify_conjecture_parallel_fingerprints_match(monkeypatch, set_jobs):
     pools = []
 
     def counting_context(method):
@@ -196,13 +196,14 @@ def test_verify_conjecture_parallel_fingerprints_match(monkeypatch):
 
     monkeypatch.setattr(posets, "get_context", counting_context)
     for n in (5, 6):
-        serial = verify_conjecture(n, jobs=1)
-        assert pools == []
-        parallel = verify_conjecture(n, jobs=2)
-        assert serial == parallel
-    # n=5 has 34 component keys, n=6 has 87: only n=6 is enough to start
-    # the pool
-    assert pools == ["fork"]
+        # pooled first, so the serial run does not find the workers' results
+        # in this process's caches
+        set_jobs(2)
+        parallel = verify_conjecture(n)
+        set_jobs(1)
+        assert verify_conjecture(n) == parallel
+    # one pool per pooled sweep, none for the serial ones
+    assert pools == ["fork", "fork"]
 
 
 def test_component_key():
@@ -225,28 +226,29 @@ def test_component_key():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_fingerprints_match_per_shape(jobs):
+def test_fingerprints_match_per_shape(jobs, set_jobs):
+    set_jobs(jobs)
     for n in range(8):
         shapes = enumerate_shapes(n)
-        prints = _fingerprints(shapes, posets._mask_and_key, jobs)
+        prints = _fingerprints(shapes, posets._mask_and_key)
         for s, (mask, key) in zip(shapes, prints):
             assert mask == f_support_mask(s), format_shape(s)
             assert key == dominance_key(OverlapProfile.of(s), n)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_multfree_and_saturation_fingerprints_match_per_shape(jobs):
+def test_multfree_and_saturation_fingerprints_match_per_shape(jobs, set_jobs):
+    set_jobs(jobs)
     for n in range(8):
         shapes = enumerate_shapes(n)
-        prints = _fingerprints(shapes, posets._mask_and_multfree, jobs)
+        prints = _fingerprints(shapes, posets._mask_and_multfree)
         for s, row in zip(shapes, prints):
             assert row == (f_support_mask(s), is_f_multiplicity_free(s)), (
                 format_shape(s))
-    # n = 6 has 87 component keys, enough to start the pool at jobs=2
     fingerprint = partial(posets._mask_and_scaled, factor=2)
     for n in range(7):
         shapes = enumerate_shapes(n)
-        prints = _fingerprints(shapes, fingerprint, jobs)
+        prints = _fingerprints(shapes, fingerprint)
         for s, row in zip(shapes, prints):
             assert row == (f_support_mask(s),
                            f_support_mask(scale(s, 2))), format_shape(s)

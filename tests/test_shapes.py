@@ -9,7 +9,6 @@ from skewsupport.shapes import (
     direct_sum,
     enumerate_shapes,
     format_shape,
-    is_elongated_ribbon,
     mask_to_comp,
     parse_shape,
     ribbon_from_composition,
@@ -19,7 +18,6 @@ from skewsupport.shapes import (
     straight,
     subset_of,
     transpose_partition,
-    trim,
 )
 
 try:
@@ -232,22 +230,11 @@ def test_scale():
     assert scale(parse_shape("22"), 1) == parse_shape("22")
 
 
-def test_trim_chain():
-    s = parse_shape("553111/31")
-    t1 = trim(s)
-    assert t1 == parse_shape("442/31")
-    assert trim(t1) == parse_shape("31/1")
-
-
 def test_ribbons():
     r = ribbon_from_composition((2, 3))
     assert r.is_ribbon()
     assert sort_desc(r.row_lengths()) == (3, 2)
     assert ribbon_stats((2, 3)) == ((3, 2), (2, 1, 1, 1))
-    assert is_elongated_ribbon(parse_shape("632/21"))
-    assert is_elongated_ribbon(parse_shape("652/41"))
-    assert not is_elongated_ribbon(parse_shape("311/1"))
-    assert not is_elongated_ribbon(parse_shape("22"))
 
 
 def test_connectivity_and_ribbon_flags():
