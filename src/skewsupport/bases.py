@@ -19,7 +19,6 @@ from skewsupport.shapes import (
 )
 from skewsupport.tableaux import (
     Expansion,
-    _check_size,
     f_expansion,
     m_expansion,
     schur_expansion,
@@ -59,7 +58,6 @@ def distinct_permutations(parts: Partition) -> tuple:
 
 def s_expansion(shape: SkewShape) -> Expansion:
     """Quasisymmetric Schur expansion: each Schur term spreads over rearrangements."""
-    _check_size(shape)
     out: dict[Composition, int] = {}
     for lam, c in schur_expansion(shape).items():
         for alpha in distinct_permutations(lam):
@@ -102,7 +100,6 @@ def _straight_d(lam: Partition) -> tuple:
 
 def d_expansion(shape: SkewShape) -> Expansion:
     """Dual immaculate expansion, assembled through the Schur expansion."""
-    _check_size(shape)
     out: dict[Composition, int] = {}
     for lam, c in schur_expansion(shape).items():
         for key, val in _straight_d(lam):
@@ -116,7 +113,6 @@ def d_expansion(shape: SkewShape) -> Expansion:
 
 def expansion_of(shape: SkewShape, basis: str) -> Expansion:
     if basis == "schur":
-        _check_size(shape)
         return schur_expansion(shape)
     if basis == "f":
         return f_expansion(shape)

@@ -54,16 +54,6 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _parse_shard(text: str) -> tuple[int, int]:
-    try:
-        index, count = text.split("/")
-        return int(index), int(count)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected INDEX/COUNT, got {text!r}"
-        ) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="skewsupport", description=__doc__.splitlines()[0])
     ap.add_argument("--version", action="version",
@@ -97,9 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = vsub.add_parser("conjecture",
                         help="support containment vs overlap dominance")
     v.add_argument("--n", type=int, default=6)
-    v.add_argument("--shard", type=_parse_shard, default=(1, 1),
-                   metavar="INDEX/COUNT",
-                   help="run one 1-based shard of the pair sweep")
 
     p = sub.add_parser("poset", help="class poset as JSON or DOT")
     p.add_argument("--n", type=int, required=True)
@@ -178,7 +165,7 @@ def _cmd_verify_figure6(args) -> int:
 
 
 def _cmd_verify_conjecture(args) -> int:
-    report = verify_conjecture(args.n, shard=args.shard)
+    report = verify_conjecture(args.n)
     _emit(report)
     if not report["pass_theorem"]:
         return EXIT_THEOREM

@@ -10,7 +10,7 @@ class InvalidShapeError(SkewSupportError, ValueError):
 
 
 class InvalidArgumentError(SkewSupportError, ValueError):
-    """A size, count, shard or setting is outside its allowed range."""
+    """A size, count or setting is outside its allowed range."""
 
 
 class SizeLimitError(SkewSupportError, ValueError):

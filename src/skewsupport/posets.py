@@ -12,7 +12,6 @@ one shape per multiset of components up to half-turn, as s_{A+B} = s_A s_B
 (EC2 Sec. 7.10) and A + B has the row overlaps of A and B (RSvW 2007, Sec. 2).
 """
 
-import zlib
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import get_context
@@ -224,23 +223,14 @@ def build_nc(n: int) -> ShapeClassPoset:
 # ------------------------------------------------- the equivalence sweep
 
 
-def _shard_of(a: str, b: str, count: int) -> int:
-    """Shard of the ordered pair of shapes named a and b."""
-    return zlib.crc32(f"{a}|{b}".encode()) % count
-
-
-def verify_conjecture(n: int, shard=(1, 1)) -> dict:
+def verify_conjecture(n: int) -> dict:
     """Check "support containment <=> overlap dominance" at size n.
 
     Forward failures (containment without dominance) contradict a proved
     statement; reverse failures (dominance without containment) would be a
-    genuine discovery.  Class partitions are compared globally; the ordered
-    class pairs are distributed over `shard` = (index, count), 1-based, by a
-    stable hash, so disjoint shards cover every pair exactly once.
+    genuine discovery.  The class partitions are compared, then every
+    ordered pair of distinct F-support classes.
     """
-    index, count = shard
-    if not (1 <= index <= count):
-        raise InvalidArgumentError(f"shard index {index} outside 1..{count}")
     shapes = enumerate_shapes(n)
     masks, keys = zip(*_fingerprints(shapes, _mask_and_key))
     by_mask = _classes_of(masks)
@@ -269,14 +259,10 @@ def verify_conjecture(n: int, shard=(1, 1)) -> dict:
     ]
     guard = dominance_guard(n)
     forward, reverse = [], []
-    pairs = 0
     for x, (ma, ka, a) in enumerate(reps):
         for y, (mb, kb, b) in enumerate(reps):
             if x == y:
                 continue
-            if count > 1 and _shard_of(a, b, count) != index - 1:
-                continue
-            pairs += 1
             contains = ma != mb and ma | mb == ma
             dominated = ka != kb and key_dominated(ka, kb, guard)
             if contains and not dominated:
@@ -285,11 +271,12 @@ def verify_conjecture(n: int, shard=(1, 1)) -> dict:
                 reverse.append({"a": a, "b": b})
     return {
         "n": n,
-        "shard": {"index": index, "count": count},
+        # a fixed field, kept so reports stay byte-identical to older ones
+        "shard": {"index": 1, "count": 1},
         "shape_count": len(shapes),
         "class_count_suppf": len(by_mask),
         "class_count_nc": len(by_key),
-        "pairs_checked": pairs,
+        "pairs_checked": len(reps) * (len(reps) - 1),
         "partition_mismatches": partition_mismatches,
         "forward_violations": forward,
         "reverse_counterexamples": reverse,
@@ -304,56 +291,6 @@ def verify_conjecture(n: int, shard=(1, 1)) -> dict:
             for m in partition_mismatches
         ),
     }
-
-
-def merge_conjecture_reports(reports) -> dict:
-    """Combine the k shard reports of one sweep into one.
-
-    The reports must be shards 1..k of k, each exactly once, and together
-    cover every ordered pair of distinct F-support classes; anything less is
-    an incomplete sweep and cannot pass.
-    """
-    if not reports:
-        raise InvalidArgumentError("no reports to merge")
-    first = reports[0]
-    for r in reports[1:]:
-        for key in ("n", "shape_count", "class_count_suppf", "class_count_nc"):
-            if r[key] != first[key]:
-                raise InvalidArgumentError(f"reports disagree on {key}")
-    k = len(reports)
-    indices = sorted(r["shard"]["index"] for r in reports)
-    counts = {r["shard"]["count"] for r in reports}
-    if indices != list(range(1, k + 1)) or counts != {k}:
-        raise InvalidArgumentError(
-            f"reports must be shards 1..{k} of {k}, each once"
-        )
-    classes = first["class_count_suppf"]
-    pairs = sum(r["pairs_checked"] for r in reports)
-    if pairs != classes * (classes - 1):
-        raise InvalidArgumentError(
-            f"reports check {pairs} of {classes * (classes - 1)} class pairs"
-        )
-    def _cat(key):
-        seen = []
-        for r in reports:
-            for item in r[key]:
-                if item not in seen:
-                    seen.append(item)
-        return sorted(seen, key=lambda d: sorted(d.items()))
-    merged = {
-        "n": first["n"],
-        "shard": {"index": 1, "count": 1},
-        "shape_count": first["shape_count"],
-        "class_count_suppf": first["class_count_suppf"],
-        "class_count_nc": first["class_count_nc"],
-        "pairs_checked": pairs,
-        "partition_mismatches": _cat("partition_mismatches"),
-        "forward_violations": _cat("forward_violations"),
-        "reverse_counterexamples": _cat("reverse_counterexamples"),
-    }
-    merged["pass_theorem"] = all(r["pass_theorem"] for r in reports)
-    merged["pass_conjecture"] = all(r["pass_conjecture"] for r in reports)
-    return merged
 
 
 # ------------------------------------------- multiplicity-free machinery
@@ -456,6 +393,8 @@ def multfree_report(n: int) -> dict:
     every ordered pair of classified shapes.  Returns the restricted
     subposet of the support poset as well.
     """
+    if n < 1:
+        raise InvalidArgumentError(f"n must be >= 1, got {n}")
     shapes = enumerate_shapes(n)
     prints = _fingerprints(shapes, _mask_and_multfree)
     classification_mismatches = []

@@ -145,10 +145,13 @@ def verify_implications(n: int) -> dict:
     diagram survives.  The four witness pairs must each be seen with their
     published hold/fail pattern once their size is within range.
     """
+    # enumerating size n first checks n before any record is built
+    largest = enumerate_shapes(n)
     violations = []
     pairs = 0
     for size in range(1, n + 1):
-        records = [record(s) for s in enumerate_shapes(size)]
+        shapes = largest if size == n else enumerate_shapes(size)
+        records = [record(s) for s in shapes]
         for ra in records:
             for rb in records:
                 if ra is rb:

@@ -11,7 +11,7 @@ against the monomial expansion) so each can certify the other.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import factorial
 
 from skewsupport import kernels
@@ -90,6 +90,25 @@ def _check_size(shape: SkewShape) -> None:
         raise SizeLimitError(
             f"shape has {shape.size} boxes, over the size limit {limit}"
         )
+
+
+def _guarded_cache(fn):
+    """Cache fn per shape, checking the size guard on every call.
+
+    A cache hit must not get round the guard, or whether a call raises
+    would depend on what the process computed before.  The wrapper keeps
+    the cache's ``cache_info`` and ``cache_clear``.
+    """
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def guarded(shape: SkewShape):
+        _check_size(shape)
+        return cached(shape)
+
+    guarded.cache_info = cached.cache_info
+    guarded.cache_clear = cached.cache_clear
+    return guarded
 
 
 @dataclass(frozen=True)
@@ -337,7 +356,7 @@ def schur_expansion_kostka(shape: SkewShape) -> Expansion:
     return Expansion("schur", result)
 
 
-@lru_cache(maxsize=None)
+@_guarded_cache
 def schur_expansion(shape: SkewShape) -> Expansion:
     """Cached Schur expansion (lattice-filling route) with a frame check.
 
@@ -357,7 +376,6 @@ def schur_expansion(shape: SkewShape) -> Expansion:
 
 
 def schur_support(shape: SkewShape) -> frozenset:
-    _check_size(shape)
     return schur_expansion(shape).support()
 
 
@@ -374,7 +392,6 @@ def f_expansion_via_schur(shape: SkewShape) -> Expansion:
     shapes' F-expansions.  Much faster than direct enumeration on shapes
     with many standard fillings; must agree with f_expansion exactly.
     """
-    _check_size(shape)
     n = shape.size
     acc: dict[int, int] = {}
     for lam, c in schur_expansion(shape).items():
@@ -383,7 +400,7 @@ def f_expansion_via_schur(shape: SkewShape) -> Expansion:
     return Expansion("f", {mask_to_comp(m, n): v for m, v in acc.items()})
 
 
-@lru_cache(maxsize=None)
+@_guarded_cache
 def f_support_mask(shape: SkewShape) -> int:
     """F-support as a bitmask over descent subsets (bit = comp_to_mask(alpha)).
 

@@ -1,3 +1,4 @@
+import functools
 import os
 from pathlib import Path
 
@@ -21,12 +22,20 @@ def all_shapes_upto(n: int):
 
 
 if HAVE_HYPOTHESIS:
-    # capped by the size guard, so a small SKEWSUPPORT_MAX_SIZE in the
-    # session's environment cannot break loading this file
-    _POOL = list(all_shapes_upto(min(6, config.max_size())))
+
+    @functools.cache
+    def _pool():
+        return tuple(all_shapes_upto(6))
 
     def shape_strategy():
-        return st.sampled_from(_POOL)
+        """Every shape of size at most 6.
+
+        The pool is built on the first draw, inside a test, after
+        ``_no_caller_settings`` has cleared the caller's variables, so an
+        exported size guard can neither break loading this file nor shrink
+        what the property tests sample from.
+        """
+        return st.deferred(lambda: st.sampled_from(_pool()))
 
     def partition_strategy(max_part=6, max_len=6):
         return st.lists(

@@ -21,7 +21,6 @@ from skewsupport.overlaps import (
     rects,
 )
 from skewsupport.posets import (
-    merge_conjecture_reports,
     multfree_report,
     schur_saturation_regression,
     verify_conjecture,
@@ -293,9 +292,10 @@ def test_nightly_sweep(n):
 
 
 @pytest.mark.longrun
-@pytest.mark.parametrize("n", [11, 12])
-def test_longrun_sweep_sharded(n):
-    shards = [verify_conjecture(n, shard=(i, 4)) for i in range(1, 5)]
-    merged = merge_conjecture_reports(shards)
-    assert merged["pass_theorem"] is True
-    assert merged["pass_conjecture"] is True
+@pytest.mark.parametrize("n, classes", [(11, 1916), (12, 3695)])
+def test_longrun_sweep(n, classes):
+    report = verify_conjecture(n)
+    assert report["pass_theorem"] is True
+    assert report["pass_conjecture"] is True
+    assert report["class_count_suppf"] == classes
+    assert report["pairs_checked"] == classes * (classes - 1)

@@ -82,20 +82,6 @@ def test_verify_figure6(capsys):
     assert data["violations"] == []
 
 
-def test_verify_conjecture_with_shard(capsys):
-    code1, out1, _ = run_cli(
-        capsys, "verify", "conjecture", "--n", "4", "--shard", "1/2"
-    )
-    code2, out2, _ = run_cli(
-        capsys, "verify", "conjecture", "--n", "4", "--shard", "2/2"
-    )
-    assert code1 == code2 == EXIT_OK
-    d1, d2 = json.loads(out1), json.loads(out2)
-    full_pairs = 15 * 14
-    assert d1["pairs_checked"] + d2["pairs_checked"] == full_pairs
-    assert d1["pass_theorem"] and d2["pass_theorem"]
-
-
 def test_poset_json_and_dot(capsys):
     code, out, _ = run_cli(capsys, "poset", "--n", "3", "--which", "suppf")
     assert code == EXIT_OK
@@ -191,7 +177,7 @@ def test_usage_errors(capsys, monkeypatch):
         main(["bogus"])
     assert exc.value.code == EXIT_USAGE
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "conjecture", "--shard", "nope"])
+        main(["verify", "conjecture", "--n", "3", "--shard", "1/2"])
     assert exc.value.code == EXIT_USAGE
     assert main(["expand", "not-a-shape"]) == EXIT_USAGE
     assert main(["compare", "22", "21"]) == EXIT_USAGE
@@ -200,8 +186,8 @@ def test_usage_errors(capsys, monkeypatch):
     capsys.readouterr()
     for argv in (
         ["shapes", "--n", "-1"],
-        ["verify", "conjecture", "--n", "3", "--shard", "0/0"],
-        ["verify", "conjecture", "--n", "3", "--shard", "3/2"],
+        ["verify", "figure6", "--n", "-1"],
+        ["multfree", "--n", "0"],
         ["saturation", "--n", "2", "--scale", "0"],
     ):
         _assert_one_line_error(capsys, argv)

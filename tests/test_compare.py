@@ -1,7 +1,8 @@
 import pytest
 
-from skewsupport import bases
-from skewsupport.errors import SizeMismatchError
+from skewsupport import bases, relations
+from skewsupport.config import ENV_MAX_SIZE
+from skewsupport.errors import SizeLimitError, SizeMismatchError
 from skewsupport.relations import (
     WITNESSES,
     check_implications,
@@ -125,3 +126,13 @@ def test_verify_implications_small():
     report = verify_implications(5)
     assert report["pass"]
     assert report["pairs_checked"] == 8316
+
+
+def test_verify_implications_checks_size_first(monkeypatch):
+    # a size over the guard fails before any smaller size is swept
+    recorded = []
+    monkeypatch.setattr(relations, "record", recorded.append)
+    monkeypatch.setenv(ENV_MAX_SIZE, "3")
+    with pytest.raises(SizeLimitError, match="n=4 exceeds the size limit 3"):
+        verify_implications(4)
+    assert recorded == []

@@ -5,7 +5,6 @@ import pytest
 
 from skewsupport import posets
 from skewsupport.errors import (
-    InvalidArgumentError,
     InvalidShapeError,
     SizeLimitError,
     SizeMismatchError,
@@ -19,7 +18,6 @@ from skewsupport.posets import (
     build_suppf,
     column_row_shape,
     hook_shape,
-    merge_conjecture_reports,
     multfree_classify,
     multfree_comparable,
     multfree_report,
@@ -147,44 +145,6 @@ def test_verify_conjecture_small():
     assert report["class_count_suppf"] == report["class_count_nc"] == 29
     assert report["pairs_checked"] == 29 * 28
     assert report["partition_mismatches"] == []
-
-
-def test_verify_conjecture_sharding_partitions_pairs():
-    full = verify_conjecture(5)
-    parts = [verify_conjecture(5, shard=(i, 3)) for i in (1, 2, 3)]
-    assert sum(p["pairs_checked"] for p in parts) == full["pairs_checked"]
-    merged = merge_conjecture_reports(parts)
-    assert merged["pairs_checked"] == full["pairs_checked"]
-    assert merged["pass_theorem"] and merged["pass_conjecture"]
-    assert merged["forward_violations"] == full["forward_violations"] == []
-
-
-def test_verify_conjecture_shard_validation():
-    with pytest.raises(ValueError):
-        verify_conjecture(3, shard=(0, 2))
-    with pytest.raises(ValueError):
-        verify_conjecture(3, shard=(3, 2))
-    with pytest.raises(ValueError):
-        merge_conjecture_reports([])
-    a = verify_conjecture(3)
-    b = verify_conjecture(4)
-    with pytest.raises(ValueError):
-        merge_conjecture_reports([a, b])
-    s1, s2 = (verify_conjecture(6, shard=(i, 4)) for i in (1, 2))
-    with pytest.raises(InvalidArgumentError):
-        merge_conjecture_reports([s1, s1])  # duplicate shard
-    with pytest.raises(InvalidArgumentError):
-        merge_conjecture_reports([s1, s2])  # shards 3 and 4 missing
-    short = dict(a, pairs_checked=a["pairs_checked"] - 1)
-    with pytest.raises(InvalidArgumentError):
-        merge_conjecture_reports([short])  # a pair left unchecked
-
-
-def test_verify_conjecture_shard_counts_frozen():
-    counts = [
-        verify_conjecture(6, shard=(i, 4))["pairs_checked"] for i in range(1, 5)
-    ]
-    assert counts == [1060, 1084, 1071, 1075]
 
 
 def test_verify_conjecture_parallel_fingerprints_match(monkeypatch, set_jobs):

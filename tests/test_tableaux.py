@@ -4,7 +4,8 @@ from math import factorial
 
 import pytest
 
-from skewsupport.errors import ConsistencyError, InvalidShapeError
+from skewsupport.config import ENV_MAX_SIZE
+from skewsupport.errors import ConsistencyError, InvalidShapeError, SizeLimitError
 from skewsupport.overlaps import dominance_leq
 from skewsupport.shapes import (
     enumerate_shapes,
@@ -378,3 +379,16 @@ def test_schur_frame_check_raises_on_corrupt_route(monkeypatch):
     T.schur_expansion.cache_clear()
     with pytest.raises(ConsistencyError):
         T.schur_expansion(parse_shape("2,1,1"))
+
+
+def test_size_guard_holds_on_cache_hits(monkeypatch):
+    s = parse_shape("3,1")
+    for cached in (schur_expansion, f_support_mask):
+        cached(s)
+        hits = cached.cache_info().hits
+        cached(s)
+        assert cached.cache_info().hits == hits + 1
+    monkeypatch.setenv(ENV_MAX_SIZE, "2")
+    for cached in (schur_expansion, f_support_mask):
+        with pytest.raises(SizeLimitError):
+            cached(s)
