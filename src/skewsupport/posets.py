@@ -7,16 +7,15 @@ ordered, by support containment and by overlap dominance respectively; a
 bigger support corresponds to more dominated overlaps.  The containment
 direction of the correspondence is a proved theorem (checked here as a
 sweep); the dominance-to-containment direction is open, so any reverse
-failure is reported as a discovery rather than an error.  Sweeps fingerprint
-one shape per multiset of components up to half-turn, as s_{A+B} = s_A s_B
-(EC2 Sec. 7.10) and A + B has the row overlaps of A and B (RSvW 2007, Sec. 2).
+failure is reported as a discovery rather than an error.  Every sweep reads
+one fingerprint per component key (shapes.fingerprint_keys).
 """
 
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import get_context
+from itertools import permutations
 
-from skewsupport.config import default_jobs, max_size
+from skewsupport.config import max_size
 from skewsupport.errors import (
     InvalidArgumentError,
     InvalidShapeError,
@@ -33,6 +32,7 @@ from skewsupport.shapes import (
     check_same_size,
     direct_sum,
     enumerate_shapes,
+    fingerprint_keys,
     format_shape,
     parse_shape,
     scale,
@@ -125,48 +125,6 @@ def _classes_of(fingerprints) -> dict:
     return groups
 
 
-def _component_key(s: SkewShape) -> tuple:
-    """The sorted tuple of s's connected components, each up to half-turn.
-
-    A component ends at row i if row i + 1 ends at or left of row i's start.
-    Each is its row intervals shifted to column 0, or its half-turn's if less.
-    """
-    outer, inner = s.outer, s.inner_padded
-    comps, top = [], 0
-    for i in range(len(outer)):
-        if i + 1 == len(outer) or outer[i + 1] <= inner[i]:
-            left, width = inner[i], outer[top] - inner[i]
-            rows = tuple((inner[r] - left, outer[r] - left)
-                         for r in range(top, i + 1))
-            turned = tuple((width - b, width - a) for a, b in reversed(rows))
-            comps.append(min(rows, turned))
-            top = i + 1
-    return tuple(sorted(comps))
-
-
-def _fingerprints(shapes, fingerprint) -> list:
-    """fingerprint(s) for every shape s, as a list in the order of shapes.
-
-    s_{A+B} = s_A s_B for a direct sum and s_A is half-turn invariant (EC2
-    Sec. 7.10); A + B has the row overlaps of A and B, which share no column
-    (Reiner-Shaw-van Willigenburg 2007, Sec. 2); scale commutes with both.
-    So each fingerprint is computed once per _component_key, on the first shape
-    with it.  SKEWSUPPORT_JOBS > 1 maps over a fork pool of that many workers,
-    which needs a module-level fingerprint.
-    """
-    jobs = default_jobs()
-    first: dict = {}  # key -> (slot, first shape with that key)
-    slots = [first.setdefault(_component_key(s), (len(first), s))[0]
-             for s in shapes]
-    work = [s for _, s in first.values()]
-    if jobs == 1:
-        rows = [fingerprint(s) for s in work]
-    else:
-        with get_context("fork").Pool(jobs) as pool:
-            rows = pool.map(fingerprint, work)
-    return [rows[slot] for slot in slots]
-
-
 def _key(s: SkewShape) -> int:
     return dominance_key(OverlapProfile.of(s), s.size)
 
@@ -204,7 +162,8 @@ def _poset(kind, n, shapes, fingerprints, above) -> ShapeClassPoset:
 def build_suppf(n: int) -> ShapeClassPoset:
     """Classes by equal F-support, ordered by strict support containment."""
     shapes = enumerate_shapes(n)
-    return _poset("suppf", n, shapes, _fingerprints(shapes, f_support_mask),
+    slots, rows = fingerprint_keys(shapes, f_support_mask)
+    return _poset("suppf", n, shapes, [rows[k] for k in slots],
                   lambda mi, mj: mi | mj == mi)
 
 
@@ -216,7 +175,8 @@ def build_nc(n: int) -> ShapeClassPoset:
     """
     shapes = enumerate_shapes(n)
     guard = dominance_guard(n)
-    return _poset("nc", n, shapes, _fingerprints(shapes, _key),
+    slots, rows = fingerprint_keys(shapes, _key)
+    return _poset("nc", n, shapes, [rows[k] for k in slots],
                   lambda ki, kj: key_dominated(ki, kj, guard))
 
 
@@ -232,7 +192,8 @@ def verify_conjecture(n: int) -> dict:
     ordered pair of distinct F-support classes.
     """
     shapes = enumerate_shapes(n)
-    masks, keys = zip(*_fingerprints(shapes, _mask_and_key))
+    slots, rows = fingerprint_keys(shapes, _mask_and_key)
+    masks, keys = zip(*(rows[k] for k in slots))
     by_mask = _classes_of(masks)
     by_key = _classes_of(keys)
 
@@ -396,7 +357,8 @@ def multfree_report(n: int) -> dict:
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
     shapes = enumerate_shapes(n)
-    prints = _fingerprints(shapes, _mask_and_multfree)
+    slots, rows = fingerprint_keys(shapes, _mask_and_multfree)
+    prints = [rows[k] for k in slots]
     classification_mismatches = []
     free, classified = set(), []
     for s, (mask, brute) in zip(shapes, prints):
@@ -506,24 +468,22 @@ def saturation_check(n: int, factor: int) -> dict:
             f"{limit}"
         )
     shapes = enumerate_shapes(n)
-    prints = _fingerprints(shapes, partial(_mask_and_scaled, factor=factor))
+    slots, rows = fingerprint_keys(shapes,
+                                   partial(_mask_and_scaled, factor=factor))
     only_if, if_dir = [], []
-    pairs = 0
-    for a, (ma, sa) in zip(shapes, prints):
-        for b, (mb, sb) in zip(shapes, prints):
-            if a is b:
-                continue
-            pairs += 1
-            before = ma | mb == ma
-            after = sa | sb == sa
-            if before and not after:
-                only_if.append({"a": format_shape(a), "b": format_shape(b)})
-            if after and not before:
-                if_dir.append({"a": format_shape(a), "b": format_shape(b)})
+    flips = {}  # key pair -> the list its shape pairs go to
+    for x, (ma, sa) in enumerate(rows):
+        for y, (mb, sb) in enumerate(rows):
+            before, after = ma | mb == ma, sa | sb == sa
+            if before != after:
+                flips[x, y] = only_if if before else if_dir
+    for (a, x), (b, y) in permutations(zip(shapes, slots), 2) if flips else ():
+        if (x, y) in flips:
+            flips[x, y].append({"a": format_shape(a), "b": format_shape(b)})
     return {
         "n": n,
         "factor": factor,
-        "pairs_checked": pairs,
+        "pairs_checked": len(shapes) * (len(shapes) - 1),
         "containment_lost_after_scaling": only_if,
         "containment_gained_after_scaling": if_dir,
         "agreement": not only_if and not if_dir,

@@ -16,8 +16,9 @@ form, so constructors normalise instead of rejecting.
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
+from multiprocessing import get_context
 
-from skewsupport.config import max_size
+from skewsupport.config import default_jobs, max_size
 from skewsupport.errors import (
     InvalidArgumentError,
     InvalidShapeError,
@@ -388,3 +389,45 @@ def enumerate_shapes(n: int) -> list[SkewShape]:
                 rows.pop()
     results.sort()
     return results
+
+
+def component_key(s: SkewShape) -> tuple:
+    """The sorted tuple of s's connected components, each up to half-turn.
+
+    A component ends at row i if row i + 1 ends at or left of row i's start.
+    Each is its row intervals shifted to column 0, or its half-turn's if less.
+    """
+    outer, inner = s.outer, s.inner_padded
+    comps, top = [], 0
+    for i in range(len(outer)):
+        if i + 1 == len(outer) or outer[i + 1] <= inner[i]:
+            left, width = inner[i], outer[top] - inner[i]
+            rows = tuple((inner[r] - left, outer[r] - left)
+                         for r in range(top, i + 1))
+            turned = tuple((width - b, width - a) for a, b in reversed(rows))
+            comps.append(min(rows, turned))
+            top = i + 1
+    return tuple(sorted(comps))
+
+
+def fingerprint_keys(shapes, fingerprint) -> tuple[list, list]:
+    """(slots, rows): rows[slots[i]] is fingerprint(shapes[i]).
+
+    s_{A+B} = s_A s_B for a direct sum and s_A is half-turn invariant (EC2
+    Sec. 7.10); A + B has the row overlaps of A and B, which share no column
+    (Reiner-Shaw-van Willigenburg 2007, Sec. 2); scale commutes with both.
+    So rows holds one fingerprint per component_key, computed on the first
+    shape with it, in first-seen order.  SKEWSUPPORT_JOBS > 1 maps over a
+    fork pool of that many workers, which needs a module-level fingerprint.
+    """
+    jobs = default_jobs()
+    first: dict = {}  # key -> (slot, first shape with that key)
+    slots = [first.setdefault(component_key(s), (len(first), s))[0]
+             for s in shapes]
+    work = [s for _, s in first.values()]
+    if jobs == 1:
+        rows = [fingerprint(s) for s in work]
+    else:
+        with get_context("fork").Pool(jobs) as pool:
+            rows = pool.map(fingerprint, work)
+    return slots, rows

@@ -25,6 +25,7 @@ from skewsupport.posets import (
     schur_saturation_regression,
     verify_conjecture,
 )
+from skewsupport.relations import verify_implications
 from skewsupport.shapes import (
     enumerate_shapes,
     format_shape,
@@ -289,6 +290,13 @@ def test_nightly_sweep(n):
     report = verify_conjecture(n)
     assert report["pass_theorem"] is True
     assert report["pass_conjecture"] is True
+
+
+@pytest.mark.nightly
+def test_nightly_figure6_sweep():
+    report = verify_implications(8)
+    assert report["pass"] is True
+    assert report["pairs_checked"] == 7_871_300
 
 
 @pytest.mark.longrun

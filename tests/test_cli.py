@@ -13,7 +13,7 @@ from skewsupport.cli import (
     EXIT_USAGE,
     main,
 )
-from skewsupport import posets
+from skewsupport import shapes
 from skewsupport.config import ENV_JOBS, ENV_MAX_SIZE, default_jobs
 from skewsupport.errors import InvalidArgumentError
 
@@ -187,6 +187,7 @@ def test_usage_errors(capsys, monkeypatch):
     for argv in (
         ["shapes", "--n", "-1"],
         ["verify", "figure6", "--n", "-1"],
+        ["verify", "figure6", "--n", "0"],
         ["multfree", "--n", "0"],
         ["saturation", "--n", "2", "--scale", "0"],
     ):
@@ -238,6 +239,7 @@ def _assert_one_line_error(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "conjecture", "--n", "6"],
+    ["verify", "figure6", "--n", "5"],
     ["poset", "--n", "6"],
     ["poset", "--n", "6", "--which", "nc", "--format", "dot"],
     ["multfree", "--n", "6"],
@@ -251,7 +253,7 @@ def test_every_sweep_reads_the_worker_setting(argv, capsys, monkeypatch,
         pools.append(method)
         return get_context(method)
 
-    monkeypatch.setattr(posets, "get_context", counting_context)
+    monkeypatch.setattr(shapes, "get_context", counting_context)
     set_jobs(2)
     pooled = run_cli(capsys, *argv)
     assert pools == ["fork"]

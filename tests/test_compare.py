@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from skewsupport import bases, relations
@@ -6,10 +8,17 @@ from skewsupport.errors import SizeLimitError, SizeMismatchError
 from skewsupport.relations import (
     WITNESSES,
     check_implications,
+    compare,
+    record,
     relate,
     verify_implications,
 )
-from skewsupport.shapes import enumerate_shapes, parse_shape
+from skewsupport.shapes import (
+    component_key,
+    enumerate_shapes,
+    format_shape,
+    parse_shape,
+)
 from skewsupport.tableaux import BASES
 
 
@@ -136,3 +145,58 @@ def test_verify_implications_checks_size_first(monkeypatch):
     with pytest.raises(SizeLimitError, match="n=4 exceeds the size limit 3"):
         verify_implications(4)
     assert recorded == []
+
+
+def test_records_depend_only_on_the_component_key():
+    # verify_implications compares one record per component key, so every
+    # field compare() reads must be the same for all shapes with that key
+    for n in range(1, 7):
+        first = {}
+        for s in enumerate_shapes(n):
+            r = record(s)
+            ref = first.setdefault(component_key(s), r)
+            assert r.expansions == ref.expansions, format_shape(s)
+            assert r.supports == ref.supports, format_shape(s)
+            assert r.keys == ref.keys, format_shape(s)
+
+
+def test_verify_implications_records_once_per_key(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(relations, "record", counting("record", record))
+    monkeypatch.setattr(relations, "compare", counting("compare", compare))
+    assert verify_implications(5)["pass"]
+    keys = [1, 3, 6, 16, 34]  # component keys of sizes 1..5
+    # one record per key, plus relate() on each of the four witness pairs
+    assert calls == {"record": sum(keys) + 2 * 4,
+                     "compare": sum(k * k for k in keys) + 4}
+
+
+def test_violations_match_a_per_shape_sweep(monkeypatch):
+    # a false arrow breaks on many pairs; the key-pair sweep must list the
+    # same shape pairs and arrows, in the same order, as comparing every
+    # ordered pair of distinct shapes
+    false_arrow = ("contains:f", "positive:f")
+    monkeypatch.setattr(relations, "_ARROWS",
+                        relations._ARROWS + (false_arrow,))
+    expected = []
+    for size in range(1, 6):
+        records = [record(s) for s in enumerate_shapes(size)]
+        for ra in records:
+            for rb in records:
+                if ra.shape == rb.shape:
+                    continue
+                for arrow in check_implications(compare(ra, rb)):
+                    expected.append({"a": format_shape(ra.shape),
+                                     "b": format_shape(rb.shape),
+                                     "arrow": arrow})
+    assert len(expected) > 1
+    report = verify_implications(5)
+    assert report["violations"] == expected
+    assert not report["pass"]

@@ -12,8 +12,6 @@ from skewsupport.errors import (
 from skewsupport.overlaps import OverlapProfile, dominance_key
 from skewsupport.posets import (
     ShapeClassPoset,
-    _component_key,
-    _fingerprints,
     build_nc,
     build_suppf,
     column_row_shape,
@@ -25,9 +23,12 @@ from skewsupport.posets import (
     schur_saturation_regression,
     verify_conjecture,
 )
+from skewsupport import shapes as shapes_module
 from skewsupport.shapes import (
+    component_key,
     direct_sum,
     enumerate_shapes,
+    fingerprint_keys,
     format_shape,
     parse_shape,
     scale,
@@ -154,7 +155,7 @@ def test_verify_conjecture_parallel_fingerprints_match(monkeypatch, set_jobs):
         pools.append(method)
         return get_context(method)
 
-    monkeypatch.setattr(posets, "get_context", counting_context)
+    monkeypatch.setattr(shapes_module, "get_context", counting_context)
     for n in (5, 6):
         # pooled first, so the serial run does not find the workers' results
         # in this process's caches
@@ -169,7 +170,7 @@ def test_verify_conjecture_parallel_fingerprints_match(monkeypatch, set_jobs):
 def test_component_key():
     for n in range(1, 8):
         for s in enumerate_shapes(n):
-            assert _component_key(s.rotate()) == _component_key(s)
+            assert component_key(s.rotate()) == component_key(s)
     connected = [
         s for n in range(1, 7) for s in enumerate_shapes(n)
         if s.is_connected()
@@ -177,10 +178,10 @@ def test_component_key():
     for a in connected:
         for b in connected:
             if a.size + b.size <= 7:
-                key = _component_key(direct_sum(a, b))
-                assert _component_key(direct_sum(b, a)) == key
-                assert _component_key(direct_sum(a.rotate(), b)) == key
-    counts = [len({_component_key(s) for s in enumerate_shapes(n)})
+                key = component_key(direct_sum(a, b))
+                assert component_key(direct_sum(b, a)) == key
+                assert component_key(direct_sum(a.rotate(), b)) == key
+    counts = [len({component_key(s) for s in enumerate_shapes(n)})
               for n in range(1, 9)]
     assert counts == [1, 3, 6, 16, 34, 87, 198, 493]
 
@@ -190,8 +191,10 @@ def test_fingerprints_match_per_shape(jobs, set_jobs):
     set_jobs(jobs)
     for n in range(8):
         shapes = enumerate_shapes(n)
-        prints = _fingerprints(shapes, posets._mask_and_key)
-        for s, (mask, key) in zip(shapes, prints):
+        slots, rows = fingerprint_keys(shapes, posets._mask_and_key)
+        assert len(rows) == len({component_key(s) for s in shapes})
+        for s, slot in zip(shapes, slots):
+            mask, key = rows[slot]
             assert mask == f_support_mask(s), format_shape(s)
             assert key == dominance_key(OverlapProfile.of(s), n)
 
@@ -201,17 +204,17 @@ def test_multfree_and_saturation_fingerprints_match_per_shape(jobs, set_jobs):
     set_jobs(jobs)
     for n in range(8):
         shapes = enumerate_shapes(n)
-        prints = _fingerprints(shapes, posets._mask_and_multfree)
-        for s, row in zip(shapes, prints):
-            assert row == (f_support_mask(s), is_f_multiplicity_free(s)), (
-                format_shape(s))
+        slots, rows = fingerprint_keys(shapes, posets._mask_and_multfree)
+        for s, slot in zip(shapes, slots):
+            assert rows[slot] == (f_support_mask(s),
+                                  is_f_multiplicity_free(s)), format_shape(s)
     fingerprint = partial(posets._mask_and_scaled, factor=2)
     for n in range(7):
         shapes = enumerate_shapes(n)
-        prints = _fingerprints(shapes, fingerprint)
-        for s, row in zip(shapes, prints):
-            assert row == (f_support_mask(s),
-                           f_support_mask(scale(s, 2))), format_shape(s)
+        slots, rows = fingerprint_keys(shapes, fingerprint)
+        for s, slot in zip(shapes, slots):
+            assert rows[slot] == (f_support_mask(s),
+                                  f_support_mask(scale(s, 2))), format_shape(s)
 
 
 # ------------------------------------------------------ multiplicity-free
@@ -343,6 +346,35 @@ def test_saturation_sweep_small():
     assert report["containment_lost_after_scaling"] == []
     assert report["containment_gained_after_scaling"] == []
     assert report["schur_regression"]["confirmed"]
+
+
+def test_saturation_disagreements_match_a_per_shape_sweep(monkeypatch):
+    # a fake scaled mask that depends only on the component key (the
+    # overlap key in its place) makes containment flip both ways; the
+    # key-pair sweep must list the pairs a per-shape sweep finds, in order
+    def fake(s, factor):
+        return f_support_mask(s), posets._key(s)
+
+    monkeypatch.setattr(posets, "_mask_and_scaled", fake)
+    shapes = enumerate_shapes(5)
+    lost, gained = [], []
+    for a in shapes:
+        for b in shapes:
+            if a == b:
+                continue
+            (ma, sa), (mb, sb) = fake(a, 2), fake(b, 2)
+            before, after = ma | mb == ma, sa | sb == sa
+            pair = {"a": format_shape(a), "b": format_shape(b)}
+            if before and not after:
+                lost.append(pair)
+            if after and not before:
+                gained.append(pair)
+    assert len(lost) > 1 and len(gained) > 1
+    report = saturation_check(5, 2)
+    assert report["containment_lost_after_scaling"] == lost
+    assert report["containment_gained_after_scaling"] == gained
+    assert report["pairs_checked"] == len(shapes) * (len(shapes) - 1)
+    assert not report["agreement"]
 
 
 def test_saturation_factor_one_trivial():
