@@ -8,7 +8,8 @@ bigger support corresponds to more dominated overlaps.  The containment
 direction of the correspondence is a proved theorem (checked here as a
 sweep); the dominance-to-containment direction is open, so any reverse
 failure is reported as a discovery rather than an error.  Every sweep reads
-one fingerprint per component key (shapes.fingerprint_keys).
+one fingerprint per component key (shapes.fingerprint_keys).  Every order is
+a list of bitset rows, built by _containing or _dominated.
 """
 
 from dataclasses import dataclass
@@ -53,23 +54,19 @@ class ShapeClassPoset:
     kind: str  # "suppf" or "nc"
     n: int
     classes: tuple[tuple[SkewShape, ...], ...]
-    relation: frozenset  # pairs (above, below) of class indices
+    below: tuple[int, ...]  # bit j of below[i]: class j lies under class i
 
     def hasse_edges(self) -> list[tuple[int, int]]:
-        """Covering pairs (above, below): relation minus two-step paths.
+        """Covering pairs (above, below): the order minus two-step paths.
 
-        below[i] is the bitset of the classes under class i.  (i, j) is a
-        covering pair iff bit j is in below[i] but in no below[k] for a
-        class k in below[i].  Pairs come out sorted.
+        (i, j) is a covering pair iff bit j is in below[i] but in no
+        below[k] for a class k in below[i].  Pairs come out sorted.
         """
-        below = [0] * len(self.classes)
-        for i, j in self.relation:
-            below[i] |= 1 << j
         edges = []
-        for i, bits in enumerate(below):
+        for i, bits in enumerate(self.below):
             two_step = 0
             for k in _bit_indices(bits):
-                two_step |= below[k]
+                two_step |= self.below[k]
             edges.extend((i, j) for j in _bit_indices(bits & ~two_step))
         return edges
 
@@ -125,6 +122,25 @@ def _classes_of(fingerprints) -> dict:
     return groups
 
 
+def _containing(masks) -> list[int]:
+    """Bit j of row i is set iff j != i and masks[i] contains masks[j]."""
+    return [sum(1 << j for j, m in enumerate(masks) if mi | m == mi and j != i)
+            for i, mi in enumerate(masks)]
+
+
+def _dominated(keys, guard: int) -> list[int]:
+    """Bit j of row i: keys[i] != keys[j] and keys[j] dominates keys[i]."""
+    return [sum(1 << j for j, kj in enumerate(keys)
+                if ki != kj and key_dominated(ki, kj, guard)) for ki in keys]
+
+
+def _sweep_shapes(n: int) -> list[SkewShape]:
+    """The shapes of size n for a sweep, which needs at least one box."""
+    if n < 1:
+        raise InvalidArgumentError(f"n must be >= 1, got {n}")
+    return enumerate_shapes(n)
+
+
 def _key(s: SkewShape) -> int:
     return dominance_key(OverlapProfile.of(s), s.size)
 
@@ -141,30 +157,24 @@ def _mask_and_scaled(s: SkewShape, factor: int) -> tuple[int, int]:
     return f_support_mask(s), f_support_mask(scale(s, factor))
 
 
-def _poset(kind, n, shapes, fingerprints, above) -> ShapeClassPoset:
-    """Classes of equal fingerprint, ordered by above(fi, fj) for fi != fj.
+def _poset(kind, n, shapes, fingerprints, order) -> ShapeClassPoset:
+    """Classes of equal fingerprint, ordered by the rows order builds.
 
-    shapes are sorted, so each class is sorted and the classes come out
-    ordered by their least members.
+    order (_containing or _dominated) gets one fingerprint per class.
+    shapes are sorted, so each class is sorted and the classes, in
+    first-seen order, come out ordered by their least members.
     """
-    members = sorted(_classes_of(fingerprints).values())
+    members = _classes_of(fingerprints).values()
     classes = tuple(tuple(shapes[i] for i in m) for m in members)
-    prints = [fingerprints[m[0]] for m in members]
-    relation = frozenset(
-        (i, j)
-        for i, fi in enumerate(prints)
-        for j, fj in enumerate(prints)
-        if fi != fj and above(fi, fj)
-    )
-    return ShapeClassPoset(kind, n, classes, relation)
+    below = order([fingerprints[m[0]] for m in members])
+    return ShapeClassPoset(kind, n, classes, tuple(below))
 
 
 def build_suppf(n: int) -> ShapeClassPoset:
     """Classes by equal F-support, ordered by strict support containment."""
-    shapes = enumerate_shapes(n)
+    shapes = _sweep_shapes(n)
     slots, rows = fingerprint_keys(shapes, f_support_mask)
-    return _poset("suppf", n, shapes, [rows[k] for k in slots],
-                  lambda mi, mj: mi | mj == mi)
+    return _poset("suppf", n, shapes, [rows[k] for k in slots], _containing)
 
 
 def build_nc(n: int) -> ShapeClassPoset:
@@ -173,11 +183,10 @@ def build_nc(n: int) -> ShapeClassPoset:
     A class sits above another when its row statistics are dominated at
     every depth (more spread out means higher).
     """
-    shapes = enumerate_shapes(n)
-    guard = dominance_guard(n)
+    shapes = _sweep_shapes(n)
     slots, rows = fingerprint_keys(shapes, _key)
     return _poset("nc", n, shapes, [rows[k] for k in slots],
-                  lambda ki, kj: key_dominated(ki, kj, guard))
+                  partial(_dominated, guard=dominance_guard(n)))
 
 
 # ------------------------------------------------- the equivalence sweep
@@ -191,7 +200,7 @@ def verify_conjecture(n: int) -> dict:
     genuine discovery.  The class partitions are compared, then every
     ordered pair of distinct F-support classes.
     """
-    shapes = enumerate_shapes(n)
+    shapes = _sweep_shapes(n)
     slots, rows = fingerprint_keys(shapes, _mask_and_key)
     masks, keys = zip(*(rows[k] for k in slots))
     by_mask = _classes_of(masks)
@@ -214,22 +223,15 @@ def verify_conjecture(n: int) -> dict:
                     )
 
     # shapes are sorted, so the first index of a class is its least shape
-    reps = [
-        (masks[i], keys[i], format_shape(shapes[i]))
-        for i in sorted(members[0] for members in by_mask.values())
-    ]
-    guard = dominance_guard(n)
-    forward, reverse = [], []
-    for x, (ma, ka, a) in enumerate(reps):
-        for y, (mb, kb, b) in enumerate(reps):
-            if x == y:
-                continue
-            contains = ma != mb and ma | mb == ma
-            dominated = ka != kb and key_dominated(ka, kb, guard)
-            if contains and not dominated:
-                forward.append({"a": a, "b": b})
-            if dominated and not contains:
-                reverse.append({"a": a, "b": b})
+    reps = [members[0] for members in by_mask.values()]
+    names = [format_shape(shapes[i]) for i in reps]
+    contains = _containing([masks[i] for i in reps])
+    dominated = _dominated([keys[i] for i in reps], dominance_guard(n))
+    rows = list(enumerate(zip(contains, dominated)))
+    forward = [{"a": names[x], "b": names[y]}
+               for x, (c, d) in rows for y in _bit_indices(c & ~d)]
+    reverse = [{"a": names[x], "b": names[y]}
+               for x, (c, d) in rows for y in _bit_indices(d & ~c)]
     return {
         "n": n,
         # a fixed field, kept so reports stay byte-identical to older ones
@@ -354,9 +356,7 @@ def multfree_report(n: int) -> dict:
     every ordered pair of classified shapes.  Returns the restricted
     subposet of the support poset as well.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    shapes = enumerate_shapes(n)
+    shapes = _sweep_shapes(n)
     slots, rows = fingerprint_keys(shapes, _mask_and_multfree)
     prints = [rows[k] for k in slots]
     classification_mismatches = []
@@ -394,7 +394,7 @@ def multfree_report(n: int) -> dict:
     free_masks = {mask for mask, brute in prints if brute}
     kept = [i for i, (mask, _) in enumerate(prints) if mask in free_masks]
     sub = _poset("suppf", n, [shapes[i] for i in kept],
-                 [prints[i][0] for i in kept], lambda mi, mj: mi | mj == mi)
+                 [prints[i][0] for i in kept], _containing)
     impure = [
         format_shape(cls[0])
         for cls in sub.classes
@@ -467,16 +467,15 @@ def saturation_check(n: int, factor: int) -> dict:
             f"saturation needs shapes of {need} boxes, over the size limit "
             f"{limit}"
         )
-    shapes = enumerate_shapes(n)
+    shapes = _sweep_shapes(n)
     slots, rows = fingerprint_keys(shapes,
                                    partial(_mask_and_scaled, factor=factor))
+    masks, scaled = zip(*rows)
     only_if, if_dir = [], []
     flips = {}  # key pair -> the list its shape pairs go to
-    for x, (ma, sa) in enumerate(rows):
-        for y, (mb, sb) in enumerate(rows):
-            before, after = ma | mb == ma, sa | sb == sa
-            if before != after:
-                flips[x, y] = only_if if before else if_dir
+    for x, (b, a) in enumerate(zip(_containing(masks), _containing(scaled))):
+        flips.update(((x, y), only_if) for y in _bit_indices(b & ~a))
+        flips.update(((x, y), if_dir) for y in _bit_indices(a & ~b))
     for (a, x), (b, y) in permutations(zip(shapes, slots), 2) if flips else ():
         if (x, y) in flips:
             flips[x, y].append({"a": format_shape(a), "b": format_shape(b)})

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from multiprocessing import get_context
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +174,22 @@ def test_byte_identical_reruns(capsys):
     assert len(outputs) == 2
 
 
+def test_benchmark_commands_match_recorded_digests(capsys):
+    # every command of the benchmark, at both recorded sizes, must give the
+    # exit code and stdout sha256 recorded in perfbench/expected.json
+    expected = Path(__file__).resolve().parent.parent / "perfbench"
+    sizes = json.loads((expected / "expected.json").read_text())["sizes"]
+    checked = 0
+    for size in ("tiny", "full"):
+        for workload in sizes[size].values():
+            for command, want in workload["outputs"].items():
+                code, out, _ = run_cli(capsys, *command.split())
+                digest = hashlib.sha256(out.encode()).hexdigest()
+                assert (code, digest) == (want["rc"], want["sha256"]), command
+                checked += 1
+    assert checked == 12
+
+
 def test_usage_errors(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
@@ -188,7 +206,11 @@ def test_usage_errors(capsys, monkeypatch):
         ["shapes", "--n", "-1"],
         ["verify", "figure6", "--n", "-1"],
         ["verify", "figure6", "--n", "0"],
+        ["verify", "conjecture", "--n", "0"],
+        ["poset", "--n", "0"],
+        ["poset", "--n", "0", "--which", "nc"],
         ["multfree", "--n", "0"],
+        ["saturation", "--n", "0", "--scale", "2"],
         ["saturation", "--n", "2", "--scale", "0"],
     ):
         _assert_one_line_error(capsys, argv)

@@ -173,9 +173,10 @@ def test_verify_implications_records_once_per_key(monkeypatch):
     monkeypatch.setattr(relations, "compare", counting("compare", compare))
     assert verify_implications(5)["pass"]
     keys = [1, 3, 6, 16, 34]  # component keys of sizes 1..5
-    # one record per key, plus relate() on each of the four witness pairs
+    # one record per key, and one compare per ordered pair of distinct
+    # same-size keys, plus relate() on each of the four witness pairs
     assert calls == {"record": sum(keys) + 2 * 4,
-                     "compare": sum(k * k for k in keys) + 4}
+                     "compare": sum(k * (k - 1) for k in keys) + 4}
 
 
 def test_violations_match_a_per_shape_sweep(monkeypatch):

@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import partial
 from multiprocessing import get_context
 
@@ -9,7 +10,12 @@ from skewsupport.errors import (
     SizeLimitError,
     SizeMismatchError,
 )
-from skewsupport.overlaps import OverlapProfile, dominance_key
+from skewsupport.overlaps import (
+    OverlapProfile,
+    dominance_guard,
+    dominance_key,
+    key_dominated,
+)
 from skewsupport.posets import (
     ShapeClassPoset,
     build_nc,
@@ -40,6 +46,12 @@ from skewsupport.tableaux import f_support_mask, is_f_multiplicity_free
 # ------------------------------------------------------------ class posets
 
 
+def _pairs(poset):
+    """The order as (above, below) pairs of class indices."""
+    return {(i, j) for i, row in enumerate(poset.below)
+            for j in range(len(poset.classes)) if row >> j & 1}
+
+
 def test_class_counts_frozen():
     for n, classes in [(1, 1), (2, 3), (3, 6), (4, 15), (5, 29), (6, 66)]:
         assert len(build_suppf(n).classes) == classes
@@ -58,11 +70,11 @@ def test_partitions_coincide_up_to_six():
 def test_posets_order_by_their_statistics():
     suppf = build_suppf(4)
     masks = [f_support_mask(cls[0]) for cls in suppf.classes]
-    for i, j in suppf.relation:
+    for i, j in _pairs(suppf):
         assert masks[i] != masks[j] and masks[i] | masks[j] == masks[i]
     nc = build_nc(4)
     profs = [OverlapProfile.of(cls[0]) for cls in nc.classes]
-    for i, j in nc.relation:
+    for i, j in _pairs(nc):
         assert profs[i] != profs[j] and profs[i].dominated_by(profs[j])
 
 
@@ -79,7 +91,7 @@ def test_rotation_stays_in_its_class():
 
 def test_hasse_is_transitive_reduction():
     for poset in (build_suppf(6), build_nc(6)):
-        rel = poset.relation
+        rel = _pairs(poset)
         edges = poset.hasse_edges()
         assert edges == sorted(edges)
         hasse = set(edges)
@@ -103,7 +115,7 @@ def test_n6_snapshot_frozen():
     assert len(suppf.classes) == 66 and len(nc.classes) == 66
     assert len(suppf.hasse_edges()) == 123
     assert len(nc.hasse_edges()) == 123
-    assert suppf.relation == nc.relation
+    assert suppf.below == nc.below
     assert [format_shape(cls[0]) for cls in suppf.classes[:5]] == [
         "1,1,1,1,1,1",
         "2,1,1,1,1",
@@ -165,6 +177,65 @@ def test_verify_conjecture_parallel_fingerprints_match(monkeypatch, set_jobs):
         assert verify_conjecture(n) == parallel
     # one pool per pooled sweep, none for the serial ones
     assert pools == ["fork", "fork"]
+
+
+def _conjecture_oracle(n, fingerprint):
+    """verify_conjecture's failure lists, from a per-shape sweep."""
+    shapes = enumerate_shapes(n)
+    prints = [fingerprint(s) for s in shapes]
+    mismatches = []
+    for side, kind in ((0, "equal_support_different_profile"),
+                       (1, "equal_profile_different_support")):
+        groups = {}
+        for s, p in zip(shapes, prints):
+            groups.setdefault(p[side], []).append((s, p[1 - side]))
+        for (first, other), *rest in groups.values():
+            mismatches.extend(
+                {"a": format_shape(first), "b": format_shape(s), "kind": kind}
+                for s, p in rest if p != other)
+    reps = {}  # the least shape of each support class, with its key
+    for s, (mask, key) in zip(shapes, prints):
+        reps.setdefault(mask, (format_shape(s), key))
+    guard = dominance_guard(n)
+    forward, reverse = [], []
+    for ma, (a, ka) in reps.items():
+        for mb, (b, kb) in reps.items():
+            contains = ma != mb and ma | mb == ma
+            dominated = ka != kb and key_dominated(ka, kb, guard)
+            if contains and not dominated:
+                forward.append({"a": a, "b": b})
+            if dominated and not contains:
+                reverse.append({"a": a, "b": b})
+    return mismatches, forward, reverse
+
+
+def test_verify_conjecture_failures_match_a_per_shape_sweep(monkeypatch):
+    # fake fingerprints that depend only on the component key break both
+    # directions and both partitions; the sweep must list what a per-shape
+    # sweep finds, in the same order
+    n = 5
+    full = (1 << 2 ** (n - 1)) - 1
+
+    def complement_and_first_depth(s):
+        first = OverlapProfile(OverlapProfile.of(s).rows[:1])
+        return full & ~f_support_mask(s), dominance_key(first, n)
+
+    def three_supports(s):
+        return 1 << f_support_mask(s).bit_count() % 3, posets._key(s)
+
+    counts = []
+    for fake in (complement_and_first_depth, three_supports):
+        monkeypatch.setattr(posets, "_mask_and_key", fake)
+        report = verify_conjecture(n)
+        mismatches, forward, reverse = _conjecture_oracle(n, fake)
+        assert report["partition_mismatches"] == mismatches
+        assert report["forward_violations"] == forward
+        assert report["reverse_counterexamples"] == reverse
+        assert not report["pass_theorem"] and not report["pass_conjecture"]
+        kinds = Counter(m["kind"] for m in mismatches)
+        counts.append((len(forward), len(reverse), dict(kinds)))
+    assert counts[0] == (193, 345, {"equal_profile_different_support": 75})
+    assert counts[1][2] == {"equal_support_different_profile": 82}
 
 
 def test_component_key():
