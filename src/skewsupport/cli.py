@@ -30,6 +30,7 @@ from skewsupport.posets import (
 )
 from skewsupport.relations import check_implications, relate, verify_implications
 from skewsupport.shapes import (
+    component_keys,
     enumerate_shapes,
     format_shape,
     parse_shape,
@@ -111,10 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_shapes(args) -> int:
-    shapes = enumerate_shapes(args.n)
     if args.count:
-        print(len(shapes))
+        print(sum(count for *_, count in component_keys(args.n)))
     else:
+        shapes = enumerate_shapes(args.n)
         _emit({"n": args.n, "count": len(shapes),
                "shapes": [format_shape(s) for s in shapes]})
     return EXIT_OK
@@ -132,20 +133,14 @@ def _cmd_overlaps(args) -> int:
     shape = parse_shape(args.shape)
     prof = OverlapProfile.of(shape)
     n_rows, n_cols = shape.n_rows, shape.n_cols
+    cols = (overlap_cols(shape, k) for k in range(1, n_cols + 1))
+    counts = {f"{k}x{l}": rects(shape, k, l)
+              for k in range(1, n_rows + 1) for l in range(1, n_cols + 1)}
     _emit({
         "shape": format_shape(shape),
         "rows": [",".join(str(p) for p in r) for r in prof.rows],
-        "cols": [
-            ",".join(str(p) for p in overlap_cols(shape, k))
-            for k in range(1, n_cols + 1)
-            if overlap_cols(shape, k)
-        ],
-        "rects": {
-            f"{k}x{l}": rects(shape, k, l)
-            for k in range(1, n_rows + 1)
-            for l in range(1, n_cols + 1)
-            if rects(shape, k, l)
-        },
+        "cols": [",".join(str(p) for p in c) for c in cols if c],
+        "rects": {name: count for name, count in counts.items() if count},
     })
     return EXIT_OK
 

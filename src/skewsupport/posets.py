@@ -8,8 +8,11 @@ bigger support corresponds to more dominated overlaps.  The containment
 direction of the correspondence is a proved theorem (checked here as a
 sweep); the dominance-to-containment direction is open, so any reverse
 failure is reported as a discovery rather than an error.  Every sweep reads
-one fingerprint per component key (shapes.fingerprint_keys).  Every order is
-a list of bitset rows, built by _containing or _dominated.
+one fingerprint per component key: the poset and multiplicity-free sweeps,
+which list every class member, group the shapes by key
+(shapes.fingerprint_keys); verify_conjecture and saturation_check fingerprint
+shapes.component_keys' representatives and list shapes only on a failure.
+Every order is a list of bitset rows, built by _containing or _dominated.
 """
 
 from dataclasses import dataclass
@@ -31,10 +34,13 @@ from skewsupport.overlaps import (
 from skewsupport.shapes import (
     SkewShape,
     check_same_size,
+    component_keys,
     direct_sum,
     enumerate_shapes,
+    fingerprint_all,
     fingerprint_keys,
     format_shape,
+    key_slots,
     parse_shape,
     scale,
 )
@@ -134,11 +140,11 @@ def _dominated(keys, guard: int) -> list[int]:
                 if ki != kj and key_dominated(ki, kj, guard)) for ki in keys]
 
 
-def _sweep_shapes(n: int) -> list[SkewShape]:
-    """The shapes of size n for a sweep, which needs at least one box."""
+def _sweep_size(n: int) -> int:
+    """n, checked: a sweep needs at least one box."""
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    return enumerate_shapes(n)
+    return n
 
 
 def _key(s: SkewShape) -> int:
@@ -172,7 +178,7 @@ def _poset(kind, n, shapes, fingerprints, order) -> ShapeClassPoset:
 
 def build_suppf(n: int) -> ShapeClassPoset:
     """Classes by equal F-support, ordered by strict support containment."""
-    shapes = _sweep_shapes(n)
+    shapes = enumerate_shapes(_sweep_size(n))
     slots, rows = fingerprint_keys(shapes, f_support_mask)
     return _poset("suppf", n, shapes, [rows[k] for k in slots], _containing)
 
@@ -183,7 +189,7 @@ def build_nc(n: int) -> ShapeClassPoset:
     A class sits above another when its row statistics are dominated at
     every depth (more spread out means higher).
     """
-    shapes = _sweep_shapes(n)
+    shapes = enumerate_shapes(_sweep_size(n))
     slots, rows = fingerprint_keys(shapes, _key)
     return _poset("nc", n, shapes, [rows[k] for k in slots],
                   partial(_dominated, guard=dominance_guard(n)))
@@ -198,11 +204,30 @@ def verify_conjecture(n: int) -> dict:
     Forward failures (containment without dominance) contradict a proved
     statement; reverse failures (dominance without containment) would be a
     genuine discovery.  The class partitions are compared, then every
-    ordered pair of distinct F-support classes.
+    ordered pair of distinct F-support classes.  One shape per component
+    key is fingerprinted; only a failure needs every shape, to name the
+    pairs as a per-shape sweep would.
     """
-    shapes = _sweep_shapes(n)
-    slots, rows = fingerprint_keys(shapes, _mask_and_key)
-    masks, keys = zip(*(rows[k] for k in slots))
+    keyed = component_keys(_sweep_size(n))
+    reps = [s for _, s, _ in keyed]
+    rows = fingerprint_all(reps, _mask_and_key)
+    shape_count = sum(count for *_, count in keyed)
+    report = _conjecture_report(n, shape_count, reps, rows)
+    if report["pass_theorem"] and report["pass_conjecture"]:
+        return report
+    shapes = enumerate_shapes(n)
+    slots = key_slots(shapes, keyed)
+    return _conjecture_report(n, shape_count, shapes, [rows[k] for k in slots])
+
+
+def _conjecture_report(n, shape_count, shapes, prints) -> dict:
+    """verify_conjecture's report on shapes and their (mask, key) prints.
+
+    Given every shape, sorted, it names each class by its least shape.
+    Given one shape per component key, it has the same counts and pass
+    flags, so it is the same report whenever both flags pass.
+    """
+    masks, keys = zip(*prints)
     by_mask = _classes_of(masks)
     by_key = _classes_of(keys)
 
@@ -236,7 +261,7 @@ def verify_conjecture(n: int) -> dict:
         "n": n,
         # a fixed field, kept so reports stay byte-identical to older ones
         "shard": {"index": 1, "count": 1},
-        "shape_count": len(shapes),
+        "shape_count": shape_count,
         "class_count_suppf": len(by_mask),
         "class_count_nc": len(by_key),
         "pairs_checked": len(reps) * (len(reps) - 1),
@@ -356,7 +381,7 @@ def multfree_report(n: int) -> dict:
     every ordered pair of classified shapes.  Returns the restricted
     subposet of the support poset as well.
     """
-    shapes = _sweep_shapes(n)
+    shapes = enumerate_shapes(_sweep_size(n))
     slots, rows = fingerprint_keys(shapes, _mask_and_multfree)
     prints = [rows[k] for k in slots]
     classification_mismatches = []
@@ -467,22 +492,27 @@ def saturation_check(n: int, factor: int) -> dict:
             f"saturation needs shapes of {need} boxes, over the size limit "
             f"{limit}"
         )
-    shapes = _sweep_shapes(n)
-    slots, rows = fingerprint_keys(shapes,
-                                   partial(_mask_and_scaled, factor=factor))
+    keyed = component_keys(_sweep_size(n))
+    rows = fingerprint_all([s for _, s, _ in keyed],
+                           partial(_mask_and_scaled, factor=factor))
     masks, scaled = zip(*rows)
     only_if, if_dir = [], []
     flips = {}  # key pair -> the list its shape pairs go to
     for x, (b, a) in enumerate(zip(_containing(masks), _containing(scaled))):
         flips.update(((x, y), only_if) for y in _bit_indices(b & ~a))
         flips.update(((x, y), if_dir) for y in _bit_indices(a & ~b))
-    for (a, x), (b, y) in permutations(zip(shapes, slots), 2) if flips else ():
-        if (x, y) in flips:
-            flips[x, y].append({"a": format_shape(a), "b": format_shape(b)})
+    if flips:
+        shapes = enumerate_shapes(n)
+        slots = key_slots(shapes, keyed)
+        for (a, x), (b, y) in permutations(zip(shapes, slots), 2):
+            if (x, y) in flips:
+                flips[x, y].append({"a": format_shape(a),
+                                    "b": format_shape(b)})
+    shape_count = sum(count for *_, count in keyed)
     return {
         "n": n,
         "factor": factor,
-        "pairs_checked": len(shapes) * (len(shapes) - 1),
+        "pairs_checked": shape_count * (shape_count - 1),
         "containment_lost_after_scaling": only_if,
         "containment_gained_after_scaling": if_dir,
         "agreement": not only_if and not if_dir,

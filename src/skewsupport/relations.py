@@ -5,10 +5,12 @@ s_A - s_B is positive and whether the support of A contains that of B, plus
 the three equivalent overlap-dominance conditions.  It is compare(record(A),
 record(B)): a shape's record holds its five expansions, their supports and
 its packed row, column and rectangle dominance keys.  relate() compares one
-pair; verify_implications records a shape once per component key and
-compares each ordered pair of distinct same-size keys.  check_implications
-lists every broken arrow of the known implication diagram; an exhaustive sweep
-must find none and confirm the four published non-implications at witnesses.
+pair; verify_implications records one shape per component key
+(shapes.component_keys), compares each ordered pair of distinct same-size
+keys, and lists shapes only to name the pairs of a broken arrow.
+check_implications lists every broken arrow of the known implication
+diagram; an exhaustive sweep must find none and confirm the four published
+non-implications at witnesses.
 """
 
 from dataclasses import dataclass
@@ -19,9 +21,11 @@ from skewsupport.errors import InvalidArgumentError
 from skewsupport.shapes import (
     SkewShape,
     check_same_size,
+    component_keys,
     enumerate_shapes,
-    fingerprint_keys,
+    fingerprint_all,
     format_shape,
+    key_slots,
     parse_shape,
 )
 from skewsupport.tableaux import BASES
@@ -150,24 +154,29 @@ def verify_implications(n: int) -> dict:
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    # enumerating size n first checks n before any record is built
-    largest = enumerate_shapes(n)
-    by_size = [enumerate_shapes(size) for size in range(1, n)] + [largest]
-    shapes = [s for same_size in by_size for s in same_size]
-    slots, rows = fingerprint_keys(shapes, record)
+    # listing size n first checks n before any record is built
+    largest = component_keys(n)
+    by_size = [component_keys(size) for size in range(1, n)] + [largest]
+    keyed = [row for same_size in by_size for row in same_size]
+    rows = fingerprint_all([s for _, s, _ in keyed], record)
     broken = {}
-    # keys come in size order, as shapes do
+    # keys come in size order
     for _, keys in groupby(enumerate(rows), lambda item: item[1].shape.size):
         for (x, ra), (y, rb) in permutations(keys, 2):
             arrows = check_implications(compare(ra, rb))
             if arrows:
                 broken[x, y] = arrows
-    # the shape pairs of each broken key pair, in shape order
-    pairs = permutations(zip(shapes, slots), 2) if broken else ()
-    violations = [
-        {"a": format_shape(a), "b": format_shape(b), "arrow": arrow}
-        for (a, x), (b, y) in pairs for arrow in broken.get((x, y), ())
-    ]
+    violations = []
+    if broken:  # the shape pairs of each broken key pair, in shape order
+        shapes = [s for size in range(1, n + 1)
+                  for s in enumerate_shapes(size)]
+        slots = key_slots(shapes, keyed)
+        violations = [
+            {"a": format_shape(a), "b": format_shape(b), "arrow": arrow}
+            for (a, x), (b, y) in permutations(zip(shapes, slots), 2)
+            for arrow in broken.get((x, y), ())
+        ]
+    counts = [sum(count for *_, count in same) for same in by_size]
     witnesses = {}
     for a_str, b_str, holds, fails in WITNESSES:
         wa, wb = parse_shape(a_str), parse_shape(b_str)
@@ -176,7 +185,7 @@ def verify_implications(n: int) -> dict:
             witnesses[f"{a_str} vs {b_str}"] = m.get(holds) and not m.get(fails)
     return {
         "max_size": n,
-        "pairs_checked": sum(len(same) * (len(same) - 1) for same in by_size),
+        "pairs_checked": sum(c * (c - 1) for c in counts),
         "violations": violations,
         "witnesses_confirmed": witnesses,
         "all_witnesses_found": bool(witnesses) and all(witnesses.values()),

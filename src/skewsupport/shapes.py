@@ -14,8 +14,10 @@ form, so constructors normalise instead of rejecting.
 """
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import combinations_with_replacement, groupby, product
+from math import factorial
 from multiprocessing import get_context
 
 from skewsupport.config import default_jobs, max_size
@@ -347,48 +349,121 @@ def check_same_size(a: SkewShape, b: SkewShape) -> None:
         )
 
 
-def enumerate_shapes(n: int) -> list[SkewShape]:
-    """All canonical skew shapes with n boxes, sorted by (outer, inner).
-
-    Rows are generated top to bottom as column intervals [a, b).  The
-    canonical-form constraints translate to: a and b weakly decrease, each
-    row is non-empty, consecutive rows satisfy b' >= a (no column gap), and
-    the last row starts at column 0.
-    """
+def _check_n(n: int) -> None:
     limit = max_size()
     if n < 0:
         raise InvalidArgumentError(f"n must be >= 0, got {n}")
     if n > limit:
         raise SizeLimitError(f"n={n} exceeds the size limit {limit}")
-    if n == 0:
-        return [SkewShape((), ())]
-    results = []
-    rows: list[tuple[int, int]] = []
 
-    def emit():
-        results.append(
-            SkewShape(tuple(b for _, b in rows), tuple(a for a, _ in rows))
-        )
+
+def _row_lists(n: int, overlap: int, emit) -> None:
+    """Call emit(rows) on the row intervals of each canonical n-box shape.
+
+    Rows are generated top to bottom as column intervals [a, b).  The
+    canonical-form constraints translate to: a and b weakly decrease, each
+    row is non-empty, consecutive rows satisfy b' >= a + overlap (no column
+    gap for overlap 0; a shared column, so a connected shape, for overlap
+    1), and the last row starts at column 0.  rows is reused between calls.
+    """
+    rows: list[tuple[int, int]] = []
 
     def extend(prev_a, prev_b, remaining):
         if remaining == 0:
             if rows[-1][0] == 0:
-                emit()
+                emit(rows)
             return
         for a in range(prev_a, -1, -1):
-            for b in range(max(a + 1, prev_a), min(prev_b, a + remaining) + 1):
+            for b in range(max(a + 1, prev_a + overlap),
+                           min(prev_b, a + remaining) + 1):
                 rows.append((a, b))
                 extend(a, b, remaining - (b - a))
                 rows.pop()
 
     for b in range(1, n + 1):
         for a in range(0, b):
-            if b - a <= n:
-                rows.append((a, b))
-                extend(a, b, n - (b - a))
-                rows.pop()
+            rows.append((a, b))
+            extend(a, b, n - (b - a))
+            rows.pop()
+
+
+def _from_rows(rows) -> SkewShape:
+    return SkewShape(tuple(b for _, b in rows), tuple(a for a, _ in rows))
+
+
+def enumerate_shapes(n: int) -> list[SkewShape]:
+    """All canonical skew shapes with n boxes, sorted by (outer, inner)."""
+    _check_n(n)
+    if n == 0:
+        return [SkewShape((), ())]
+    results = []
+    _row_lists(n, 0, lambda rows: results.append(_from_rows(rows)))
     results.sort()
     return results
+
+
+def _connected(size: int) -> list[tuple[tuple, int]]:
+    """(rows, orbit) per connected size-box shape up to half-turn.
+
+    rows is the lesser of the shape's row intervals and its half-turn's,
+    as component_key writes a component; orbit is 1 if they are equal,
+    else 2, the number of shapes the entry stands for.
+    """
+    out = []
+
+    def emit(rows):
+        width = rows[0][1]
+        turned = tuple((width - b, width - a) for a, b in reversed(rows))
+        rows = tuple(rows)
+        if rows <= turned:
+            out.append((rows, 1 if rows == turned else 2))
+
+    _row_lists(size, 1, emit)
+    return out
+
+
+def _direct_sum_rows(comps) -> list[tuple[int, int]]:
+    """Rows of the direct sum of comps, the first one bottom-left."""
+    rows, shift = [], 0
+    for comp in comps:
+        rows[:0] = [(a + shift, b + shift) for a, b in comp]
+        shift += comp[0][1]
+    return rows
+
+
+def _partitions(n: int, largest: int):
+    """Partitions of n into parts <= largest, as descending lists."""
+    if n == 0:
+        yield []
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield [part] + rest
+
+
+def component_keys(n: int) -> list[tuple[tuple, SkewShape, int]]:
+    """(key, shape, count) for each component_key of the n-box shapes.
+
+    A shape is the direct sum of an ordered sequence of connected shapes,
+    and each of its components is one of the orbit shapes of its half-turn
+    class.  So a key whose m components fall into classes c with
+    multiplicities m_c holds m!/prod(m_c!) * prod(orbit_c ** m_c) shapes;
+    shape is one of them.  Nothing walks the shapes.
+    """
+    _check_n(n)
+    connected = {size: _connected(size) for size in range(1, n + 1)}
+    out = []
+    for sizes in _partitions(n, n):
+        choices = [combinations_with_replacement(connected[size], m)
+                   for size, m in Counter(sizes).items()]
+        for picks in product(*choices):
+            comps = sorted(c for pick in picks for c in pick)
+            count = factorial(len(comps))
+            for (_, orbit), m in Counter(comps).items():
+                count = count // factorial(m) * orbit ** m
+            key = tuple(rows for rows, _ in comps)
+            out.append((key, _from_rows(_direct_sum_rows(key)), count))
+    return out
 
 
 def component_key(s: SkewShape) -> tuple:
@@ -410,6 +485,19 @@ def component_key(s: SkewShape) -> tuple:
     return tuple(sorted(comps))
 
 
+def fingerprint_all(shapes, fingerprint) -> list:
+    """[fingerprint(s) for s in shapes], over a fork pool if asked.
+
+    SKEWSUPPORT_JOBS > 1 maps over a fork pool of that many workers, which
+    needs a module-level fingerprint.
+    """
+    jobs = default_jobs()
+    if jobs == 1:
+        return [fingerprint(s) for s in shapes]
+    with get_context("fork").Pool(jobs) as pool:
+        return pool.map(fingerprint, shapes)
+
+
 def fingerprint_keys(shapes, fingerprint) -> tuple[list, list]:
     """(slots, rows): rows[slots[i]] is fingerprint(shapes[i]).
 
@@ -417,17 +505,16 @@ def fingerprint_keys(shapes, fingerprint) -> tuple[list, list]:
     Sec. 7.10); A + B has the row overlaps of A and B, which share no column
     (Reiner-Shaw-van Willigenburg 2007, Sec. 2); scale commutes with both.
     So rows holds one fingerprint per component_key, computed on the first
-    shape with it, in first-seen order.  SKEWSUPPORT_JOBS > 1 maps over a
-    fork pool of that many workers, which needs a module-level fingerprint.
+    shape with it, in first-seen order.  The sweeps that list no class
+    members fingerprint component_keys(n)'s shapes instead.
     """
-    jobs = default_jobs()
     first: dict = {}  # key -> (slot, first shape with that key)
     slots = [first.setdefault(component_key(s), (len(first), s))[0]
              for s in shapes]
-    work = [s for _, s in first.values()]
-    if jobs == 1:
-        rows = [fingerprint(s) for s in work]
-    else:
-        with get_context("fork").Pool(jobs) as pool:
-            rows = pool.map(fingerprint, work)
-    return slots, rows
+    return slots, fingerprint_all([s for _, s in first.values()], fingerprint)
+
+
+def key_slots(shapes, keyed) -> list[int]:
+    """The index of each shape's key in keyed, rows of component_keys."""
+    index = {key: i for i, (key, *_) in enumerate(keyed)}
+    return [index[component_key(s)] for s in shapes]

@@ -290,6 +290,7 @@ def test_nightly_sweep(n):
     report = verify_conjecture(n)
     assert report["pass_theorem"] is True
     assert report["pass_conjecture"] is True
+    assert report["shape_count"] == len(enumerate_shapes(n))
 
 
 @pytest.mark.nightly

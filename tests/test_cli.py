@@ -32,6 +32,14 @@ def test_shapes_count(capsys):
     assert out.strip() == "9"
 
 
+def test_shapes_count_matches_the_listing(capsys):
+    # --count sums the component key counts; the listing builds every shape
+    for n in range(9):
+        code, out, _ = run_cli(capsys, "shapes", "--n", str(n), "--count")
+        assert code == EXIT_OK
+        assert out == f"{len(shapes.enumerate_shapes(n))}\n"
+
+
 def test_shapes_listing(capsys):
     code, out, _ = run_cli(capsys, "shapes", "--n", "2")
     data = json.loads(out)
@@ -65,6 +73,10 @@ def test_overlaps_example(capsys):
     data = json.loads(out)
     assert data["rows"] == ["4,3,2,1,1,1", "2,2,1,1,1", "1,1", "1"]
     assert data["cols"] == ["4,2,2,2,2", "2,2,1,1", "1,1,1", "1"]
+    # only non-zero counts, in (k, l) order
+    assert list(data["rects"].items()) == [
+        ("1x1", 12), ("1x2", 6), ("1x3", 3), ("1x4", 1),
+        ("2x1", 7), ("2x2", 2), ("3x1", 2), ("4x1", 1)]
 
 
 def test_compare_pair(capsys):

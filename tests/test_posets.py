@@ -4,7 +4,7 @@ from multiprocessing import get_context
 
 import pytest
 
-from skewsupport import posets
+from skewsupport import posets, relations
 from skewsupport.errors import (
     InvalidShapeError,
     SizeLimitError,
@@ -29,6 +29,7 @@ from skewsupport.posets import (
     schur_saturation_regression,
     verify_conjecture,
 )
+from skewsupport.relations import verify_implications
 from skewsupport import shapes as shapes_module
 from skewsupport.shapes import (
     component_key,
@@ -177,6 +178,23 @@ def test_verify_conjecture_parallel_fingerprints_match(monkeypatch, set_jobs):
         assert verify_conjecture(n) == parallel
     # one pool per pooled sweep, none for the serial ones
     assert pools == ["fork", "fork"]
+
+
+def test_passing_key_sweeps_list_no_shapes(monkeypatch):
+    # verify_conjecture, verify_implications and saturation_check fingerprint
+    # component_keys' representatives; only a failure lists the shapes
+    def no_listing(n):
+        raise AssertionError(f"enumerate_shapes({n}) called")
+
+    for module in (posets, relations, shapes_module):
+        monkeypatch.setattr(module, "enumerate_shapes", no_listing)
+    report = verify_conjecture(6)
+    assert report["pass_theorem"] and report["pass_conjecture"]
+    assert report["shape_count"] == 272
+    report = verify_implications(5)
+    assert report["pass"] and report["pairs_checked"] == 8316
+    report = saturation_check(5, 2)
+    assert report["agreement"] and report["pairs_checked"] == 87 * 86
 
 
 def _conjecture_oracle(n, fingerprint):

@@ -1,11 +1,19 @@
+from collections import Counter
+
 import pytest
 
 from skewsupport.config import ENV_MAX_SIZE
-from skewsupport.errors import InvalidShapeError, SizeLimitError
+from skewsupport.errors import (
+    InvalidArgumentError,
+    InvalidShapeError,
+    SizeLimitError,
+)
 from skewsupport.shapes import (
     SkewShape,
     comp_of,
     comp_to_mask,
+    component_key,
+    component_keys,
     direct_sum,
     enumerate_shapes,
     format_shape,
@@ -136,6 +144,33 @@ def test_enumeration_respects_size_limit(monkeypatch):
     assert len(enumerate_shapes(3)) == 9
     with pytest.raises(SizeLimitError):
         enumerate_shapes(4)
+
+
+def test_component_keys_match_enumeration():
+    # keys, per-key shape counts and representatives against the shapes
+    key_counts = []
+    for n in range(9):
+        counts = Counter(component_key(s) for s in enumerate_shapes(n))
+        rows = component_keys(n)
+        assert {key: count for key, _, count in rows} == counts, n
+        assert len(rows) == len(counts)
+        for key, shape, _ in rows:
+            assert shape.size == n and component_key(shape) == key
+        key_counts.append(len(rows))
+    assert key_counts == [1, 1, 3, 6, 16, 34, 87, 198, 493]
+
+
+def test_component_keys_usage_errors(monkeypatch):
+    for fn in (enumerate_shapes, component_keys):
+        with pytest.raises(InvalidArgumentError,
+                           match="n must be >= 0, got -1"):
+            fn(-1)
+    monkeypatch.setenv(ENV_MAX_SIZE, "3")
+    assert sum(count for *_, count in component_keys(3)) == 9
+    for fn in (enumerate_shapes, component_keys):
+        with pytest.raises(SizeLimitError,
+                           match="n=4 exceeds the size limit 3"):
+            fn(4)
 
 
 # ------------------------------------------------------- parse and format
