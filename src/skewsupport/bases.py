@@ -11,6 +11,7 @@ provided.
 
 from functools import lru_cache
 
+from skewsupport.errors import InvalidArgumentError
 from skewsupport.shapes import (
     Composition,
     Partition,
@@ -122,7 +123,7 @@ def expansion_of(shape: SkewShape, basis: str) -> Expansion:
         return s_expansion(shape)
     if basis == "d":
         return d_expansion(shape)
-    raise ValueError(f"unknown basis {basis!r}")
+    raise InvalidArgumentError(f"unknown basis {basis!r}")
 
 
 def positive_support(exp: Expansion) -> frozenset:
@@ -155,6 +156,6 @@ def support_contains(a: SkewShape, b: SkewShape, basis: str,
     if convention == "positive":
         return positive_support(ea) >= positive_support(eb)
     if convention != "nonzero":
-        raise ValueError(f"unknown support convention {convention!r}")
+        raise InvalidArgumentError(f"unknown support convention {convention!r}")
     return ea.support() >= eb.support()
 

@@ -20,7 +20,7 @@ from skewsupport.bases import expansion_of
 from skewsupport.tableaux import BASES, enumerate_syt, f_expansion
 from skewsupport.errors import SkewSupportError
 from skewsupport.kernels import BACKEND
-from skewsupport.overlaps import OverlapProfile, overlap_cols, rects
+from skewsupport.overlaps import OverlapProfile, rects
 from skewsupport.posets import (
     build_nc,
     build_suppf,
@@ -133,13 +133,14 @@ def _cmd_overlaps(args) -> int:
     shape = parse_shape(args.shape)
     prof = OverlapProfile.of(shape)
     n_rows, n_cols = shape.n_rows, shape.n_cols
-    cols = (overlap_cols(shape, k) for k in range(1, n_cols + 1))
+    # depth-k column statistics are the transpose's row statistics
+    cols = OverlapProfile.of(shape.transpose()).rows
     counts = {f"{k}x{l}": rects(shape, k, l)
               for k in range(1, n_rows + 1) for l in range(1, n_cols + 1)}
     _emit({
         "shape": format_shape(shape),
         "rows": [",".join(str(p) for p in r) for r in prof.rows],
-        "cols": [",".join(str(p) for p in c) for c in cols if c],
+        "cols": [",".join(str(p) for p in c) for c in cols],
         "rects": {name: count for name, count in counts.items() if count},
     })
     return EXIT_OK

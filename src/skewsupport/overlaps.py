@@ -10,13 +10,14 @@ column statistics are row statistics of the transpose.
 from dataclasses import dataclass
 from functools import lru_cache
 
+from skewsupport.errors import InvalidArgumentError
 from skewsupport.shapes import Partition, SkewShape, check_same_size, sort_desc
 
 
 def overlap_rows(shape: SkewShape, k: int) -> Partition:
     """Sorted positive overlaps of k consecutive rows, for k >= 1."""
     if k < 1:
-        raise ValueError(f"depth must be >= 1, got {k}")
+        raise InvalidArgumentError(f"depth must be >= 1, got {k}")
     outer, inner = shape.outer, shape.inner_padded
     counts = [
         outer[i + k - 1] - inner[i] for i in range(len(outer) - k + 1)
@@ -31,7 +32,7 @@ def overlap_cols(shape: SkewShape, k: int) -> Partition:
 def rects(shape: SkewShape, k: int, l: int) -> int:
     """Number of k x l all-box rectangles inside the shape."""
     if l < 1:
-        raise ValueError(f"width must be >= 1, got {l}")
+        raise InvalidArgumentError(f"width must be >= 1, got {l}")
     return sum(max(0, o - l + 1) for o in overlap_rows(shape, k))
 
 
@@ -53,7 +54,7 @@ class OverlapProfile:
 
     def row_stat(self, k: int) -> Partition:
         if k < 1:
-            raise ValueError(f"depth must be >= 1, got {k}")
+            raise InvalidArgumentError(f"depth must be >= 1, got {k}")
         return self.rows[k - 1] if k <= len(self.rows) else ()
 
     @property

@@ -325,11 +325,12 @@ def multfree_classify(s: SkewShape):
     The classified families are closed under transpose and half-turn
     rotation, so all four images are tried; `via` records which one matched.
     """
+    t = s.transpose()
     for via, image in (
         ("id", s),
         ("rotate", s.rotate()),
-        ("transpose", s.transpose()),
-        ("rotate+transpose", s.transpose().rotate()),
+        ("transpose", t),
+        ("rotate+transpose", t.rotate()),
     ):
         hit = _match_pattern(image)
         if hit:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby, product
 from math import factorial
 from multiprocessing import get_context
+from operator import attrgetter, ge, le, lt
 
 from skewsupport.config import default_jobs, max_size
 from skewsupport.errors import (
@@ -34,10 +35,12 @@ Composition = tuple[int, ...]
 
 def check_partition(parts, what="partition") -> Partition:
     """Coerce to a tuple, strip trailing zeros, reject non-partitions."""
-    out = tuple(int(p) for p in parts)
+    out = tuple(map(int, parts))
     while out and out[-1] == 0:
         out = out[:-1]
-    for i, p in enumerate(out):
+    if all(map(ge, out, out[1:])) and (not out or out[-1] > 0):
+        return out
+    for i, p in enumerate(out):  # name the first fault
         if p <= 0:
             raise InvalidShapeError(f"{what} has non-positive part: {out}")
         if i and out[i - 1] < p:
@@ -120,9 +123,32 @@ def _canonical_rows(intervals):
     )
 
 
+def _is_canonical(pad, outer) -> bool:
+    """Whether the rows inner[i] <= j < outer[i] are already canonical.
+
+    For nested partitions the rows move weakly left going down, so their
+    union is one column interval iff consecutive rows share or touch a
+    column; it starts at column 0 iff the last row does.  Together with
+    non-empty rows that is the canonical form.
+    """
+    return (
+        all(map(lt, pad, outer))
+        and all(map(ge, outer[1:], pad))
+        and (not outer or pad[-1] == 0)
+    )
+
+
 @dataclass(frozen=True, order=True)
 class SkewShape:
-    """A skew diagram outer/inner, canonicalised on construction."""
+    """A skew diagram outer/inner, canonicalised on construction.
+
+    Both partitions are always validated.  Input already in canonical form
+    (every row non-empty, consecutive rows sharing or touching a column, the
+    last row starting at column 0) is kept as given, minus trailing zeros;
+    enumerate_shapes, rotate, transpose and direct_sum of canonical shapes
+    always give such input.  Anything else, as from parse_shape("3,3/3") or
+    from_boxes, drops its empty rows and columns through _canonical_rows.
+    """
 
     outer: Partition
     inner: Partition = ()
@@ -133,11 +159,14 @@ class SkewShape:
         if len(inner) > len(outer):
             raise InvalidShapeError(f"inner shape longer than outer: {inner} / {outer}")
         pad = inner + (0,) * (len(outer) - len(inner))
-        for lo, hi in zip(pad, outer):
-            if lo > hi:
-                raise InvalidShapeError(
-                    f"inner shape not contained in outer: {inner} inside {outer}"
-                )
+        if not all(map(le, pad, outer)):
+            raise InvalidShapeError(
+                f"inner shape not contained in outer: {inner} inside {outer}"
+            )
+        if _is_canonical(pad, outer):
+            object.__setattr__(self, "outer", outer)
+            object.__setattr__(self, "inner", inner)
+            return
         rows = _canonical_rows(list(zip(pad, outer)))
         new_outer = tuple(b for _, b in rows)
         new_inner = tuple(a for a, _ in rows)
@@ -259,7 +288,7 @@ def direct_sum(a: SkewShape, b: SkewShape) -> SkewShape:
 
 def scale(a: SkewShape, factor: int) -> SkewShape:
     if factor < 1:
-        raise ValueError(f"scale factor must be >= 1, got {factor}")
+        raise InvalidArgumentError(f"scale factor must be >= 1, got {factor}")
     return SkewShape(
         tuple(p * factor for p in a.outer), tuple(p * factor for p in a.inner)
     )
@@ -398,7 +427,8 @@ def enumerate_shapes(n: int) -> list[SkewShape]:
         return [SkewShape((), ())]
     results = []
     _row_lists(n, 0, lambda rows: results.append(_from_rows(rows)))
-    results.sort()
+    # the dataclass order, with each comparison made on tuples in C
+    results.sort(key=attrgetter("outer", "inner"))
     return results
 
 

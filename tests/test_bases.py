@@ -12,7 +12,11 @@ from skewsupport.bases import (
     support_contains,
 )
 from skewsupport.config import ENV_MAX_SIZE
-from skewsupport.errors import SizeLimitError, SizeMismatchError
+from skewsupport.errors import (
+    SizeLimitError,
+    SizeMismatchError,
+    SkewSupportError,
+)
 from skewsupport.shapes import enumerate_shapes, parse_shape, straight
 from skewsupport.tableaux import (
     BASES,
@@ -159,3 +163,15 @@ def test_d_support_convention_divergence_example():
     e = d_expansion(parse_shape("22"))
     assert set(e.support()) == {(2, 2), (1, 3)}
     assert positive_support(e) == {(2, 2)}
+
+
+def test_expansion_of_rejects_unknown_basis():
+    with pytest.raises(SkewSupportError, match="unknown basis 'q'"):
+        expansion_of(parse_shape("21"), "q")
+
+
+def test_support_contains_rejects_unknown_convention():
+    a, b = parse_shape("21"), parse_shape("3")
+    with pytest.raises(SkewSupportError,
+                       match="unknown support convention 'all'"):
+        support_contains(a, b, "d", "all")

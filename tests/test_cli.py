@@ -202,6 +202,29 @@ def test_benchmark_commands_match_recorded_digests(capsys):
     assert checked == 12
 
 
+# stdout sha256 of sweeps that build every shape, pinned to catch any change
+# in the shapes they list or the order they list them in
+PINNED_OUTPUTS = {
+    "shapes --n 8":
+        "bc3c6ab748d75284359a1298cb010178e439ae96c758c8b91ea366a8e0587316",
+    "poset --n 7 --which suppf":
+        "e875ec26391669c6b4e922e7763d77adf1e2c0d84c2f6168f397765d19178407",
+    "poset --n 7 --which nc":
+        "f4643781235636d551fb0b64c0ca6455e4302919328c3bfdd44af591aea70f9b",
+    "poset --n 7 --which nc --format dot":
+        "f2239bb1c6da87b591a22528424d210cc37dc5d0f2f2dc95d2c31c0a3c8e7eae",
+    "multfree --n 6":
+        "b8bf2542b0ce7e12f95680216cc1091adfce136df9f37ccee50836f5977ffda8",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_OUTPUTS))
+def test_shape_sweep_outputs_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[command]
+
+
 def test_usage_errors(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

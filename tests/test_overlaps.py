@@ -1,6 +1,6 @@
 import pytest
 
-from skewsupport.errors import SizeMismatchError
+from skewsupport.errors import SizeMismatchError, SkewSupportError
 from skewsupport.overlaps import (
     OverlapProfile,
     dominance_guard,
@@ -207,3 +207,18 @@ if given is not None:
             assert overlaps_dominated(
                 a.transpose(), b.transpose()
             )
+
+
+def test_overlap_rows_rejects_depth_below_one():
+    with pytest.raises(SkewSupportError, match="depth must be >= 1"):
+        overlap_rows(parse_shape("21"), 0)
+
+
+def test_row_stat_rejects_depth_below_one():
+    with pytest.raises(SkewSupportError, match="depth must be >= 1"):
+        OverlapProfile.of(parse_shape("21")).row_stat(0)
+
+
+def test_rects_rejects_width_below_one():
+    with pytest.raises(SkewSupportError, match="width must be >= 1"):
+        rects(parse_shape("21"), 1, 0)

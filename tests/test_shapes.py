@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -7,7 +8,9 @@ from skewsupport.errors import (
     InvalidArgumentError,
     InvalidShapeError,
     SizeLimitError,
+    SkewSupportError,
 )
+from skewsupport import shapes
 from skewsupport.shapes import (
     SkewShape,
     comp_of,
@@ -54,12 +57,64 @@ def test_canonical_form_is_idempotent(small_shapes):
 
 
 def test_invalid_partitions_rejected():
-    with pytest.raises(InvalidShapeError):
+    with pytest.raises(InvalidShapeError, match=re.escape(
+            "outer shape parts must weakly decrease: (1, 2)")):
         SkewShape((1, 2))
-    with pytest.raises(InvalidShapeError):
+    with pytest.raises(InvalidShapeError, match=re.escape(
+            "inner shape has non-positive part: (-1,)")):
         SkewShape((2, 1), (-1,))
-    with pytest.raises(InvalidShapeError):
+    with pytest.raises(InvalidShapeError, match=re.escape(
+            "inner shape longer than outer: (2, 1) / (2,)")):
         SkewShape((2,), (2, 1))  # inner pokes below outer
+    with pytest.raises(InvalidShapeError, match=re.escape(
+            "outer shape has non-positive part: (2, 0, 1)")):
+        SkewShape((2, 0, 1))
+    with pytest.raises(InvalidShapeError, match=re.escape(
+            "inner shape not contained in outer: (3,) inside (2, 2)")):
+        SkewShape((2, 2), (3,))
+
+
+def _box_partitions(rows, cols):
+    """Every partition inside a rows x cols box, padded with zeros."""
+    if rows == 0:
+        yield ()
+        return
+    for first in range(cols, -1, -1):
+        for rest in _box_partitions(rows - 1, first):
+            yield (first,) + rest
+
+
+def test_canonical_input_is_kept_and_the_rest_canonicalised():
+    # every nested pair in a 5 x 5 box, trailing zeros, empty rows and
+    # empty columns included, against the full canonicalisation
+    box = list(_box_partitions(5, 5))
+    pairs = [(lam, mu) for lam in box for mu in box
+             if all(m <= l for l, m in zip(lam, mu))]
+    assert len(pairs) == 19404
+    for lam, mu in pairs:
+        rows = shapes._canonical_rows(list(zip(mu, lam)))
+        inner = tuple(a for a, _ in rows)
+        while inner and inner[-1] == 0:
+            inner = inner[:-1]
+        s = SkewShape(lam, mu)
+        assert (s.outer, s.inner) == (tuple(b for _, b in rows), inner)
+
+
+def test_canonical_shapes_are_not_canonicalised_again(monkeypatch):
+    calls = []
+    full = shapes._canonical_rows
+    monkeypatch.setattr(shapes, "_canonical_rows",
+                        lambda rows: calls.append(rows) or full(rows))
+    listed = enumerate_shapes(7)
+    keyed = [s for _, s, _ in component_keys(7)]
+    for s in listed + keyed:
+        s.rotate(), s.transpose()
+    assert calls == []
+    assert parse_shape("3,3/3") == SkewShape((3,))
+    assert len(calls) == 1
+    # from_boxes canonicalises the box rows; the constructor keeps the result
+    assert SkewShape.from_boxes([(0, 4), (3, 1), (3, 2)]) == parse_shape("32/2")
+    assert len(calls) == 2
 
 
 def test_from_boxes_round_trip(small_shapes):
@@ -263,6 +318,11 @@ def test_scale():
     assert scale(parse_shape("4311/21"), 2) == parse_shape("8622/42")
     assert scale(parse_shape("4421/311"), 2) == parse_shape("8842/622")
     assert scale(parse_shape("22"), 1) == parse_shape("22")
+
+
+def test_scale_rejects_factor_below_one():
+    with pytest.raises(SkewSupportError, match="scale factor must be >= 1"):
+        scale(parse_shape("21"), 0)
 
 
 def test_ribbons():
