@@ -20,7 +20,7 @@ from skewsupport.bases import expansion_of
 from skewsupport.tableaux import BASES, enumerate_syt, f_expansion
 from skewsupport.errors import SkewSupportError
 from skewsupport.kernels import BACKEND
-from skewsupport.overlaps import OverlapProfile, rects
+from skewsupport.overlaps import OverlapProfile
 from skewsupport.posets import (
     build_nc,
     build_suppf,
@@ -135,7 +135,7 @@ def _cmd_overlaps(args) -> int:
     n_rows, n_cols = shape.n_rows, shape.n_cols
     # depth-k column statistics are the transpose's row statistics
     cols = OverlapProfile.of(shape.transpose()).rows
-    counts = {f"{k}x{l}": rects(shape, k, l)
+    counts = {f"{k}x{l}": prof.rects(k, l)
               for k in range(1, n_rows + 1) for l in range(1, n_cols + 1)}
     _emit({
         "shape": format_shape(shape),

@@ -57,6 +57,12 @@ class OverlapProfile:
             raise InvalidArgumentError(f"depth must be >= 1, got {k}")
         return self.rows[k - 1] if k <= len(self.rows) else ()
 
+    def rects(self, k: int, l: int) -> int:
+        """rects(shape, k, l), read from the depth-k statistic."""
+        if l < 1:
+            raise InvalidArgumentError(f"width must be >= 1, got {l}")
+        return sum(o - l + 1 for o in self.row_stat(k) if o >= l)
+
     @property
     def depth(self) -> int:
         return len(self.rows)

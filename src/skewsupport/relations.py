@@ -3,8 +3,10 @@
 For same-size shapes A and B the relation matrix records, per basis, whether
 s_A - s_B is positive and whether the support of A contains that of B, plus
 the three equivalent overlap-dominance conditions.  It is compare(record(A),
-record(B)): a shape's record holds its five expansions, their supports and
-its packed row, column and rectangle dominance keys.  relate() compares one
+record(B)): a shape's record holds its five expansions and six supports,
+each packed into one int of per-size fields (Layout), and its packed row,
+column and rectangle dominance keys, so that every condition is one
+comparison of two ints.  relate() compares one
 pair; verify_implications records one shape per component key
 (shapes.component_keys), compares each ordered pair of distinct same-size
 keys, and lists shapes only to name the pairs of a broken arrow.
@@ -14,13 +16,17 @@ non-implications at witnesses.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby, permutations
+from math import factorial
 
-from skewsupport import bases, overlaps
+from skewsupport import bases, overlaps, tableaux
 from skewsupport.errors import InvalidArgumentError
 from skewsupport.shapes import (
+    Partition,
     SkewShape,
     check_same_size,
+    comp_to_mask,
     component_keys,
     enumerate_shapes,
     fingerprint_all,
@@ -28,7 +34,7 @@ from skewsupport.shapes import (
     key_slots,
     parse_shape,
 )
-from skewsupport.tableaux import BASES
+from skewsupport.tableaux import BASES, partitions_of
 
 _SUP_KEYS = BASES + ("d_positive",)
 _DOM_KEYS = ("rows", "cols", "rects")
@@ -61,59 +67,203 @@ _EQUIVALENCES = (
 class RelationMatrix:
     a: SkewShape
     b: SkewShape
-    positive: dict
-    contains: dict
-    dominated: dict
+    conditions: dict  # "positive:<basis>", "contains:<key>", ... -> bool
 
     def get(self, condition: str) -> bool:
-        kind, _, key = condition.partition(":")
-        return getattr(self, kind)[key]
+        return self.conditions[condition]
+
+    def _kind(self, kind: str, keys: tuple) -> dict:
+        return {k: self.conditions[f"{kind}:{k}"] for k in keys}
+
+    @property
+    def positive(self) -> dict:
+        return self._kind("positive", BASES)
+
+    @property
+    def contains(self) -> dict:
+        return self._kind("contains", _SUP_KEYS)
+
+    @property
+    def dominated(self) -> dict:
+        return self._kind("dominated", _DOM_KEYS)
 
     def to_json_obj(self) -> dict:
         return {
             "a": format_shape(self.a),
             "b": format_shape(self.b),
-            "positive": {k: self.positive[k] for k in BASES},
-            "support_contains": {k: self.contains[k] for k in _SUP_KEYS},
-            "overlap_dominated": {k: self.dominated[k] for k in _DOM_KEYS},
+            "positive": self.positive,
+            "support_contains": self.contains,
+            "overlap_dominated": self.dominated,
             "violations": check_implications(self),
         }
 
 
 @dataclass(frozen=True)
+class Layout:
+    """Where record() puts each coefficient of a size-n shape.
+
+    Each expansion is one int of equal-width fields, field i holding the
+    coefficient of basis element i: the i-th partition of partitions_of(n)
+    for Schur, the composition with descent mask i for F, M, S and D.
+    Coefficients of Schur, F, M and S lie in 0..f^A, and f^A <= n!, so
+    fields of bitlen(n!) + 1 bits keep their top bit, the guard bit, clear;
+    widths are rounded up to whole bytes so that ints are built with
+    int.from_bytes, in time linear in their size.  A D coefficient is a sum
+    over lambda of c_lambda times a signed count of at most n! permutations,
+    and the c_lambda sum to at most f^A, so |d| <= (n!)^2: D fields are
+    twice as wide and hold d + bias, with bias 2^(bits - 2).  Then every
+    field of every expansion is non-negative and below its guard bit.
+    guards also holds the guard of the dominance keys, once per key, so
+    that it lines up with the ints compare() tests field by field.
+    """
+
+    n: int
+    width: tuple  # bytes per field, per basis in BASES order
+    fields: tuple  # fields per expansion, per basis
+    part_index: dict  # partition of n -> its Schur field
+    ones: tuple  # the low bit of every field, per basis
+    guards: tuple  # guard bits, per basis and then per dominance key
+    bias: int  # the bias in every D field
+    zeta: tuple  # per bit b < n - 1: the whole fields whose index lacks b
+
+    def __reduce__(self):
+        # a record sent back from a pool worker shares its size's layout
+        return layout, (self.n,)
+
+
+def _repeat(pattern: bytes, count: int) -> int:
+    return int.from_bytes(pattern * count, "little")
+
+
+@lru_cache(maxsize=None)
+def layout(n: int) -> Layout:
+    """The packed-record layout of size n.
+
+    One per size; record() checks the size guard before asking for one.
+    """
+    w = (factorial(n).bit_length() + 8) // 8
+    comps = 1 << max(0, n - 1)
+    parts = partitions_of(n)
+    width = (w, w, w, w, 2 * w)
+    fields = (len(parts), comps, comps, comps, comps)
+    return Layout(
+        n,
+        width,
+        fields,
+        {lam: i for i, lam in enumerate(parts)},
+        tuple(_repeat(b"\1".ljust(k, b"\0"), f)
+              for k, f in zip(width, fields)),
+        tuple(_repeat(b"\x80".rjust(k, b"\0"), f)
+              for k, f in zip(width, fields))
+        + (overlaps.dominance_guard(n),) * len(_DOM_KEYS),
+        _repeat(b"\x40".rjust(2 * w, b"\0"), comps),
+        tuple(_repeat(b"\xff" * (w << b) + bytes(w << b), comps >> (b + 1))
+              for b in range(n - 1)),
+    )
+
+
+def _pack(terms, fields: int, width: int) -> int:
+    """Coefficient c in field i for each (i, c) of terms, the rest zero.
+
+    A coefficient that is negative or too wide for its field raises
+    OverflowError.
+    """
+    chunks = [bytes(width)] * fields
+    for i, c in terms:
+        chunks[i] = c.to_bytes(width, "little")
+    return int.from_bytes(b"".join(chunks), "little")
+
+
+@lru_cache(maxsize=None)
+def _straight_packed(lam: Partition) -> tuple:
+    """The S and D expansions of s_lam, packed; D's fields signed, unbiased.
+
+    Built when a record first meets lam and kept, like bases._straight_d.
+    """
+    lay = layout(sum(lam))
+    fields, w_s, w_d = lay.fields[3], lay.width[3], lay.width[4]
+    s = _pack(((comp_to_mask(alpha), 1)
+               for alpha in bases.distinct_permutations(lam)), fields, w_s)
+    d = bases._straight_d(lam)
+    above = _pack(((comp_to_mask(beta), v) for beta, v in d if v > 0),
+                  fields, w_d)
+    below = _pack(((comp_to_mask(beta), -v) for beta, v in d if v < 0),
+                  fields, w_d)
+    return s, above - below
+
+
+def _nonzero(packed: int, guard: int, one: int) -> int:
+    """The guard bits of the non-zero fields of packed.
+
+    Setting every guard bit and taking one off every field clears the
+    guard bit exactly of the zero fields; no borrow crosses a field.
+    """
+    return ((packed | guard) - one) & guard
+
+
+@dataclass(frozen=True)
 class ShapeRecord:
-    """Everything compare() reads about one shape."""
+    """Everything compare() reads about one shape, in layout(size) fields."""
 
     shape: SkewShape
-    expansions: dict  # basis -> Expansion
-    supports: dict  # basis or "d_positive" -> frozenset of indices
+    layout: Layout
+    coeffs: tuple  # packed expansion per basis, in BASES order
+    supports: tuple  # guard bits of the non-zero fields, in _SUP_KEYS order
     keys: tuple  # packed dominance keys, in _DOM_KEYS order
 
 
 def record(shape: SkewShape) -> ShapeRecord:
-    """Expansions, supports and dominance keys of one shape."""
+    """Packed expansions, supports and dominance keys of one shape.
+
+    Schur and F are packed from their cached tallies.  M is the zeta
+    transform of F over descent sets: for each bit b, every field whose
+    mask has b gains the field of the mask without it.  S and D are the
+    Schur combination of the straight shapes' packed expansions.
+    """
     n = shape.size
-    expansions = {basis: bases.expansion_of(shape, basis) for basis in BASES}
-    supports = {basis: e.support() for basis, e in expansions.items()}
-    supports["d_positive"] = bases.positive_support(expansions["d"])
+    schur = tableaux.schur_expansion(shape)  # checks the size guard
+    lay = layout(n)
+    w = lay.width[1]
+    f = _pack(tableaux._f_masks(shape).items(), lay.fields[1], w)
+    m = f
+    for b, low in enumerate(lay.zeta):
+        m += (m & low) << (8 * w << b)
+    s, d = 0, lay.bias
+    for lam, c in schur.items():
+        s_lam, d_lam = _straight_packed(lam)
+        s += c * s_lam
+        d += c * d_lam
+    part = lay.part_index
+    coeffs = (_pack(((part[lam], c) for lam, c in schur.items()),
+                    lay.fields[0], w), f, m, s, d)
+    g, one = lay.guards[4], lay.ones[4]
+    supports = (*map(_nonzero, coeffs[:4], lay.guards, lay.ones),
+                _nonzero(d ^ lay.bias, g, one),
+                (d + (g - lay.bias - one)) & g)  # the fields above the bias
     rows = overlaps.OverlapProfile.of(shape)
     cols = overlaps.OverlapProfile.of(shape.transpose())
     keys = (overlaps.dominance_key(rows, n), overlaps.dominance_key(cols, n),
             overlaps.rects_key(rows, n))
-    return ShapeRecord(shape, expansions, supports, keys)
+    return ShapeRecord(shape, lay, coeffs, supports, keys)
+
+
+# in the order compare() computes them
+_CONDITIONS = (tuple(f"positive:{k}" for k in BASES)
+               + tuple(f"dominated:{k}" for k in _DOM_KEYS)
+               + tuple(f"contains:{k}" for k in _SUP_KEYS))
 
 
 def compare(ra: ShapeRecord, rb: ShapeRecord) -> RelationMatrix:
-    """Relation matrix of two records of shapes of one size."""
-    ea, eb = ra.expansions, rb.expansions
-    positive = {basis: bases.difference_positive(ea[basis], eb[basis])
-                for basis in BASES}
-    contains = {key: ra.supports[key] >= rb.supports[key]
-                for key in _SUP_KEYS}
-    guard = overlaps.dominance_guard(ra.shape.size)
-    dominated = {key: overlaps.key_dominated(ka, kb, guard)
-                 for key, ka, kb in zip(_DOM_KEYS, ra.keys, rb.keys)}
-    return RelationMatrix(ra.shape, rb.shape, positive, contains, dominated)
+    """Relation matrix of two records of shapes of one size.
+
+    s_A - s_B is positive in a basis when every field of A's expansion is
+    at least B's (overlaps.key_dominated, as for the dominance keys), and
+    A's support contains B's when A's guard bits cover B's.
+    """
+    values = list(map(overlaps.key_dominated, rb.coeffs + ra.keys,
+                      ra.coeffs + rb.keys, ra.layout.guards))
+    values += [sa | sb == sa for sa, sb in zip(ra.supports, rb.supports)]
+    return RelationMatrix(ra.shape, rb.shape, dict(zip(_CONDITIONS, values)))
 
 
 def relate(a: SkewShape, b: SkewShape) -> RelationMatrix:
@@ -124,13 +274,11 @@ def relate(a: SkewShape, b: SkewShape) -> RelationMatrix:
 
 def check_implications(m: RelationMatrix) -> list[str]:
     """Names of diagram arrows or equivalences broken by this matrix."""
-    broken = []
-    for left, right in _ARROWS:
-        if m.get(left) and not m.get(right):
-            broken.append(f"{left} => {right}")
+    c = m.conditions
+    broken = [f"{left} => {right}" for left, right in _ARROWS
+              if c[left] and not c[right]]
     for group in _EQUIVALENCES:
-        values = {m.get(cond) for cond in group}
-        if len(values) > 1:
+        if len({c[cond] for cond in group}) > 1:
             broken.append(" <=> ".join(group))
     return broken
 

@@ -396,23 +396,29 @@ def _row_lists(n: int, overlap: int, emit) -> None:
     1), and the last row starts at column 0.  rows is reused between calls.
     """
     rows: list[tuple[int, int]] = []
-
-    def extend(prev_a, prev_b, remaining):
-        if remaining == 0:
-            if rows[-1][0] == 0:
-                emit(rows)
-            return
-        for a in range(prev_a, -1, -1):
-            for b in range(max(a + 1, prev_a + overlap),
-                           min(prev_b, a + remaining) + 1):
-                rows.append((a, b))
-                extend(a, b, remaining - (b - a))
-                rows.pop()
-
     for b in range(1, n + 1):
         for a in range(0, b):
             rows.append((a, b))
-            extend(a, b, n - (b - a))
+            _extend_rows(rows, a, b, n - (b - a), overlap, emit)
+            rows.pop()
+
+
+def _extend_rows(rows, prev_a, prev_b, remaining, overlap, emit) -> None:
+    """Every way to add rows of `remaining` boxes below rows, for _row_lists.
+
+    rows ends with [prev_a, prev_b).  A module function, not a closure: a
+    nested function that calls itself refers to itself, and that cycle
+    would keep emit alive until the cyclic collector runs.
+    """
+    if remaining == 0:
+        if prev_a == 0:
+            emit(rows)
+        return
+    for a in range(prev_a, -1, -1):
+        for b in range(max(a + 1, prev_a + overlap),
+                       min(prev_b, a + remaining) + 1):
+            rows.append((a, b))
+            _extend_rows(rows, a, b, remaining - (b - a), overlap, emit)
             rows.pop()
 
 

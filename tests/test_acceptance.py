@@ -294,10 +294,12 @@ def test_nightly_sweep(n):
 
 
 @pytest.mark.nightly
-def test_nightly_figure6_sweep():
-    report = verify_implications(8)
+@pytest.mark.parametrize("n, pairs", [(8, 7_871_300), (9, 77_052_106)])
+def test_nightly_figure6_sweep(n, pairs):
+    # sizes 1-9 compare 1,651,164 ordered pairs of component keys
+    report = verify_implications(n)
     assert report["pass"] is True
-    assert report["pairs_checked"] == 7_871_300
+    assert report["pairs_checked"] == pairs
 
 
 @pytest.mark.longrun

@@ -15,9 +15,10 @@ from skewsupport.cli import (
     EXIT_USAGE,
     main,
 )
-from skewsupport import shapes
+from skewsupport import overlaps, shapes
 from skewsupport.config import ENV_JOBS, ENV_MAX_SIZE, default_jobs
 from skewsupport.errors import InvalidArgumentError
+from skewsupport.overlaps import overlap_rows
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +78,22 @@ def test_overlaps_example(capsys):
     assert list(data["rects"].items()) == [
         ("1x1", 12), ("1x2", 6), ("1x3", 3), ("1x4", 1),
         ("2x1", 7), ("2x2", 2), ("3x1", 2), ("4x1", 1)]
+
+
+def test_overlaps_reads_rects_from_the_profile(capsys, monkeypatch):
+    # one overlap_rows call per depth of the row and column profiles (up to
+    # the first empty one), not one more per (k, l) rectangle count
+    calls = []
+
+    def counted(shape, k):
+        calls.append(k)
+        return overlap_rows(shape, k)
+
+    monkeypatch.setattr(overlaps, "overlap_rows", counted)
+    code, out, _ = run_cli(capsys, "overlaps", "553111/31")
+    assert code == EXIT_OK
+    assert calls == [1, 2, 3, 4, 5] * 2
+    assert json.loads(out)["rects"]["2x2"] == 2
 
 
 def test_compare_pair(capsys):

@@ -16,10 +16,12 @@ from skewsupport.relations import (
 from skewsupport.shapes import (
     component_key,
     enumerate_shapes,
+    fingerprint_all,
     format_shape,
+    mask_to_comp,
     parse_shape,
 )
-from skewsupport.tableaux import BASES
+from skewsupport.tableaux import BASES, partitions_of
 
 
 def test_relation_matrix_shape_and_json():
@@ -155,9 +157,64 @@ def test_records_depend_only_on_the_component_key():
         for s in enumerate_shapes(n):
             r = record(s)
             ref = first.setdefault(component_key(s), r)
-            assert r.expansions == ref.expansions, format_shape(s)
+            assert r.coeffs == ref.coeffs, format_shape(s)
             assert r.supports == ref.supports, format_shape(s)
             assert r.keys == ref.keys, format_shape(s)
+
+
+def _fields(packed: int, fields: int, width: int, bias: int = 0) -> list:
+    raw = packed.to_bytes(fields * width, "little")
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") - bias
+            for i in range(fields)]
+
+
+def _guarded(mask: int, fields: int, width: int) -> set:
+    top = 1 << (8 * width - 1)
+    values = _fields(mask, fields, width)
+    assert all(v in (0, top) for v in values)  # guard bits only
+    return {i for i, v in enumerate(values) if v}
+
+
+@pytest.mark.parametrize("shapes", [
+    lambda: [s for n in range(1, 7) for s in enumerate_shapes(n)],
+    # M at 1^8 is 8!, the number of standard fillings: the widest field
+    lambda: [parse_shape("8,7,6,5,4,3,2,1/7,6,5,4,3,2,1")],
+], ids=["sizes 1-6", "8-box antichain"])
+def test_packed_records_decode_to_the_expansions(shapes):
+    # every packed field decodes to the dict route's coefficient and stays
+    # below its guard bit, and every support mask to the dict support
+    for s in shapes():
+        n = s.size
+        lay = relations.layout(n)
+        index = [partitions_of(n)] + [
+            [mask_to_comp(m, n) for m in range(lay.fields[1])]] * 4
+        r = record(s)
+        for basis, packed, width, fields, keys, guard, support in zip(
+                BASES, r.coeffs, lay.width, lay.fields, index, lay.guards,
+                r.supports):
+            bias = 1 << (8 * width - 2) if basis == "d" else 0
+            values = _fields(packed, fields, width, bias)
+            assert all(0 <= v + bias < 1 << (8 * width - 1) for v in values)
+            exp = bases.expansion_of(s, basis)
+            decoded = {keys[i]: v for i, v in enumerate(values) if v}
+            assert decoded == exp.coeffs, (format_shape(s), basis)
+            assert guard == sum(1 << 8 * width * (i + 1) - 1
+                                for i in range(fields))
+            assert {keys[i] for i in _guarded(support, fields, width)} == (
+                exp.support()), (format_shape(s), basis)
+        d = bases.expansion_of(s, "d")
+        positive = _guarded(r.supports[5], lay.fields[4], lay.width[4])
+        assert {index[4][i] for i in positive} == bases.positive_support(d)
+
+
+def test_records_from_a_pool_share_the_layout(set_jobs):
+    # a worker's record comes back pickled; it must point at this process's
+    # layout of its size, not carry a copy of it
+    set_jobs(2)
+    shapes = enumerate_shapes(5)
+    records = fingerprint_all(shapes, record)
+    assert all(r.layout is relations.layout(5) for r in records)
+    assert records == [record(s) for s in shapes]
 
 
 def test_verify_implications_records_once_per_key(monkeypatch):

@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 from collections import Counter
 
 import pytest
@@ -374,3 +376,28 @@ if given is not None:
         assert r.is_ribbon()
         assert r.size == sum(alpha)
         assert sort_desc(r.row_lengths()) == sort_desc(alpha)
+
+
+class _Sink:
+    def __init__(self):
+        self.count = 0
+
+    def __call__(self, rows):
+        self.count += 1
+
+
+def test_row_lists_frees_what_emit_holds_on_return():
+    # with the cyclic collector off, only reference counting frees emit,
+    # so a reference cycle through the generator would keep it alive
+    sink = _Sink()
+    ref = weakref.ref(sink)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        shapes._row_lists(5, 0, sink)
+        assert sink.count == len(enumerate_shapes(5))
+        del sink
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
