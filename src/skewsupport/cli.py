@@ -203,7 +203,10 @@ def _cmd_tableaux(args) -> int:
     shape = parse_shape(args.shape)
     # the count comes from the descent tally, so only shown fillings are built
     count = sum(f_expansion(shape).coeffs.values())
-    shown = list(islice(enumerate_syt(shape), args.limit))
+    limit = args.limit
+    if limit is not None and limit >= count:
+        limit = None  # islice takes no limit past sys.maxsize
+    shown = list(islice(enumerate_syt(shape), limit))
     _emit({
         "shape": format_shape(shape),
         "count": count,

@@ -98,18 +98,28 @@ def dominance_key(profile: OverlapProfile, n: int) -> int:
     of ``n.bit_length() + 1`` bits, so the top bit of each field stays clear.
     Equal keys mean equal profiles.  Padding does not change dominance: past
     the end of a statistic its prefix sums stay constant while those of a
-    dominating statistic never fall.
+    dominating statistic never fall.  So each statistic's padding is its
+    total repeated in one shift, and the empty depths are zero fields
+    shifted in at once, as in rects_key.
     """
     w = n.bit_length() + 1
+    runs = _field_runs(n)
     key = 0
-    for k in range(1, n + 1):
-        stat = profile.row_stat(k)
+    for stat in profile.rows:
         total = 0
-        for i in range(n):
-            if i < len(stat):
-                total += stat[i]
+        for part in stat:
+            total += part
             key = key << w | total
-    return key
+        pad = n - len(stat)
+        key = key << w * pad | total * runs[pad]
+    return key << w * n * (n - profile.depth)
+
+
+@lru_cache(maxsize=None)
+def _field_runs(n: int) -> tuple:
+    """Per count c <= n, the int with a 1 in each of its c lowest fields."""
+    w = n.bit_length() + 1
+    return tuple(sum(1 << w * f for f in range(c)) for c in range(n + 1))
 
 
 def rects_key(profile: OverlapProfile, n: int) -> int:

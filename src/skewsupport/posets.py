@@ -31,6 +31,7 @@ from skewsupport.overlaps import (
     dominance_key,
     key_dominated,
 )
+from skewsupport.relations import layout, packed_f
 from skewsupport.shapes import (
     SkewShape,
     check_same_size,
@@ -46,7 +47,7 @@ from skewsupport.shapes import (
 )
 from skewsupport.tableaux import (
     f_support_mask,
-    is_f_multiplicity_free,
+    schur_expansion,
     schur_support,
 )
 
@@ -156,7 +157,15 @@ def _mask_and_key(s: SkewShape) -> tuple[int, int]:
 
 
 def _mask_and_multfree(s: SkewShape) -> tuple[int, bool]:
-    return f_support_mask(s), is_f_multiplicity_free(s)
+    """F-support mask, and whether no F coefficient exceeds 1.
+
+    The coefficients come from relations.packed_f, the Schur route; the
+    direct route, tableaux.is_f_multiplicity_free, is what the tests check
+    it against.
+    """
+    f = packed_f(schur_expansion(s))  # checks the size guard first
+    lay = layout(s.size)
+    return f_support_mask(s), key_dominated(f, lay.ones[1], lay.guards[1])
 
 
 def _mask_and_scaled(s: SkewShape, factor: int) -> tuple[int, int]:
@@ -377,27 +386,28 @@ def multfree_report(n: int) -> dict:
     """Classification vs expansion agreement, plus the class subposet.
 
     Checks, for every shape of size n, that the pattern classification
-    matches brute-force multiplicity-freeness of the F-expansion, and that
-    the published comparability rules match computed support containment on
-    every ordered pair of classified shapes.  Returns the restricted
-    subposet of the support poset as well.
+    matches multiplicity-freeness of the F-expansion, read from the Schur
+    expansion (_mask_and_multfree), and that the published comparability
+    rules match computed support containment on every ordered pair of
+    classified shapes.  Returns the restricted subposet of the support
+    poset as well.
     """
     shapes = enumerate_shapes(_sweep_size(n))
     slots, rows = fingerprint_keys(shapes, _mask_and_multfree)
     prints = [rows[k] for k in slots]
     classification_mismatches = []
     free, classified = set(), []
-    for s, (mask, brute) in zip(shapes, prints):
+    for s, (mask, free_f) in zip(shapes, prints):
         tag = multfree_classify(s)
-        if (tag is not None) != brute:
+        if (tag is not None) != free_f:
             classification_mismatches.append(
                 {
                     "shape": format_shape(s),
                     "classified": tag is not None,
-                    "expansion_multfree": brute,
+                    "expansion_multfree": free_f,
                 }
             )
-        if brute:
+        if free_f:
             free.add(s)
             if tag is not None:
                 classified.append((s, tag, mask))
@@ -417,7 +427,7 @@ def multfree_report(n: int) -> dict:
                     }
                 )
     # the subposet: every class holding a multiplicity-free shape
-    free_masks = {mask for mask, brute in prints if brute}
+    free_masks = {mask for mask, free_f in prints if free_f}
     kept = [i for i, (mask, _) in enumerate(prints) if mask in free_masks]
     sub = _poset("suppf", n, [shapes[i] for i in kept],
                  [prints[i][0] for i in kept], _containing)

@@ -6,8 +6,11 @@ the three equivalent overlap-dominance conditions.  It is compare(record(A),
 record(B)): a shape's record holds its five expansions and six supports,
 each packed into one int of per-size fields (Layout), and its packed row,
 column and rectangle dominance keys, so that every condition is one
-comparison of two ints.  relate() compares one
-pair; verify_implications records one shape per component key
+comparison of two ints.  Every expansion in a record comes from the Schur
+expansion: F, S and D are its combination of the straight shapes' packed
+expansions, and M is F's zeta transform, so the descent kernel only ever
+counts the fillings of straight shapes.  relate() compares one pair;
+verify_implications records one shape per component key
 (shapes.component_keys), compares each ordered pair of distinct same-size
 keys, and lists shapes only to name the pairs of a broken arrow.
 check_implications lists every broken arrow of the known implication
@@ -176,12 +179,14 @@ def _pack(terms, fields: int, width: int) -> int:
 
 @lru_cache(maxsize=None)
 def _straight_packed(lam: Partition) -> tuple:
-    """The S and D expansions of s_lam, packed; D's fields signed, unbiased.
+    """The F, S and D expansions of s_lam, packed; D's fields signed, unbiased.
 
     Built when a record first meets lam and kept, like bases._straight_d.
+    F counts the standard fillings of lam by descent set.
     """
     lay = layout(sum(lam))
     fields, w_s, w_d = lay.fields[3], lay.width[3], lay.width[4]
+    f = _pack(tableaux._straight_f_masks(lam).items(), fields, lay.width[1])
     s = _pack(((comp_to_mask(alpha), 1)
                for alpha in bases.distinct_permutations(lam)), fields, w_s)
     d = bases._straight_d(lam)
@@ -189,7 +194,18 @@ def _straight_packed(lam: Partition) -> tuple:
                   fields, w_d)
     below = _pack(((comp_to_mask(beta), -v) for beta, v in d if v < 0),
                   fields, w_d)
-    return s, above - below
+    return f, s, above - below
+
+
+def packed_f(schur: tableaux.Expansion) -> int:
+    """The F expansion of sum c_lam s_lam over schur, in layout's F fields.
+
+    s_lam is the sum of F_Des(T) over the standard fillings T of lam (EC2
+    Sec. 7.19), so F is the same combination of the straight shapes'
+    packed F: the descent kernel only ever sees straight shapes.  Given
+    schur_expansion(A), this is the F expansion of s_A.
+    """
+    return sum(c * _straight_packed(lam)[0] for lam, c in schur.items())
 
 
 def _nonzero(packed: int, guard: int, one: int) -> int:
@@ -215,27 +231,26 @@ class ShapeRecord:
 def record(shape: SkewShape) -> ShapeRecord:
     """Packed expansions, supports and dominance keys of one shape.
 
-    Schur and F are packed from their cached tallies.  M is the zeta
-    transform of F over descent sets: for each bit b, every field whose
-    mask has b gains the field of the mask without it.  S and D are the
-    Schur combination of the straight shapes' packed expansions.
+    Schur is packed from its cached tally, and the rest is derived from it.
+    F, S and D are the Schur combination of the straight shapes' packed
+    expansions (packed_f for F).  M is the zeta transform of F over descent
+    sets: for each bit b, every field whose mask has b gains the field of
+    the mask without it.
     """
     n = shape.size
     schur = tableaux.schur_expansion(shape)  # checks the size guard
     lay = layout(n)
-    w = lay.width[1]
-    f = _pack(tableaux._f_masks(shape).items(), lay.fields[1], w)
-    m = f
+    f = m = packed_f(schur)
     for b, low in enumerate(lay.zeta):
-        m += (m & low) << (8 * w << b)
+        m += (m & low) << (8 * lay.width[1] << b)
     s, d = 0, lay.bias
     for lam, c in schur.items():
-        s_lam, d_lam = _straight_packed(lam)
+        _, s_lam, d_lam = _straight_packed(lam)
         s += c * s_lam
         d += c * d_lam
     part = lay.part_index
     coeffs = (_pack(((part[lam], c) for lam, c in schur.items()),
-                    lay.fields[0], w), f, m, s, d)
+                    lay.fields[0], lay.width[0]), f, m, s, d)
     g, one = lay.guards[4], lay.ones[4]
     supports = (*map(_nonzero, coeffs[:4], lay.guards, lay.ones),
                 _nonzero(d ^ lay.bias, g, one),

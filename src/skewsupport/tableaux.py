@@ -434,7 +434,12 @@ def f_support_from_mask(bits: int, n: int) -> frozenset:
 
 
 def is_f_multiplicity_free(shape: SkewShape) -> bool:
-    """Whether every standard filling has a distinct descent composition."""
+    """Whether every standard filling has a distinct descent composition.
+
+    The direct route, over the shape's own standard fillings.  The sweeps
+    read the same property from the Schur expansion
+    (posets._mask_and_multfree); the tests check the two routes agree.
+    """
     _check_size(shape)
     return all(c == 1 for c in _f_masks(shape).values())
 

@@ -192,6 +192,17 @@ def test_tableaux_negative_limit_rejected(capsys):
     assert json.loads(out)["tableaux"] == []
 
 
+@pytest.mark.parametrize("limit", ["2", "3", "99999999999999999999"])
+def test_tableaux_limit_at_or_past_the_count_is_no_limit(capsys, limit):
+    # 2,1 has two fillings; a limit past sys.maxsize must not reach islice
+    _, unlimited, _ = run_cli(capsys, "tableaux", "2,1")
+    code, out, err = run_cli(capsys, "tableaux", "2,1", "--limit", limit)
+    assert code == EXIT_OK
+    assert err == ""
+    assert out == unlimited
+    assert json.loads(out)["truncated"] is False
+
+
 def test_byte_identical_reruns(capsys):
     outputs = set()
     for _ in range(2):

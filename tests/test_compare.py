@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from skewsupport import bases, relations
+from skewsupport import bases, kernels, posets, relations, tableaux
 from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.errors import SizeLimitError, SizeMismatchError
 from skewsupport.relations import (
@@ -15,6 +15,7 @@ from skewsupport.relations import (
 )
 from skewsupport.shapes import (
     component_key,
+    component_keys,
     enumerate_shapes,
     fingerprint_all,
     format_shape,
@@ -179,7 +180,9 @@ def _guarded(mask: int, fields: int, width: int) -> set:
     lambda: [s for n in range(1, 7) for s in enumerate_shapes(n)],
     # M at 1^8 is 8!, the number of standard fillings: the widest field
     lambda: [parse_shape("8,7,6,5,4,3,2,1/7,6,5,4,3,2,1")],
-], ids=["sizes 1-6", "8-box antichain"])
+    # one shape per component key: a record depends only on its key
+    lambda: [s for n in (7, 8) for _, s, _ in component_keys(n)],
+], ids=["sizes 1-6", "8-box antichain", "keys of sizes 7-8"])
 def test_packed_records_decode_to_the_expansions(shapes):
     # every packed field decodes to the dict route's coefficient and stays
     # below its guard bit, and every support mask to the dict support
@@ -205,6 +208,30 @@ def test_packed_records_decode_to_the_expansions(shapes):
         d = bases.expansion_of(s, "d")
         positive = _guarded(r.supports[5], lay.fields[4], lay.width[4])
         assert {index[4][i] for i in positive} == bases.positive_support(d)
+
+
+def test_records_and_multfree_tally_descents_of_straight_shapes_only(
+        monkeypatch):
+    # F comes from the Schur expansion, so the descent kernel must only see
+    # straight shapes (an all-zero inner); the caches are emptied so that
+    # every tally is asked for again
+    inners = []
+    tally = kernels.descent_tally
+
+    def spy(inner, outer):
+        inners.append(inner)
+        return tally(inner, outer)
+
+    monkeypatch.setattr(kernels, "descent_tally", spy)
+    for cached in (tableaux._f_masks, tableaux._straight_f_masks,
+                   relations._straight_packed):
+        cached.cache_clear()
+    for n in range(7):
+        for s in enumerate_shapes(n):
+            record(s)
+    assert posets.multfree_report(6)["pass"]
+    assert inners  # each straight shape's tally was asked for
+    assert all(not any(inner) for inner in inners)
 
 
 def test_records_from_a_pool_share_the_layout(set_jobs):
