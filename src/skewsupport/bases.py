@@ -17,6 +17,7 @@ from skewsupport.shapes import (
     Partition,
     SkewShape,
     check_same_size,
+    distinct_permutations,
 )
 from skewsupport.tableaux import (
     Expansion,
@@ -24,37 +25,6 @@ from skewsupport.tableaux import (
     m_expansion,
     schur_expansion,
 )
-
-
-@lru_cache(maxsize=None)
-def distinct_permutations(parts: Partition) -> tuple:
-    """All distinct rearrangements of a multiset of parts, in lex order.
-
-    Cached per partition; callers ask only for partitions of sizes within
-    the size guard.
-    """
-    pool = sorted(parts)
-    out: list[Composition] = []
-    k = len(pool)
-    acc: list[int] = []
-
-    def rec():
-        if len(acc) == k:
-            out.append(tuple(acc))
-            return
-        prev = None
-        for i, p in enumerate(pool):
-            if p is None or p == prev:
-                continue
-            pool[i] = None
-            acc.append(p)
-            prev = p
-            rec()
-            acc.pop()
-            pool[i] = p
-
-    rec()
-    return tuple(out)
 
 
 def s_expansion(shape: SkewShape) -> Expansion:

@@ -8,10 +8,10 @@ bigger support corresponds to more dominated overlaps.  The containment
 direction of the correspondence is a proved theorem (checked here as a
 sweep); the dominance-to-containment direction is open, so any reverse
 failure is reported as a discovery rather than an error.  Every sweep reads
-one fingerprint per component key: the poset and multiplicity-free sweeps,
-which list every class member, group the shapes by key
-(shapes.fingerprint_keys); verify_conjecture and saturation_check fingerprint
-shapes.component_keys' representatives and list shapes only on a failure.
+one fingerprint per component key, on shapes.component_keys'
+representatives.  The poset and multiplicity-free sweeps, which list every
+class member, build each shape from its key (shapes.key_shapes);
+verify_conjecture and saturation_check list shapes only on a failure.
 Every order is a list of bitset rows, built by _containing or _dominated.
 """
 
@@ -34,14 +34,13 @@ from skewsupport.overlaps import (
 from skewsupport.relations import layout, packed_f
 from skewsupport.shapes import (
     SkewShape,
+    _sweep_size,
     check_same_size,
     component_keys,
     direct_sum,
-    enumerate_shapes,
     fingerprint_all,
-    fingerprint_keys,
     format_shape,
-    key_slots,
+    key_shapes,
     parse_shape,
     scale,
 )
@@ -141,13 +140,6 @@ def _dominated(keys, guard: int) -> list[int]:
                 if ki != kj and key_dominated(ki, kj, guard)) for ki in keys]
 
 
-def _sweep_size(n: int) -> int:
-    """n, checked: a sweep needs at least one box."""
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    return n
-
-
 def _key(s: SkewShape) -> int:
     return dominance_key(OverlapProfile.of(s), s.size)
 
@@ -185,11 +177,21 @@ def _poset(kind, n, shapes, fingerprints, order) -> ShapeClassPoset:
     return ShapeClassPoset(kind, n, classes, tuple(below))
 
 
+def _shape_prints(n: int, fingerprint) -> tuple[list, list]:
+    """Every size-n shape, sorted, and the fingerprint of each.
+
+    fingerprint runs once per component key, on its representative.
+    """
+    keyed = component_keys(_sweep_size(n))
+    rows = fingerprint_all([s for _, s, _ in keyed], fingerprint)
+    shapes, slots = key_shapes(keyed)
+    return shapes, [rows[k] for k in slots]
+
+
 def build_suppf(n: int) -> ShapeClassPoset:
     """Classes by equal F-support, ordered by strict support containment."""
-    shapes = enumerate_shapes(_sweep_size(n))
-    slots, rows = fingerprint_keys(shapes, f_support_mask)
-    return _poset("suppf", n, shapes, [rows[k] for k in slots], _containing)
+    shapes, masks = _shape_prints(n, f_support_mask)
+    return _poset("suppf", n, shapes, masks, _containing)
 
 
 def build_nc(n: int) -> ShapeClassPoset:
@@ -198,9 +200,8 @@ def build_nc(n: int) -> ShapeClassPoset:
     A class sits above another when its row statistics are dominated at
     every depth (more spread out means higher).
     """
-    shapes = enumerate_shapes(_sweep_size(n))
-    slots, rows = fingerprint_keys(shapes, _key)
-    return _poset("nc", n, shapes, [rows[k] for k in slots],
+    shapes, keys = _shape_prints(n, _key)
+    return _poset("nc", n, shapes, keys,
                   partial(_dominated, guard=dominance_guard(n)))
 
 
@@ -224,8 +225,7 @@ def verify_conjecture(n: int) -> dict:
     report = _conjecture_report(n, shape_count, reps, rows)
     if report["pass_theorem"] and report["pass_conjecture"]:
         return report
-    shapes = enumerate_shapes(n)
-    slots = key_slots(shapes, keyed)
+    shapes, slots = key_shapes(keyed)
     return _conjecture_report(n, shape_count, shapes, [rows[k] for k in slots])
 
 
@@ -392,9 +392,7 @@ def multfree_report(n: int) -> dict:
     classified shapes.  Returns the restricted subposet of the support
     poset as well.
     """
-    shapes = enumerate_shapes(_sweep_size(n))
-    slots, rows = fingerprint_keys(shapes, _mask_and_multfree)
-    prints = [rows[k] for k in slots]
+    shapes, prints = _shape_prints(n, _mask_and_multfree)
     classification_mismatches = []
     free, classified = set(), []
     for s, (mask, free_f) in zip(shapes, prints):
@@ -513,8 +511,7 @@ def saturation_check(n: int, factor: int) -> dict:
         flips.update(((x, y), only_if) for y in _bit_indices(b & ~a))
         flips.update(((x, y), if_dir) for y in _bit_indices(a & ~b))
     if flips:
-        shapes = enumerate_shapes(n)
-        slots = key_slots(shapes, keyed)
+        shapes, slots = key_shapes(keyed)
         for (a, x), (b, y) in permutations(zip(shapes, slots), 2):
             if (x, y) in flips:
                 flips[x, y].append({"a": format_shape(a),

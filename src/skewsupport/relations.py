@@ -12,7 +12,8 @@ expansions, and M is F's zeta transform, so the descent kernel only ever
 counts the fillings of straight shapes.  relate() compares one pair;
 verify_implications records one shape per component key
 (shapes.component_keys), compares each ordered pair of distinct same-size
-keys, and lists shapes only to name the pairs of a broken arrow.
+keys, and lists the shapes of one size (shapes.key_shapes) only to name
+the pairs of a broken arrow.
 check_implications lists every broken arrow of the known implication
 diagram; an exhaustive sweep must find none and confirm the four published
 non-implications at witnesses.
@@ -20,24 +21,25 @@ non-implications at witnesses.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, permutations
+from itertools import permutations
 from math import factorial
 
 from skewsupport import bases, overlaps, tableaux
-from skewsupport.errors import InvalidArgumentError
 from skewsupport.shapes import (
     Partition,
     SkewShape,
+    _sweep_size,
     check_same_size,
     comp_to_mask,
     component_keys,
-    enumerate_shapes,
+    distinct_permutations,
     fingerprint_all,
     format_shape,
-    key_slots,
+    key_shapes,
     parse_shape,
+    partitions_of,
 )
-from skewsupport.tableaux import BASES, partitions_of
+from skewsupport.tableaux import BASES
 
 _SUP_KEYS = BASES + ("d_positive",)
 _DOM_KEYS = ("rows", "cols", "rects")
@@ -188,7 +190,7 @@ def _straight_packed(lam: Partition) -> tuple:
     fields, w_s, w_d = lay.fields[3], lay.width[3], lay.width[4]
     f = _pack(tableaux._straight_f_masks(lam).items(), fields, lay.width[1])
     s = _pack(((comp_to_mask(alpha), 1)
-               for alpha in bases.distinct_permutations(lam)), fields, w_s)
+               for alpha in distinct_permutations(lam)), fields, w_s)
     d = bases._straight_d(lam)
     above = _pack(((comp_to_mask(beta), v) for beta, v in d if v > 0),
                   fields, w_d)
@@ -315,30 +317,26 @@ def verify_implications(n: int) -> dict:
     diagram survives.  The four witness pairs must each be seen with their
     published hold/fail pattern once their size is within range.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
     # listing size n first checks n before any record is built
-    largest = component_keys(n)
+    largest = component_keys(_sweep_size(n))
     by_size = [component_keys(size) for size in range(1, n)] + [largest]
-    keyed = [row for same_size in by_size for row in same_size]
-    rows = fingerprint_all([s for _, s, _ in keyed], record)
-    broken = {}
-    # keys come in size order
-    for _, keys in groupby(enumerate(rows), lambda item: item[1].shape.size):
-        for (x, ra), (y, rb) in permutations(keys, 2):
+    records = iter(fingerprint_all(
+        [s for same in by_size for _, s, _ in same], record))
+    violations = []
+    for keyed in by_size:  # arrows only pair shapes of one size
+        rows = [next(records) for _ in keyed]
+        broken = {}
+        for (x, ra), (y, rb) in permutations(enumerate(rows), 2):
             arrows = check_implications(compare(ra, rb))
             if arrows:
                 broken[x, y] = arrows
-    violations = []
-    if broken:  # the shape pairs of each broken key pair, in shape order
-        shapes = [s for size in range(1, n + 1)
-                  for s in enumerate_shapes(size)]
-        slots = key_slots(shapes, keyed)
-        violations = [
-            {"a": format_shape(a), "b": format_shape(b), "arrow": arrow}
-            for (a, x), (b, y) in permutations(zip(shapes, slots), 2)
-            for arrow in broken.get((x, y), ())
-        ]
+        if broken:  # the shape pairs of each broken key pair, in shape order
+            shapes, slots = key_shapes(keyed)
+            violations += [
+                {"a": format_shape(a), "b": format_shape(b), "arrow": arrow}
+                for (a, x), (b, y) in permutations(zip(shapes, slots), 2)
+                for arrow in broken.get((x, y), ())
+            ]
     counts = [sum(count for *_, count in same) for same in by_size]
     witnesses = {}
     for a_str, b_str, holds, fails in WITNESSES:

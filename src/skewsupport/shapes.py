@@ -66,6 +66,46 @@ def transpose_partition(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p > c) for c in range(lam[0]))
 
 
+def partitions_of(n: int) -> list[Partition]:
+    """All partitions of n, in descending lexicographic order."""
+    out: list[Partition] = []
+
+    def rec(remaining, cap, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for p in range(min(cap, remaining), 0, -1):
+            prefix.append(p)
+            rec(remaining - p, p, prefix)
+            prefix.pop()
+
+    rec(n, n, [])
+    return out
+
+
+def distinct_permutations(items):
+    """Every distinct ordering of the multiset items, in lex order.
+
+    The rearrangements of a partition and the orderings of a component
+    key's components both come from here.  Each ordering is yielded as a
+    tuple and nothing is kept between calls.
+    """
+    perm = sorted(items)
+    while True:
+        yield tuple(perm)
+        # the next ordering: raise the last ascent, then sort the tail
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = perm[:i:-1]
+
+
 def subset_of(alpha: Composition) -> frozenset[int]:
     """Partial sums of alpha except the last: the subset of [n-1] matching alpha."""
     total, out = 0, []
@@ -321,6 +361,14 @@ def ribbon_stats(alpha) -> tuple[Partition, Partition]:
     return sort_desc(alpha), sort_desc(comp_of(complement, n))
 
 
+def _is_number(token: str) -> bool:
+    """Whether token is a non-empty run of the ASCII digits 0-9.
+
+    str.isdigit alone also accepts digits such as "²" that int() rejects.
+    """
+    return token.isascii() and token.isdigit()
+
+
 def _parse_parts(token: str, what: str) -> Partition:
     if token == "":
         return ()
@@ -328,10 +376,10 @@ def _parse_parts(token: str, what: str) -> Partition:
         pieces = token.split(",")
         if pieces[-1] == "":  # trailing comma forces comma form: "12," is (12)
             pieces = pieces[:-1]
-        if any(p == "" or not p.isdigit() for p in pieces):
+        if not all(map(_is_number, pieces)):
             raise InvalidShapeError(f"cannot parse {what} {token!r}")
         parts = tuple(int(p) for p in pieces)
-    elif token.isdigit():
+    elif _is_number(token):
         if len(token) == 1:
             parts = (int(token),)
         elif "0" in token:
@@ -386,6 +434,13 @@ def _check_n(n: int) -> None:
         raise SizeLimitError(f"n={n} exceeds the size limit {limit}")
 
 
+def _sweep_size(n: int) -> int:
+    """n, checked: a sweep needs at least one box."""
+    if n < 1:
+        raise InvalidArgumentError(f"n must be >= 1, got {n}")
+    return n
+
+
 def _row_lists(n: int, overlap: int, emit) -> None:
     """Call emit(rows) on the row intervals of each canonical n-box shape.
 
@@ -438,19 +493,23 @@ def enumerate_shapes(n: int) -> list[SkewShape]:
     return results
 
 
+def _half_turn(rows) -> tuple:
+    """The row intervals of a canonical shape turned by a half turn."""
+    width = rows[0][1]
+    return tuple((width - b, width - a) for a, b in reversed(rows))
+
+
 def _connected(size: int) -> list[tuple[tuple, int]]:
     """(rows, orbit) per connected size-box shape up to half-turn.
 
     rows is the lesser of the shape's row intervals and its half-turn's,
-    as component_key writes a component; orbit is 1 if they are equal,
+    as a component key writes a component; orbit is 1 if they are equal,
     else 2, the number of shapes the entry stands for.
     """
     out = []
 
     def emit(rows):
-        width = rows[0][1]
-        turned = tuple((width - b, width - a) for a, b in reversed(rows))
-        rows = tuple(rows)
+        rows, turned = tuple(rows), _half_turn(rows)
         if rows <= turned:
             out.append((rows, 1 if rows == turned else 2))
 
@@ -467,29 +526,26 @@ def _direct_sum_rows(comps) -> list[tuple[int, int]]:
     return rows
 
 
-def _partitions(n: int, largest: int):
-    """Partitions of n into parts <= largest, as descending lists."""
-    if n == 0:
-        yield []
-        return
-    for part in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield [part] + rest
-
-
 def component_keys(n: int) -> list[tuple[tuple, SkewShape, int]]:
-    """(key, shape, count) for each component_key of the n-box shapes.
+    """(key, shape, count) for each component key of the n-box shapes.
 
     A shape is the direct sum of an ordered sequence of connected shapes,
-    and each of its components is one of the orbit shapes of its half-turn
-    class.  So a key whose m components fall into classes c with
-    multiplicities m_c holds m!/prod(m_c!) * prod(orbit_c ** m_c) shapes;
-    shape is one of them.  Nothing walks the shapes.
+    its components.  Its key is the sorted tuple of its components, each
+    written as the lesser of its row intervals and its half-turn's.
+    s_{A+B} = s_A s_B for a direct sum and s_A is half-turn invariant (EC2
+    Sec. 7.10); A + B has the row overlaps of A and B, which share no column
+    (Reiner-Shaw-van Willigenburg 2007, Sec. 2); scale commutes with both.
+    So the shapes of one key share every fingerprint a sweep reads, and
+    the sweeps fingerprint one shape per key.
+
+    A key whose m components fall into classes c with multiplicities m_c
+    holds m!/prod(m_c!) * prod(orbit_c ** m_c) shapes; shape is one of
+    them.  Nothing walks the shapes; key_shapes lists them.
     """
     _check_n(n)
     connected = {size: _connected(size) for size in range(1, n + 1)}
     out = []
-    for sizes in _partitions(n, n):
+    for sizes in partitions_of(n):
         choices = [combinations_with_replacement(connected[size], m)
                    for size, m in Counter(sizes).items()]
         for picks in product(*choices):
@@ -502,23 +558,23 @@ def component_keys(n: int) -> list[tuple[tuple, SkewShape, int]]:
     return out
 
 
-def component_key(s: SkewShape) -> tuple:
-    """The sorted tuple of s's connected components, each up to half-turn.
+def key_shapes(keyed) -> tuple[list[SkewShape], list[int]]:
+    """(shapes, slots): every shape of the keys in keyed, and its key.
 
-    A component ends at row i if row i + 1 ends at or left of row i's start.
-    Each is its row intervals shifted to column 0, or its half-turn's if less.
+    keyed is rows of component_keys for one size.  shapes is sorted as
+    enumerate_shapes sorts it, and slots[i] is the index in keyed of the
+    key of shapes[i].  Each shape is the direct sum of one distinct
+    ordering of its key's components, each as written or half-turned, so
+    a key holds exactly its count shapes and no shape's key is computed.
     """
-    outer, inner = s.outer, s.inner_padded
-    comps, top = [], 0
-    for i in range(len(outer)):
-        if i + 1 == len(outer) or outer[i + 1] <= inner[i]:
-            left, width = inner[i], outer[top] - inner[i]
-            rows = tuple((inner[r] - left, outer[r] - left)
-                         for r in range(top, i + 1))
-            turned = tuple((width - b, width - a) for a, b in reversed(rows))
-            comps.append(min(rows, turned))
-            top = i + 1
-    return tuple(sorted(comps))
+    out = []
+    for slot, (key, *_) in enumerate(keyed):
+        turns = {comp: dict.fromkeys((comp, _half_turn(comp))) for comp in key}
+        for order in distinct_permutations(key):
+            for comps in product(*map(turns.get, order)):
+                out.append((_from_rows(_direct_sum_rows(comps)), slot))
+    out.sort(key=lambda pair: (pair[0].outer, pair[0].inner))
+    return [s for s, _ in out], [slot for _, slot in out]
 
 
 def fingerprint_all(shapes, fingerprint) -> list:
@@ -532,25 +588,3 @@ def fingerprint_all(shapes, fingerprint) -> list:
         return [fingerprint(s) for s in shapes]
     with get_context("fork").Pool(jobs) as pool:
         return pool.map(fingerprint, shapes)
-
-
-def fingerprint_keys(shapes, fingerprint) -> tuple[list, list]:
-    """(slots, rows): rows[slots[i]] is fingerprint(shapes[i]).
-
-    s_{A+B} = s_A s_B for a direct sum and s_A is half-turn invariant (EC2
-    Sec. 7.10); A + B has the row overlaps of A and B, which share no column
-    (Reiner-Shaw-van Willigenburg 2007, Sec. 2); scale commutes with both.
-    So rows holds one fingerprint per component_key, computed on the first
-    shape with it, in first-seen order.  The sweeps that list no class
-    members fingerprint component_keys(n)'s shapes instead.
-    """
-    first: dict = {}  # key -> (slot, first shape with that key)
-    slots = [first.setdefault(component_key(s), (len(first), s))[0]
-             for s in shapes]
-    return slots, fingerprint_all([s for _, s in first.values()], fingerprint)
-
-
-def key_slots(shapes, keyed) -> list[int]:
-    """The index of each shape's key in keyed, rows of component_keys."""
-    index = {key: i for i, (key, *_) in enumerate(keyed)}
-    return [index[component_key(s)] for s in shapes]

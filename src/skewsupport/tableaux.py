@@ -22,6 +22,7 @@ from skewsupport.shapes import (
     Partition,
     SkewShape,
     mask_to_comp,
+    partitions_of,
     sort_desc,
     transpose_partition,
 )
@@ -251,23 +252,6 @@ def schur_expansion_lr(shape: SkewShape) -> Expansion:
     _check_size(shape)
     tally = kernels.lr_tally(shape.inner_padded, shape.outer)
     return Expansion("schur", tally)
-
-
-def partitions_of(n: int):
-    """All partitions of n, in descending lexicographic order."""
-    out: list[Partition] = []
-
-    def rec(remaining, cap, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
-    return out
 
 
 @lru_cache(maxsize=None)

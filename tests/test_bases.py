@@ -4,7 +4,6 @@ import pytest
 
 from skewsupport.bases import (
     d_expansion,
-    distinct_permutations,
     expansion_of,
     positive_support,
     positivity,
@@ -17,7 +16,12 @@ from skewsupport.errors import (
     SizeMismatchError,
     SkewSupportError,
 )
-from skewsupport.shapes import enumerate_shapes, parse_shape, straight
+from skewsupport.shapes import (
+    distinct_permutations,
+    enumerate_shapes,
+    parse_shape,
+    straight,
+)
 from skewsupport.tableaux import (
     BASES,
     Expansion,
@@ -56,6 +60,12 @@ def test_distinct_permutations():
         (2, 1, 1),
     ]
     assert list(distinct_permutations(())) == [()]
+    # any multiset, as for the components of a key: the lex-ordered set of
+    # all its permutations
+    a, b = ((0, 1),), ((0, 1), (0, 2))
+    for items in [(3, 1, 3, 2, 1), (b, a, b), (a, a, a), (2, 2, 1, 1, 1, 1)]:
+        assert list(distinct_permutations(items)) == sorted(
+            set(itertools.permutations(items)))
 
 
 # ------------------------------------------------------------ D expansion

@@ -243,6 +243,13 @@ PINNED_OUTPUTS = {
         "f2239bb1c6da87b591a22528424d210cc37dc5d0f2f2dc95d2c31c0a3c8e7eae",
     "multfree --n 6":
         "b8bf2542b0ce7e12f95680216cc1091adfce136df9f37ccee50836f5977ffda8",
+    # n = 8 has key multiplicities that n <= 7 lacks
+    "poset --n 8 --which suppf":
+        "82c339239bd5ac4afced05a2e0e802e2f8dbf0f1c1ce2eca6a12de72924c2c7f",
+    "poset --n 8 --which nc --format dot":
+        "97275141f28f6bbe68b253f2b70f2b9f8c1d41ae76a87c1bc02d41cb15e58362",
+    "multfree --n 8":
+        "48c5a92a49a3841f7b9d6ad228e2ed084c565a35ede66d206b02b37f5564bd86",
 }
 
 
@@ -275,6 +282,11 @@ def test_usage_errors(capsys, monkeypatch):
         ["multfree", "--n", "0"],
         ["saturation", "--n", "0", "--scale", "2"],
         ["saturation", "--n", "2", "--scale", "0"],
+        # digits that str.isdigit accepts and int() does not
+        ["expand", "²"],
+        ["expand", "3,²"],
+        ["expand", "2²"],
+        ["compare", "3/²", "2"],
     ):
         _assert_one_line_error(capsys, argv)
     for name, value in (

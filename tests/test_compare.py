@@ -14,15 +14,16 @@ from skewsupport.relations import (
     verify_implications,
 )
 from skewsupport.shapes import (
-    component_key,
     component_keys,
     enumerate_shapes,
     fingerprint_all,
     format_shape,
+    key_shapes,
     mask_to_comp,
     parse_shape,
+    partitions_of,
 )
-from skewsupport.tableaux import BASES, partitions_of
+from skewsupport.tableaux import BASES
 
 
 def test_relation_matrix_shape_and_json():
@@ -154,10 +155,10 @@ def test_records_depend_only_on_the_component_key():
     # verify_implications compares one record per component key, so every
     # field compare() reads must be the same for all shapes with that key
     for n in range(1, 7):
-        first = {}
-        for s in enumerate_shapes(n):
-            r = record(s)
-            ref = first.setdefault(component_key(s), r)
+        keyed = component_keys(n)
+        refs = [record(s) for _, s, _ in keyed]
+        for s, slot in zip(*key_shapes(keyed)):
+            r, ref = record(s), refs[slot]
             assert r.coeffs == ref.coeffs, format_shape(s)
             assert r.supports == ref.supports, format_shape(s)
             assert r.keys == ref.keys, format_shape(s)

@@ -32,11 +32,12 @@ from skewsupport.posets import (
 from skewsupport.relations import verify_implications
 from skewsupport import shapes as shapes_module
 from skewsupport.shapes import (
-    component_key,
+    SkewShape,
+    component_keys,
     direct_sum,
     enumerate_shapes,
-    fingerprint_keys,
     format_shape,
+    key_shapes,
     parse_shape,
     scale,
     straight,
@@ -180,14 +181,32 @@ def test_verify_conjecture_parallel_fingerprints_match(monkeypatch, set_jobs):
     assert pools == ["fork", "fork"]
 
 
+def test_listing_sweeps_open_one_pool(monkeypatch, set_jobs):
+    # the poset and multiplicity-free sweeps fingerprint every key in one
+    # pool and give what the serial sweep gives
+    pools = []
+
+    def counting_context(method):
+        pools.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(shapes_module, "get_context", counting_context)
+    sweeps = (build_suppf, build_nc, multfree_report)
+    set_jobs(2)
+    parallel = [sweep(5) for sweep in sweeps]
+    set_jobs(1)
+    assert [sweep(5) for sweep in sweeps] == parallel
+    assert pools == ["fork"] * len(sweeps)
+
+
 def test_passing_key_sweeps_list_no_shapes(monkeypatch):
     # verify_conjecture, verify_implications and saturation_check fingerprint
     # component_keys' representatives; only a failure lists the shapes
-    def no_listing(n):
-        raise AssertionError(f"enumerate_shapes({n}) called")
+    def no_listing(keyed):
+        raise AssertionError(f"key_shapes called on {len(keyed)} keys")
 
     for module in (posets, relations, shapes_module):
-        monkeypatch.setattr(module, "enumerate_shapes", no_listing)
+        monkeypatch.setattr(module, "key_shapes", no_listing)
     report = verify_conjecture(6)
     assert report["pass_theorem"] and report["pass_conjecture"]
     assert report["shape_count"] == 272
@@ -256,34 +275,65 @@ def test_verify_conjecture_failures_match_a_per_shape_sweep(monkeypatch):
     assert counts[1][2] == {"equal_support_different_profile": 82}
 
 
+def _components(s: SkewShape) -> tuple:
+    """s's connected components, each the lesser of it and its half-turn.
+
+    Read from the boxes, independently of shapes.component_keys.
+    """
+    boxes, comps = set(s.boxes()), []
+    while boxes:
+        todo = [boxes.pop()]
+        comp = set(todo)
+        while todo:
+            r, c = todo.pop()
+            for near in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+                if near in boxes:
+                    boxes.remove(near)
+                    comp.add(near)
+                    todo.append(near)
+        shape = SkewShape.from_boxes(comp)
+        comps.append(min(shape, shape.rotate()))
+    return tuple(sorted(comps))
+
+
+def _slots(n: int) -> dict:
+    """Each size-n shape's slot in key_shapes(component_keys(n))."""
+    return dict(zip(*key_shapes(component_keys(n))))
+
+
 def test_component_key():
+    # two shapes share a slot exactly when their components agree up to
+    # order and half-turns
     for n in range(1, 8):
-        for s in enumerate_shapes(n):
-            assert component_key(s.rotate()) == component_key(s)
+        slots = _slots(n)
+        by_slot = {}
+        for s, slot in slots.items():
+            assert slots[s.rotate()] == slot
+            by_slot.setdefault(slot, set()).add(_components(s))
+        assert all(len(keys) == 1 for keys in by_slot.values())
+        assert len({keys.pop() for keys in by_slot.values()}) == len(by_slot)
     connected = [
         s for n in range(1, 7) for s in enumerate_shapes(n)
         if s.is_connected()
     ]
+    slots = {n: _slots(n) for n in range(2, 8)}
     for a in connected:
         for b in connected:
             if a.size + b.size <= 7:
-                key = component_key(direct_sum(a, b))
-                assert component_key(direct_sum(b, a)) == key
-                assert component_key(direct_sum(a.rotate(), b)) == key
-    counts = [len({component_key(s) for s in enumerate_shapes(n)})
-              for n in range(1, 9)]
+                same = slots[a.size + b.size]
+                slot = same[direct_sum(a, b)]
+                assert same[direct_sum(b, a)] == slot
+                assert same[direct_sum(a.rotate(), b)] == slot
+    counts = [len(component_keys(n)) for n in range(1, 9)]
     assert counts == [1, 3, 6, 16, 34, 87, 198, 493]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_fingerprints_match_per_shape(jobs, set_jobs):
     set_jobs(jobs)
-    for n in range(8):
-        shapes = enumerate_shapes(n)
-        slots, rows = fingerprint_keys(shapes, posets._mask_and_key)
-        assert len(rows) == len({component_key(s) for s in shapes})
-        for s, slot in zip(shapes, slots):
-            mask, key = rows[slot]
+    for n in range(1, 8):
+        prints = posets._shape_prints(n, posets._mask_and_key)
+        for s, (mask, key) in zip(*prints):
             assert mask == f_support_mask(s), format_shape(s)
             assert key == dominance_key(OverlapProfile.of(s), n)
 
@@ -291,19 +341,16 @@ def test_fingerprints_match_per_shape(jobs, set_jobs):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_multfree_and_saturation_fingerprints_match_per_shape(jobs, set_jobs):
     set_jobs(jobs)
-    for n in range(8):
-        shapes = enumerate_shapes(n)
-        slots, rows = fingerprint_keys(shapes, posets._mask_and_multfree)
-        for s, slot in zip(shapes, slots):
-            assert rows[slot] == (f_support_mask(s),
-                                  is_f_multiplicity_free(s)), format_shape(s)
+    for n in range(1, 8):
+        prints = posets._shape_prints(n, posets._mask_and_multfree)
+        for s, row in zip(*prints):
+            assert row == (f_support_mask(s),
+                           is_f_multiplicity_free(s)), format_shape(s)
     fingerprint = partial(posets._mask_and_scaled, factor=2)
-    for n in range(7):
-        shapes = enumerate_shapes(n)
-        slots, rows = fingerprint_keys(shapes, fingerprint)
-        for s, slot in zip(shapes, slots):
-            assert rows[slot] == (f_support_mask(s),
-                                  f_support_mask(scale(s, 2))), format_shape(s)
+    for n in range(1, 7):
+        for s, row in zip(*posets._shape_prints(n, fingerprint)):
+            assert row == (f_support_mask(s),
+                           f_support_mask(scale(s, 2))), format_shape(s)
 
 
 # ------------------------------------------------------ multiplicity-free

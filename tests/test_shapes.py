@@ -17,11 +17,11 @@ from skewsupport.shapes import (
     SkewShape,
     comp_of,
     comp_to_mask,
-    component_key,
     component_keys,
     direct_sum,
     enumerate_shapes,
     format_shape,
+    key_shapes,
     mask_to_comp,
     parse_shape,
     ribbon_from_composition,
@@ -204,17 +204,28 @@ def test_enumeration_respects_size_limit(monkeypatch):
 
 
 def test_component_keys_match_enumeration():
-    # keys, per-key shape counts and representatives against the shapes
+    # the shapes built from the keys are the enumerated shapes, in order,
+    # and each key holds its count of them
     key_counts = []
-    for n in range(9):
-        counts = Counter(component_key(s) for s in enumerate_shapes(n))
-        rows = component_keys(n)
-        assert {key: count for key, _, count in rows} == counts, n
-        assert len(rows) == len(counts)
-        for key, shape, _ in rows:
-            assert shape.size == n and component_key(shape) == key
-        key_counts.append(len(rows))
-    assert key_counts == [1, 1, 3, 6, 16, 34, 87, 198, 493]
+    for n in range(10):
+        keyed = component_keys(n)
+        listed, slots = key_shapes(keyed)
+        assert listed == enumerate_shapes(n), n
+        assert Counter(slots) == {
+            slot: count for slot, (_, _, count) in enumerate(keyed)}, n
+        slot_of = dict(zip(listed, slots))
+        for slot, (_, shape, _) in enumerate(keyed):
+            assert shape.size == n and slot_of[shape] == slot
+        key_counts.append(len(keyed))
+    assert key_counts == [1, 1, 3, 6, 16, 34, 87, 198, 493, 1167]
+
+
+@pytest.mark.nightly
+@pytest.mark.parametrize("n, count", [(10, 26_025), (11, 81_427)])
+def test_nightly_key_shapes_match_enumeration(n, count):
+    listed, slots = key_shapes(component_keys(n))
+    assert len(listed) == len(slots) == count
+    assert listed == enumerate_shapes(n)
 
 
 def test_component_keys_usage_errors(monkeypatch):
@@ -250,7 +261,11 @@ def test_parse_shape(text, outer, inner):
     assert (s.outer, s.inner) == (outer, inner)
 
 
-@pytest.mark.parametrize("text", ["", "/", "12", "10", "3,0,1", "a", "2/-1"])
+@pytest.mark.parametrize("text", [
+    "", "/", "12", "10", "3,0,1", "a", "2/-1",
+    # digits that str.isdigit accepts and int() does not, or not as ASCII
+    "²", "3,²", "2²", "3/²", "３", "3,١/1",
+])
 def test_parse_shape_rejects(text):
     with pytest.raises(InvalidShapeError):
         parse_shape(text)

@@ -10,6 +10,7 @@ from skewsupport.overlaps import dominance_leq
 from skewsupport.shapes import (
     enumerate_shapes,
     parse_shape,
+    partitions_of,
     ribbon_stats,
     sort_desc,
     straight,
@@ -29,7 +30,6 @@ from skewsupport.tableaux import (
     is_f_multiplicity_free,
     kostka_number,
     m_expansion,
-    partitions_of,
     schur_expansion,
     schur_expansion_kostka,
     schur_expansion_lr,
@@ -231,6 +231,9 @@ def test_kostka_numbers_frozen():
 
 def test_partitions_of_order():
     assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert partitions_of(0) == [()]
+    counts = [len(partitions_of(n)) for n in range(11)]
+    assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
 
 def test_schur_support_transpose_symmetry(small_shapes):
