@@ -5,13 +5,26 @@ row i.  Because row intervals move weakly left going down, this is just
 ``outer[i+k-1] - inner[i]`` clipped at zero.  The depth-k row statistic is the
 weakly decreasing rearrangement of these counts with zeros dropped; depth-k
 column statistics are row statistics of the transpose.
+
+profile_keys packs every depth's prefix sums, and optionally the rectangle
+counts, into one int straight from the two partitions, so that dominance
+is one guard-bit subtraction (key_dominated).  OverlapProfile and
+overlaps_dominated read the statistics one depth at a time and stay the
+independent route the keys are checked against.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from skewsupport.errors import InvalidArgumentError
-from skewsupport.shapes import Partition, SkewShape, check_same_size, sort_desc
+from skewsupport.shapes import (
+    Partition,
+    SkewShape,
+    check_same_size,
+    sort_desc,
+    transpose_partition,
+)
 
 
 def overlap_rows(shape: SkewShape, k: int) -> Partition:
@@ -89,56 +102,61 @@ def dominance_leq(lam: Partition, mu: Partition) -> bool:
     return True
 
 
-def dominance_key(profile: OverlapProfile, n: int) -> int:
-    """Every prefix sum of every row statistic, packed into one int.
+def profile_keys(outer: Partition, inner: Partition, n: int,
+                 with_rects: bool = False) -> tuple:
+    """Packed keys of the shape outer/inner of size n, from its partitions.
 
-    For shapes of size n there are at most n depths and n parts per depth,
-    and no prefix sum exceeds n.  Each statistic is padded with zeros to n
-    parts, each depth to n statistics, and every prefix sum gets one field
-    of ``n.bit_length() + 1`` bits, so the top bit of each field stays clear.
-    Equal keys mean equal profiles.  Padding does not change dominance: past
-    the end of a statistic its prefix sums stay constant while those of a
-    dominating statistic never fall.  So each statistic's padding is its
-    total repeated in one shift, and the empty depths are zero fields
-    shifted in at once, as in rects_key.
+    Returns (dominance key,), or (dominance key, rectangle key) when
+    with_rects is set.  The dominance key holds every prefix sum of every
+    depth-k row statistic (k = 1..n), each statistic padded with zeros to
+    n parts, in one field of ``n.bit_length() + 1`` bits per prefix sum,
+    so the top bit of each field stays clear; no prefix sum exceeds n.
+    Equal keys mean equal profiles.  Padding does not change dominance:
+    past the end of a statistic its prefix sums stay constant while those
+    of a dominating statistic never fall.  The rectangle key holds
+    rects(k, l) for l = 1..n in the same fields, each a running sum from
+    the right, since rects(k, l) - rects(k, l + 1) is the number of
+    overlaps >= l.  Depths past the last non-empty statistic are zero
+    fields in both keys.
+
+    The column key of the shape is the dominance key of the conjugates of
+    outer and inner.
     """
-    w = n.bit_length() + 1
-    runs = _field_runs(n)
-    key = 0
-    for stat in profile.rows:
-        total = 0
-        for part in stat:
-            total += part
-            key = key << w | total
-        pad = n - len(stat)
-        key = key << w * pad | total * runs[pad]
-    return key << w * n * (n - profile.depth)
+    bits = _field_bits(n)
+    zero = bits[0]
+    pad = inner + (0,) * (len(outer) - len(inner))
+    prefix, counts = [], []
+    depth = 0
+    for k in range(len(outer)):
+        stat = sorted([o - a for o, a in zip(outer[k:], pad) if o > a],
+                      reverse=True)
+        if not stat:
+            break
+        depth += 1
+        prefix += [bits[t] for t in accumulate(stat)]
+        prefix.append(bits[sum(stat)] * (n - len(stat)))
+        if with_rects:
+            # part l - 1 of the conjugate counts the overlaps >= l
+            sums = list(accumulate(reversed(transpose_partition(stat))))
+            counts += [bits[r] for r in reversed(sums)]
+            counts.append(zero * (n - stat[0]))
+    tail = zero * (n * (n - depth))
+    key = int("".join(prefix) + tail or "0", 2)
+    if not with_rects:
+        return (key,)
+    return key, int("".join(counts) + tail or "0", 2)
 
 
 @lru_cache(maxsize=None)
-def _field_runs(n: int) -> tuple:
-    """Per count c <= n, the int with a 1 in each of its c lowest fields."""
+def _field_bits(n: int) -> tuple:
+    """Per value v <= n, v in binary as one field of a size-n key."""
     w = n.bit_length() + 1
-    return tuple(sum(1 << w * f for f in range(c)) for c in range(n + 1))
-
-
-def rects_key(profile: OverlapProfile, n: int) -> int:
-    """rects(k, l) for k, l = 1..n, each at most n, in dominance_key's fields.
-
-    Depths past the profile's last non-empty one hold no rectangle, so they
-    are shifted in as zero fields.
-    """
-    w = n.bit_length() + 1
-    key = 0
-    for stat in profile.rows:
-        for l in range(1, n + 1):
-            key = key << w | sum(o - l + 1 for o in stat if o >= l)
-    return key << w * n * (n - profile.depth)
+    return tuple(format(v, f"0{w}b") for v in range(n + 1))
 
 
 @lru_cache(maxsize=None)
 def dominance_guard(n: int) -> int:
-    """The top bit of every field of a size-n dominance_key or rects_key."""
+    """The top bit of every field of a size-n key from profile_keys."""
     w = n.bit_length() + 1
     return sum(1 << (w * f + w - 1) for f in range(n * n))
 

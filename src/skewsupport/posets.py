@@ -13,10 +13,13 @@ representatives.  The poset and multiplicity-free sweeps, which list every
 class member, build each shape from its key (shapes.key_shapes);
 verify_conjecture and saturation_check list shapes only on a failure.
 Every order is a list of bitset rows, built by _containing or _dominated.
+_containing tests each pair of support masks.  _dominated is bit-sliced
+over the fields of the dominance keys (overlaps.profile_keys): one class
+bitset per field and value, and one AND per non-zero field of a row's key.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import permutations
 
 from skewsupport.config import max_size
@@ -25,12 +28,7 @@ from skewsupport.errors import (
     InvalidShapeError,
     SizeLimitError,
 )
-from skewsupport.overlaps import (
-    OverlapProfile,
-    dominance_guard,
-    dominance_key,
-    key_dominated,
-)
+from skewsupport.overlaps import key_dominated, profile_keys
 from skewsupport.relations import layout, packed_f
 from skewsupport.shapes import (
     SkewShape,
@@ -134,14 +132,47 @@ def _containing(masks) -> list[int]:
             for i, mi in enumerate(masks)]
 
 
-def _dominated(keys, guard: int) -> list[int]:
-    """Bit j of row i: keys[i] != keys[j] and keys[j] dominates keys[i]."""
-    return [sum(1 << j for j, kj in enumerate(keys)
-                if ki != kj and key_dominated(ki, kj, guard)) for ki in keys]
+def _dominated(keys, n: int) -> list[int]:
+    """Bit j of row i: keys[i] != keys[j] and keys[j] dominates keys[i].
+
+    keys are size-n profile_keys.  The rows are bit-sliced: per key field
+    f and value v >= 1, at_least[f][v - 1] is the set of classes whose
+    field f is at least v, so the classes dominating keys[i] are the AND
+    of those sets over the non-zero fields of keys[i].
+    """
+    w = n.bit_length() + 1
+    top = (1 << w) - 1
+    shifts = range(w * n * n - w, -1, -w)
+    # one byte per field value, which is at most n
+    fields = [bytes([k >> s & top for s in shifts]) for k in keys]
+    at_least = []
+    for column in zip(*fields):
+        # one byte per class, last class first, read as base-2 digits
+        digits = bytes(column)[::-1]
+        at_least.append([int(digits.translate(_at_least_digits(v)), 2)
+                         for v in range(1, max(column) + 1)])
+    equal: dict = {}
+    for j, k in enumerate(keys):
+        equal[k] = equal.get(k, 0) | 1 << j
+    rows = []
+    everyone = (1 << len(keys)) - 1
+    for k, values in zip(keys, fields):
+        row = everyone
+        for f, v in enumerate(values):
+            if v:
+                row &= at_least[f][v - 1]
+        rows.append(row & ~equal[k])
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _at_least_digits(v: int) -> bytes:
+    """The byte table taking x to the digit 1 if x >= v, else to 0."""
+    return bytes(b"01"[x >= v] for x in range(256))
 
 
 def _key(s: SkewShape) -> int:
-    return dominance_key(OverlapProfile.of(s), s.size)
+    return profile_keys(s.outer, s.inner, s.size)[0]
 
 
 def _mask_and_key(s: SkewShape) -> tuple[int, int]:
@@ -201,8 +232,7 @@ def build_nc(n: int) -> ShapeClassPoset:
     every depth (more spread out means higher).
     """
     shapes, keys = _shape_prints(n, _key)
-    return _poset("nc", n, shapes, keys,
-                  partial(_dominated, guard=dominance_guard(n)))
+    return _poset("nc", n, shapes, keys, partial(_dominated, n=n))
 
 
 # ------------------------------------------------- the equivalence sweep
@@ -260,7 +290,7 @@ def _conjecture_report(n, shape_count, shapes, prints) -> dict:
     reps = [members[0] for members in by_mask.values()]
     names = [format_shape(shapes[i]) for i in reps]
     contains = _containing([masks[i] for i in reps])
-    dominated = _dominated([keys[i] for i in reps], dominance_guard(n))
+    dominated = _dominated([keys[i] for i in reps], n)
     rows = list(enumerate(zip(contains, dominated)))
     forward = [{"a": names[x], "b": names[y]}
                for x, (c, d) in rows for y in _bit_indices(c & ~d)]

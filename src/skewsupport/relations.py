@@ -9,7 +9,9 @@ column and rectangle dominance keys, so that every condition is one
 comparison of two ints.  Every expansion in a record comes from the Schur
 expansion: F, S and D are its combination of the straight shapes' packed
 expansions, and M is F's zeta transform, so the descent kernel only ever
-counts the fillings of straight shapes.  relate() compares one pair;
+counts the fillings of straight shapes.  The dominance keys come from
+overlaps.profile_keys on the shape's partitions and on their conjugates.
+relate() compares one pair, through a bounded cache of recent records;
 verify_implications records one shape per component key
 (shapes.component_keys), compares each ordered pair of distinct same-size
 keys, and lists the shapes of one size (shapes.key_shapes) only to name
@@ -38,6 +40,7 @@ from skewsupport.shapes import (
     key_shapes,
     parse_shape,
     partitions_of,
+    transpose_partition,
 )
 from skewsupport.tableaux import BASES
 
@@ -257,11 +260,11 @@ def record(shape: SkewShape) -> ShapeRecord:
     supports = (*map(_nonzero, coeffs[:4], lay.guards, lay.ones),
                 _nonzero(d ^ lay.bias, g, one),
                 (d + (g - lay.bias - one)) & g)  # the fields above the bias
-    rows = overlaps.OverlapProfile.of(shape)
-    cols = overlaps.OverlapProfile.of(shape.transpose())
-    keys = (overlaps.dominance_key(rows, n), overlaps.dominance_key(cols, n),
-            overlaps.rects_key(rows, n))
-    return ShapeRecord(shape, lay, coeffs, supports, keys)
+    outer, inner = shape.outer, shape.inner
+    rows, rects = overlaps.profile_keys(outer, inner, n, with_rects=True)
+    (cols,) = overlaps.profile_keys(transpose_partition(outer),
+                                    transpose_partition(inner), n)
+    return ShapeRecord(shape, lay, coeffs, supports, (rows, cols, rects))
 
 
 # in the order compare() computes them
@@ -283,10 +286,18 @@ def compare(ra: ShapeRecord, rb: ShapeRecord) -> RelationMatrix:
     return RelationMatrix(ra.shape, rb.shape, dict(zip(_CONDITIONS, values)))
 
 
+# the records relate() reads; the sweeps own their records and skip it
+_relate_record = tableaux._guarded_cache(record, maxsize=128)
+
+
 def relate(a: SkewShape, b: SkewShape) -> RelationMatrix:
-    """Full relation matrix for an ordered same-size pair."""
+    """Full relation matrix for an ordered same-size pair.
+
+    The records come from a bounded cache of the most recently related
+    shapes, which checks the size guard on every call.
+    """
     check_same_size(a, b)
-    return compare(record(a), record(b))
+    return compare(_relate_record(a), _relate_record(b))
 
 
 def check_implications(m: RelationMatrix) -> list[str]:
@@ -342,7 +353,7 @@ def verify_implications(n: int) -> dict:
     for a_str, b_str, holds, fails in WITNESSES:
         wa, wb = parse_shape(a_str), parse_shape(b_str)
         if wa.size <= n:
-            m = relate(wa, wb)
+            m = compare(record(wa), record(wb))
             witnesses[f"{a_str} vs {b_str}"] = m.get(holds) and not m.get(fails)
     return {
         "max_size": n,

@@ -61,9 +61,11 @@ def sort_desc(parts) -> Partition:
 
 
 def transpose_partition(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > c) for c in range(lam[0]))
+    """The conjugate: its first lam[i-1] parts are at least i."""
+    conj: list[int] = []
+    for i in range(len(lam), 0, -1):
+        conj += [i] * (lam[i - 1] - len(conj))
+    return tuple(conj)
 
 
 def partitions_of(n: int) -> list[Partition]:

@@ -93,14 +93,16 @@ def _check_size(shape: SkewShape) -> None:
         )
 
 
-def _guarded_cache(fn):
+def _guarded_cache(fn, maxsize=None):
     """Cache fn per shape, checking the size guard on every call.
 
     A cache hit must not get round the guard, or whether a call raises
-    would depend on what the process computed before.  The wrapper keeps
-    the cache's ``cache_info`` and ``cache_clear``.
+    would depend on what the process computed before.  The cache keeps at
+    most maxsize results, least recently used out first, or every result
+    for None.  The wrapper keeps the cache's ``cache_info`` and
+    ``cache_clear``.
     """
-    cached = lru_cache(maxsize=None)(fn)
+    cached = lru_cache(maxsize=maxsize)(fn)
 
     @wraps(fn)
     def guarded(shape: SkewShape):

@@ -123,6 +123,29 @@ def test_relate_requires_equal_sizes():
         relate(parse_shape("22"), parse_shape("21"))
 
 
+def test_relate_cache_is_bounded_and_guarded(monkeypatch):
+    cached = relations._relate_record
+    assert cached.cache_info().maxsize == 128
+    a, b = parse_shape("3,1"), parse_shape("2,1,1")
+    m = relate(a, b)
+    hits = cached.cache_info().hits
+    assert relate(a, b) == m == compare(record(a), record(b))
+    assert cached.cache_info().hits == hits + 2
+    # a hit must not get round a lowered size guard
+    monkeypatch.setenv(ENV_MAX_SIZE, "3")
+    with pytest.raises(SizeLimitError):
+        relate(a, b)
+    assert cached.cache_info().hits == hits + 2
+
+
+def test_sweeps_leave_the_relate_cache_alone():
+    before = relations._relate_record.cache_info()
+    assert verify_implications(5)["pass"]
+    report = posets.verify_conjecture(6)
+    assert report["pass_theorem"] and report["pass_conjecture"]
+    assert relations._relate_record.cache_info() == before
+
+
 def test_verify_implications_small():
     report = verify_implications(4)
     assert report["pass"]

@@ -1,19 +1,26 @@
 import pytest
 
 from skewsupport.errors import SizeMismatchError, SkewSupportError
+from skewsupport import config
 from skewsupport.overlaps import (
     OverlapProfile,
     dominance_guard,
-    dominance_key,
     dominance_leq,
     key_dominated,
     overlap_cols,
     overlap_rows,
     overlaps_dominated,
+    profile_keys,
     rects,
-    rects_key,
 )
-from skewsupport.shapes import enumerate_shapes, parse_shape, scale
+from skewsupport.shapes import (
+    SkewShape,
+    direct_sum,
+    enumerate_shapes,
+    parse_shape,
+    scale,
+    transpose_partition,
+)
 
 try:
     from hypothesis import given
@@ -125,11 +132,21 @@ def test_dominance_partial_order_on_small_partitions():
                     assert dominance_leq(a, c)
 
 
+def _row_key(s):
+    return profile_keys(s.outer, s.inner, s.size)[0]
+
+
+def _col_key(s):
+    outer, inner = map(transpose_partition, (s.outer, s.inner))
+    return profile_keys(outer, inner, s.size)[0]
+
+
 def test_dominance_key_matches_profiles():
     # all ordered pairs of same-size shapes up to size 6 (272 shapes at n=6)
     for n in range(7):
-        profiles = [OverlapProfile.of(s) for s in enumerate_shapes(n)]
-        keys = [dominance_key(p, n) for p in profiles]
+        shapes = enumerate_shapes(n)
+        profiles = [OverlapProfile.of(s) for s in shapes]
+        keys = [_row_key(s) for s in shapes]
         guard = dominance_guard(n)
         for pa, ka in zip(profiles, keys):
             for pb, kb in zip(profiles, keys):
@@ -151,13 +168,34 @@ def _dominance_key_field_by_field(profile, n):
     return key
 
 
+def _rects_key_field_by_field(profile, n):
+    # the reference: shift in each rects(k, l), k, l = 1..n, one at a time
+    w = n.bit_length() + 1
+    key = 0
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            key = key << w | profile.rects(k, l)
+    return key
+
+
+def _check_keys_field_by_field(s):
+    n = s.size
+    rows, cols = OverlapProfile.of(s), OverlapProfile.of(s.transpose())
+    key, rects_key = profile_keys(s.outer, s.inner, n, with_rects=True)
+    assert key == _dominance_key_field_by_field(rows, n), (s, rows)
+    assert rects_key == _rects_key_field_by_field(rows, n), (s, rows)
+    assert profile_keys(s.outer, s.inner, n) == (key,)
+    assert _col_key(s) == _dominance_key_field_by_field(cols, n), (s, cols)
+
+
 def test_dominance_key_matches_field_by_field_packing():
-    # rows and columns of every shape of size <= 8 (3,909 shapes)
-    for n in range(9):
+    # rows, columns and rectangles of every shape of size <= 9 (12,227
+    # shapes), the empty shape included
+    assert profile_keys((), (), 0, with_rects=True) == (0, 0)
+    for n in range(10):
         for s in enumerate_shapes(n):
-            for prof in map(OverlapProfile.of, (s, s.transpose())):
-                assert dominance_key(prof, n) == (
-                    _dominance_key_field_by_field(prof, n)), (s, prof)
+            _check_keys_field_by_field(s)
+    _check_keys_field_by_field(SkewShape(()))
 
 
 def test_overlaps_dominated_and_equivalences():
@@ -186,8 +224,9 @@ def test_row_col_rect_dominance_equivalence():
         for s in enumerate_shapes(n):
             prof = OverlapProfile.of(s)
             tprof = OverlapProfile.of(s.transpose())
-            rows.append((prof, tprof, rects_table(s, n),
-                         dominance_key(tprof, n), rects_key(prof, n)))
+            _, rects_key = profile_keys(s.outer, s.inner, n, with_rects=True)
+            rows.append((prof, tprof, rects_table(s, n), _col_key(s),
+                         rects_key))
         for pa, qa, ta, ca, ra in rows:
             for pb, qb, tb, cb, rb in rows:
                 by_rows = pa.dominated_by(pb)
@@ -222,6 +261,14 @@ if given is not None:
     def test_hypothesis_dominance_antisymmetry(a, b):
         if dominance_leq(a, b) and dominance_leq(b, a):
             assert a == b
+
+    @given(shape_strategy(), shape_strategy())
+    def test_hypothesis_profile_keys_match_field_by_field(a, b):
+        # direct sums and doubles reach past the exhaustive sizes, up to
+        # the size guard
+        for s in (a, direct_sum(a, b), scale(a, 2)):
+            if s.size <= config.max_size():
+                _check_keys_field_by_field(s)
 
     @given(shape_strategy(), shape_strategy())
     def test_hypothesis_profile_dominance_is_reflexive_transpose_safe(a, b):

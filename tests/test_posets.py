@@ -13,7 +13,6 @@ from skewsupport.errors import (
 from skewsupport.overlaps import (
     OverlapProfile,
     dominance_guard,
-    dominance_key,
     key_dominated,
 )
 from skewsupport.posets import (
@@ -246,6 +245,17 @@ def _conjecture_oracle(n, fingerprint):
     return mismatches, forward, reverse
 
 
+def _pack(profile, n):
+    """A profile's dominance key, shifted in one prefix sum at a time."""
+    w = n.bit_length() + 1
+    key = 0
+    for k in range(1, n + 1):
+        stat = profile.row_stat(k)
+        for i in range(n):
+            key = key << w | sum(stat[:i + 1])
+    return key
+
+
 def test_verify_conjecture_failures_match_a_per_shape_sweep(monkeypatch):
     # fake fingerprints that depend only on the component key break both
     # directions and both partitions; the sweep must list what a per-shape
@@ -255,7 +265,7 @@ def test_verify_conjecture_failures_match_a_per_shape_sweep(monkeypatch):
 
     def complement_and_first_depth(s):
         first = OverlapProfile(OverlapProfile.of(s).rows[:1])
-        return full & ~f_support_mask(s), dominance_key(first, n)
+        return full & ~f_support_mask(s), _pack(first, n)
 
     def three_supports(s):
         return 1 << f_support_mask(s).bit_count() % 3, posets._key(s)
@@ -335,7 +345,51 @@ def test_fingerprints_match_per_shape(jobs, set_jobs):
         prints = posets._shape_prints(n, posets._mask_and_key)
         for s, (mask, key) in zip(*prints):
             assert mask == f_support_mask(s), format_shape(s)
-            assert key == dominance_key(OverlapProfile.of(s), n)
+            assert key == _pack(OverlapProfile.of(s), n)
+
+
+def _dominated_per_pair(keys, n):
+    """The reference dominance rows: one key_dominated test per pair."""
+    guard = dominance_guard(n)
+    return [sum(1 << j for j, kj in enumerate(keys)
+                if ki != kj and key_dominated(ki, kj, guard)) for ki in keys]
+
+
+def _check_dominated_rows(n):
+    # the nc classes, and the conjecture sweep's support class
+    # representatives, whose keys could repeat on a partition mismatch
+    _, keys = posets._shape_prints(n, posets._key)
+    nc = list(dict.fromkeys(keys))
+    assert list(build_nc(n).below) == _dominated_per_pair(nc, n)
+    assert posets._dominated(nc, n) == _dominated_per_pair(nc, n)
+    _, prints = posets._shape_prints(n, posets._mask_and_key)
+    masks, keys = zip(*prints)
+    reps = [keys[m[0]] for m in posets._classes_of(masks).values()]
+    assert posets._dominated(reps, n) == _dominated_per_pair(reps, n)
+
+
+def test_dominated_rows_match_per_pair_tests():
+    for n in range(1, 9):
+        _check_dominated_rows(n)
+
+
+@pytest.mark.nightly
+def test_nightly_dominated_rows_match_per_pair_tests():
+    _check_dominated_rows(10)
+
+
+def test_dominated_rows_on_repeated_and_no_keys():
+    assert posets._dominated([], 5) == []
+    # repeated keys, as a partition mismatch gives: equal keys never lie
+    # under each other, and each copy gets the same row
+    texts = ("3,1,1/1", "3,2/1", "2,2", "4", "1,1,1,1", "3,1", "2,1,1")
+    keys = [posets._key(parse_shape(t)) for t in texts]
+    keys += [keys[0], keys[2], keys[0]]
+    rows = posets._dominated(keys, 4)
+    assert rows == _dominated_per_pair(keys, 4)
+    assert rows[0] == rows[7] == rows[9] and rows[2] == rows[8]
+    assert not rows[0] >> 7 & 1 and not rows[7] >> 0 & 1
+    assert rows[0] and rows[0] >> 1 & 1  # 3,2/1 dominates 3,1,1/1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
