@@ -8,6 +8,10 @@ monomial expansion; counting lattice semistandard fillings gives the Schur
 expansion.  The Schur expansion is computed by two genuinely different
 routes (lattice fillings, and inverting the unitriangular Kostka matrix
 against the monomial expansion) so each can certify the other.
+
+Per-size and per-partition tables are cached; no cache keeps a tally such a
+table summarises.  Each shape-keyed result goes through _guarded_cache, a
+bounded LRU that checks the size guard on every call, hit or miss.
 """
 
 from dataclasses import dataclass
@@ -28,6 +32,7 @@ from skewsupport.shapes import (
 )
 
 BASES = ("schur", "f", "m", "s", "d")
+_CACHE_SIZE = 1024  # results kept by each shape-keyed cache
 
 
 @dataclass(frozen=True, eq=True)
@@ -93,14 +98,12 @@ def _check_size(shape: SkewShape) -> None:
         )
 
 
-def _guarded_cache(fn, maxsize=None):
+def _guarded_cache(fn, maxsize=_CACHE_SIZE):
     """Cache fn per shape, checking the size guard on every call.
 
     A cache hit must not get round the guard, or whether a call raises
-    would depend on what the process computed before.  The cache keeps at
-    most maxsize results, least recently used out first, or every result
-    for None.  The wrapper keeps the cache's ``cache_info`` and
-    ``cache_clear``.
+    would depend on what the process computed before.  The LRU keeps
+    maxsize results; the wrapper keeps its ``cache_info`` and ``cache_clear``.
     """
     cached = lru_cache(maxsize=maxsize)(fn)
 
@@ -202,7 +205,7 @@ def enumerate_syt(shape: SkewShape):
     yield from place(1)
 
 
-@lru_cache(maxsize=None)
+@_guarded_cache
 def _f_masks(shape: SkewShape) -> dict:
     return kernels.descent_tally(shape.inner_padded, shape.outer)
 
@@ -219,9 +222,8 @@ def _compositions(n: int) -> tuple:
 
 def f_expansion(shape: SkewShape) -> Expansion:
     """Fundamental quasisymmetric expansion, straight from standard fillings."""
-    _check_size(shape)
-    comps = _compositions(shape.size)
-    return Expansion("f", {comps[m]: c for m, c in _f_masks(shape).items()})
+    masks, comps = _f_masks(shape), _compositions(shape.size)  # guard first
+    return Expansion("f", {comps[m]: c for m, c in masks.items()})
 
 
 def f_support(shape: SkewShape) -> frozenset:
@@ -235,10 +237,10 @@ def m_expansion(shape: SkewShape) -> Expansion:
     superset of S, so the coefficient vector over subsets of [n-1] is the
     zeta transform of the F vector.
     """
-    _check_size(shape)
+    masks = _f_masks(shape)  # checks the size guard first
     n = shape.size
     vec = [0] * (1 << max(0, n - 1))
-    for mask, c in _f_masks(shape).items():
+    for mask, c in masks.items():
         vec[mask] += c
     for b in range(max(0, n - 1)):
         bit = 1 << b
@@ -310,7 +312,6 @@ def schur_expansion_kostka(shape: SkewShape) -> Expansion:
     residual monomial coefficient is forced.  Non-symmetric input (which a
     correct M-expansion can never produce) raises ConsistencyError.
     """
-    _check_size(shape)
     mono = m_expansion(shape)
     by_partition: dict[Partition, int] = {}
     for comp, coeff in mono.items():
@@ -365,7 +366,6 @@ def schur_support(shape: SkewShape) -> frozenset:
     return schur_expansion(shape).support()
 
 
-@lru_cache(maxsize=None)
 def _straight_f_masks(lam: Partition) -> dict:
     return kernels.descent_tally((0,) * len(lam), lam)
 
@@ -426,7 +426,6 @@ def is_f_multiplicity_free(shape: SkewShape) -> bool:
     read the same property from the Schur expansion
     (posets._mask_and_multfree); the tests check the two routes agree.
     """
-    _check_size(shape)
     return all(c == 1 for c in _f_masks(shape).values())
 
 

@@ -247,7 +247,7 @@ def test_records_and_multfree_tally_descents_of_straight_shapes_only(
         return tally(inner, outer)
 
     monkeypatch.setattr(kernels, "descent_tally", spy)
-    for cached in (tableaux._f_masks, tableaux._straight_f_masks,
+    for cached in (tableaux._f_masks, tableaux._straight_support_bits,
                    relations._straight_packed):
         cached.cache_clear()
     for n in range(7):
@@ -282,7 +282,8 @@ def test_verify_implications_records_once_per_key(monkeypatch):
     assert verify_implications(5)["pass"]
     keys = [1, 3, 6, 16, 34]  # component keys of sizes 1..5
     # one record per key, and one compare per ordered pair of distinct
-    # same-size keys, plus relate() on each of the four witness pairs
+    # same-size keys, plus compare(record(a), record(b)) on each of the
+    # four witness pairs
     assert calls == {"record": sum(keys) + 2 * 4,
                      "compare": sum(k * (k - 1) for k in keys) + 4}
 

@@ -1,3 +1,6 @@
+import gc
+import sys
+import tracemalloc
 from collections import Counter
 from functools import partial
 from multiprocessing import get_context
@@ -577,6 +580,39 @@ def test_saturation_guards():
         saturation_check(4, 0)
     with pytest.raises(SizeLimitError):
         saturation_check(8, 2)
+
+
+def _memory_held_after_saturation(n, factor):
+    """Bytes still allocated after saturation_check(n, factor) returns.
+
+    Every package cache is emptied first, so what the sweep leaves behind
+    in them is counted, whatever ran before.
+    """
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "skewsupport":
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert saturation_check(n, factor)["agreement"]
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held
+
+
+def test_saturation_memory_is_bounded():
+    # the caches keep per-partition tables and a bounded number of
+    # shape-keyed results, not every straight-shape descent tally
+    assert _memory_held_after_saturation(6, 2) < 1 << 20
+
+
+@pytest.mark.nightly
+def test_nightly_saturation_memory_is_bounded():
+    assert _memory_held_after_saturation(7, 2) < 4 << 20
 
 
 def test_poset_dataclass_accessors():

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from skewsupport import tableaux as T
 from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.errors import ConsistencyError, InvalidShapeError, SizeLimitError
 from skewsupport.overlaps import dominance_leq
@@ -386,12 +387,22 @@ def test_schur_frame_check_raises_on_corrupt_route(monkeypatch):
 
 def test_size_guard_holds_on_cache_hits(monkeypatch):
     s = parse_shape("3,1")
-    for cached in (schur_expansion, f_support_mask):
+    for cached in (schur_expansion, f_support_mask, T._f_masks):
         cached(s)
         hits = cached.cache_info().hits
         cached(s)
         assert cached.cache_info().hits == hits + 1
     monkeypatch.setenv(ENV_MAX_SIZE, "2")
-    for cached in (schur_expansion, f_support_mask):
+    for cached in (schur_expansion, f_support_mask, T._f_masks):
         with pytest.raises(SizeLimitError):
             cached(s)
+
+
+def test_shape_keyed_caches_share_one_bound():
+    # every shape-keyed result sits in an LRU of the same finite size, and
+    # the straight-shape descent tallies are not cached at all: the
+    # per-partition support bits and packed records summarise them
+    bounds = {cached.cache_info().maxsize
+              for cached in (schur_expansion, f_support_mask, T._f_masks)}
+    assert len(bounds) == 1 and None not in bounds
+    assert not hasattr(T._straight_f_masks, "cache_info")
