@@ -18,7 +18,7 @@ from skewsupport import __version__
 from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.bases import expansion_of
 from skewsupport.tableaux import BASES, enumerate_syt, f_expansion
-from skewsupport.errors import SkewSupportError
+from skewsupport.errors import InvalidArgumentError, SkewSupportError
 from skewsupport.kernels import BACKEND
 from skewsupport.overlaps import OverlapProfile
 from skewsupport.posets import (
@@ -67,17 +67,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", action="store_true",
                    help="print only the number of shapes")
+    p.set_defaults(run=_cmd_shapes)
 
     p = sub.add_parser("expand", help="expand a shape in a basis")
     p.add_argument("shape")
     p.add_argument("--basis", choices=BASES, default="schur")
+    p.set_defaults(run=_cmd_expand)
 
     p = sub.add_parser("overlaps", help="overlap profile and rectangle stats")
     p.add_argument("shape")
+    p.set_defaults(run=_cmd_overlaps)
 
     p = sub.add_parser("compare", help="all pairwise relations of two shapes")
     p.add_argument("a")
     p.add_argument("b")
+    p.set_defaults(run=_cmd_compare)
 
     p = sub.add_parser("verify", help="run a verification sweep")
     vsub = p.add_subparsers(dest="target", required=True)
@@ -85,29 +89,35 @@ def build_parser() -> argparse.ArgumentParser:
                         help="implication diagram sweep over all pairs")
     v.add_argument("--n", type=int, default=5,
                    help="largest shape size to sweep (default 5)")
+    v.set_defaults(run=_cmd_verify_figure6)
     v = vsub.add_parser("conjecture",
                         help="support containment vs overlap dominance")
     v.add_argument("--n", type=int, default=6)
+    v.set_defaults(run=_cmd_verify_conjecture)
 
     p = sub.add_parser("poset", help="class poset as JSON or DOT")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--which", choices=("suppf", "nc"), default="suppf")
     p.add_argument("--format", choices=("json", "dot"), default="json",
                    dest="fmt")
+    p.set_defaults(run=_cmd_poset)
 
     p = sub.add_parser("multfree",
                        help="multiplicity-free classification at size n")
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(run=_cmd_multfree)
 
     p = sub.add_parser("saturation",
                        help="does support containment survive scaling")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--scale", type=int, default=2)
+    p.set_defaults(run=_cmd_saturation)
 
     p = sub.add_parser("tableaux", help="standard fillings of a shape")
     p.add_argument("shape")
     p.add_argument("--limit", type=int, default=None,
                    help="print at most this many fillings")
+    p.set_defaults(run=_cmd_tableaux)
     return ap
 
 
@@ -198,8 +208,7 @@ def _cmd_saturation(args) -> int:
 
 def _cmd_tableaux(args) -> int:
     if args.limit is not None and args.limit < 0:
-        print("skewsupport: error: --limit must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidArgumentError("--limit must be >= 0")
     shape = parse_shape(args.shape)
     # the count comes from the descent tally, so only shown fillings are built
     count = sum(f_expansion(shape).coeffs.values())
@@ -225,33 +234,15 @@ def _cmd_tableaux(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "shapes": _cmd_shapes,
-    "expand": _cmd_expand,
-    "overlaps": _cmd_overlaps,
-    "compare": _cmd_compare,
-    "poset": _cmd_poset,
-    "multfree": _cmd_multfree,
-    "saturation": _cmd_saturation,
-    "tableaux": _cmd_tableaux,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     saved = os.environ.get(ENV_MAX_SIZE)
-    if args.max_size is not None:
-        if args.max_size < 1:
-            print("skewsupport: error: --max-size must be >= 1",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        os.environ[ENV_MAX_SIZE] = str(args.max_size)
     try:
-        if args.command == "verify":
-            if args.target == "figure6":
-                return _cmd_verify_figure6(args)
-            return _cmd_verify_conjecture(args)
-        return _COMMANDS[args.command](args)
+        if args.max_size is not None:
+            if args.max_size < 1:
+                raise InvalidArgumentError("--max-size must be >= 1")
+            os.environ[ENV_MAX_SIZE] = str(args.max_size)
+        return args.run(args)
     except SkewSupportError as exc:
         print(f"skewsupport: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

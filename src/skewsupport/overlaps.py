@@ -7,10 +7,12 @@ weakly decreasing rearrangement of these counts with zeros dropped; depth-k
 column statistics are row statistics of the transpose.
 
 profile_keys packs every depth's prefix sums, and optionally the rectangle
-counts, into one int straight from the two partitions, so that dominance
-is one guard-bit subtraction (key_dominated).  OverlapProfile and
-overlaps_dominated read the statistics one depth at a time and stay the
-independent route the keys are checked against.
+counts, into one int straight from the two partitions, one byte per field
+as in the packed records (relations.Layout), so that dominance is one
+guard-bit subtraction (key_dominated).  Fields hold at most n, so bit 7 of
+each byte stays a clear guard bit for any n < 128, far past the size guard.
+OverlapProfile and overlaps_dominated read the statistics one depth at a
+time and stay the independent route the keys are checked against.
 """
 
 from dataclasses import dataclass
@@ -109,21 +111,21 @@ def profile_keys(outer: Partition, inner: Partition, n: int,
     Returns (dominance key,), or (dominance key, rectangle key) when
     with_rects is set.  The dominance key holds every prefix sum of every
     depth-k row statistic (k = 1..n), each statistic padded with zeros to
-    n parts, in one field of ``n.bit_length() + 1`` bits per prefix sum,
-    so the top bit of each field stays clear; no prefix sum exceeds n.
-    Equal keys mean equal profiles.  Padding does not change dominance:
-    past the end of a statistic its prefix sums stay constant while those
-    of a dominating statistic never fall.  The rectangle key holds
-    rects(k, l) for l = 1..n in the same fields, each a running sum from
-    the right, since rects(k, l) - rects(k, l + 1) is the number of
-    overlaps >= l.  Depths past the last non-empty statistic are zero
-    fields in both keys.
+    n parts, one byte per prefix sum, big-endian, as relations.Layout packs
+    the records.  No prefix sum exceeds n, so bit 7 of each byte stays
+    clear as the guard bit while n < 128; a record of size n needs 2^(n-1)
+    fields per expansion, so no caller comes near that bound (the default
+    size guard is 14).  Equal keys mean equal profiles.  Padding does not
+    change dominance: past the end of a statistic its prefix sums stay
+    constant while those of a dominating statistic never fall.  The
+    rectangle key holds rects(k, l) for l = 1..n in the same fields, each a
+    running sum from the right, since rects(k, l) - rects(k, l + 1) is the
+    number of overlaps >= l.  Depths past the last non-empty statistic are
+    zero fields in both keys.
 
     The column key of the shape is the dominance key of the conjugates of
     outer and inner.
     """
-    bits = _field_bits(n)
-    zero = bits[0]
     pad = inner + (0,) * (len(outer) - len(inner))
     prefix, counts = [], []
     depth = 0
@@ -133,32 +135,24 @@ def profile_keys(outer: Partition, inner: Partition, n: int,
         if not stat:
             break
         depth += 1
-        prefix += [bits[t] for t in accumulate(stat)]
-        prefix.append(bits[sum(stat)] * (n - len(stat)))
+        prefix += accumulate(stat)
+        prefix += [sum(stat)] * (n - len(stat))
         if with_rects:
             # part l - 1 of the conjugate counts the overlaps >= l
             sums = list(accumulate(reversed(transpose_partition(stat))))
-            counts += [bits[r] for r in reversed(sums)]
-            counts.append(zero * (n - stat[0]))
-    tail = zero * (n * (n - depth))
-    key = int("".join(prefix) + tail or "0", 2)
+            counts += reversed(sums)
+            counts += [0] * (n - stat[0])
+    tail = bytes(n * (n - depth))
+    key = int.from_bytes(bytes(prefix) + tail, "big")
     if not with_rects:
         return (key,)
-    return key, int("".join(counts) + tail or "0", 2)
-
-
-@lru_cache(maxsize=None)
-def _field_bits(n: int) -> tuple:
-    """Per value v <= n, v in binary as one field of a size-n key."""
-    w = n.bit_length() + 1
-    return tuple(format(v, f"0{w}b") for v in range(n + 1))
+    return key, int.from_bytes(bytes(counts) + tail, "big")
 
 
 @lru_cache(maxsize=None)
 def dominance_guard(n: int) -> int:
-    """The top bit of every field of a size-n key from profile_keys."""
-    w = n.bit_length() + 1
-    return sum(1 << (w * f + w - 1) for f in range(n * n))
+    """Bit 7 of every byte of a size-n key from profile_keys."""
+    return int.from_bytes(b"\x80" * (n * n), "big")
 
 
 def key_dominated(ka: int, kb: int, guard: int) -> bool:

@@ -135,16 +135,12 @@ def _containing(masks) -> list[int]:
 def _dominated(keys, n: int) -> list[int]:
     """Bit j of row i: keys[i] != keys[j] and keys[j] dominates keys[i].
 
-    keys are size-n profile_keys.  The rows are bit-sliced: per key field
-    f and value v >= 1, at_least[f][v - 1] is the set of classes whose
-    field f is at least v, so the classes dominating keys[i] are the AND
-    of those sets over the non-zero fields of keys[i].
+    keys are size-n profile_keys, one byte per field.  The rows are
+    bit-sliced: per key field f and value v >= 1, at_least[f][v - 1] is the
+    set of classes whose field f is at least v, so the classes dominating
+    keys[i] are the AND of those sets over the non-zero fields of keys[i].
     """
-    w = n.bit_length() + 1
-    top = (1 << w) - 1
-    shifts = range(w * n * n - w, -1, -w)
-    # one byte per field value, which is at most n
-    fields = [bytes([k >> s & top for s in shifts]) for k in keys]
+    fields = [k.to_bytes(n * n, "big") for k in keys]
     at_least = []
     for column in zip(*fields):
         # one byte per class, last class first, read as base-2 digits

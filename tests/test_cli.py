@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -230,6 +231,27 @@ def test_benchmark_commands_match_recorded_digests(capsys):
     assert checked == 12
 
 
+def test_benchmark_trace_targets_resolve():
+    # `perfbench/run.py --trace 1` wraps each TARGETS entry by name in the
+    # modules the CLI loads; a refactor that moves or renames one makes it
+    # fail with "trace target ... not found"
+    import skewsupport.cli  # noqa: F401
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module_name, target, _ in spans.TARGETS:
+        owner = sys.modules[f"skewsupport.{module_name}"]
+        *outer, attr = target.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        # a method is rebound on the class that defines it
+        assert attr in vars(owner) if outer else hasattr(owner, attr), (
+            f"trace target {module_name}.{target} not found")
+
+
 # stdout sha256 of sweeps that build every shape, pinned to catch any change
 # in the shapes they list or the order they list them in
 PINNED_OUTPUTS = {
@@ -270,7 +292,6 @@ def test_usage_errors(capsys, monkeypatch):
     assert main(["expand", "not-a-shape"]) == EXIT_USAGE
     assert main(["compare", "22", "21"]) == EXIT_USAGE
     assert main(["expand", "9,9,9,9/1"]) == EXIT_USAGE
-    assert main(["--max-size", "0", "shapes", "--n", "2"]) == EXIT_USAGE
     capsys.readouterr()
     for argv in (
         ["shapes", "--n", "-1"],
@@ -287,6 +308,8 @@ def test_usage_errors(capsys, monkeypatch):
         ["expand", "3,²"],
         ["expand", "2²"],
         ["compare", "3/²", "2"],
+        ["tableaux", "21", "--limit", "-1"],
+        ["--max-size", "0", "shapes", "--n", "2"],
     ):
         _assert_one_line_error(capsys, argv)
     for name, value in (
@@ -366,6 +389,9 @@ def test_max_size_override_and_restore(capsys):
 
     before = os.environ.get(ENV_MAX_SIZE)
     assert main(["--max-size", "20", "expand", "9,8/1", "--basis", "schur"]) == EXIT_OK
+    assert os.environ.get(ENV_MAX_SIZE) == before
+    # a refused --max-size leaves the environment as it found it too
+    assert main(["--max-size", "0", "shapes", "--n", "2"]) == EXIT_USAGE
     assert os.environ.get(ENV_MAX_SIZE) == before
     capsys.readouterr()
 

@@ -155,8 +155,9 @@ def test_dominance_key_matches_profiles():
 
 
 def _dominance_key_field_by_field(profile, n):
-    # the reference: shift in each of the n * n prefix sums one at a time
-    w = n.bit_length() + 1
+    # the reference: shift in each of the n * n prefix sums one at a time,
+    # one byte each
+    w = 8
     key = 0
     for k in range(1, n + 1):
         stat = profile.row_stat(k)
@@ -169,8 +170,8 @@ def _dominance_key_field_by_field(profile, n):
 
 
 def _rects_key_field_by_field(profile, n):
-    # the reference: shift in each rects(k, l), k, l = 1..n, one at a time
-    w = n.bit_length() + 1
+    # the reference: shift in each rects(k, l), k, l = 1..n, one byte each
+    w = 8
     key = 0
     for k in range(1, n + 1):
         for l in range(1, n + 1):
@@ -196,6 +197,12 @@ def test_dominance_key_matches_field_by_field_packing():
         for s in enumerate_shapes(n):
             _check_keys_field_by_field(s)
     _check_keys_field_by_field(SkewShape(()))
+    # size 14, the default size guard: the row, the column and a
+    # disconnected shape
+    for s in (SkewShape((14,)), SkewShape((1,) * 14),
+              direct_sum(parse_shape("432"), parse_shape("32"))):
+        assert s.size == 14
+        _check_keys_field_by_field(s)
 
 
 def test_overlaps_dominated_and_equivalences():

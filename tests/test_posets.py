@@ -249,8 +249,9 @@ def _conjecture_oracle(n, fingerprint):
 
 
 def _pack(profile, n):
-    """A profile's dominance key, shifted in one prefix sum at a time."""
-    w = n.bit_length() + 1
+    """A profile's dominance key, shifted in one byte-wide prefix sum at a
+    time."""
+    w = 8
     key = 0
     for k in range(1, n + 1):
         stat = profile.row_stat(k)
