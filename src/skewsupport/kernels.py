@@ -71,6 +71,56 @@ def _completions(state, step, n, inner, outer, memo):
     return out
 
 
+def descent_support(inner, outer):
+    """The descent sets of the standard fillings, as one int.
+
+    Bit m is set iff some standard filling has descent bitmask m, as keyed
+    by descent_tally; the counts are not kept.  This is descent_tally's
+    transfer with each completion set held as one int (see
+    _support_completions), so merging two sets is an OR.
+    """
+    n = sum(outer) - sum(inner)
+    if n == 0:
+        return 1
+    memo: dict = {}  # local to this call, so nothing outlives it
+    bits = 0
+    for rest in _support_completions(tuple(inner), 0, n, inner, outer,
+                                     memo).values():
+        bits |= rest
+    return bits
+
+
+def _support_completions(state, step, n, inner, outer, memo):
+    """{row of entry step+1: descent sets} over completions of state.
+
+    As _completions, with each {descent bits: count} dict replaced by an
+    int whose bit m says descent bits m occur.  Bit `step` of every mask
+    in a completion set is still clear, so adding the descent at step+1
+    to a whole set adds 1 << step to each mask: a shift by 1 << step.
+    """
+    out = {}
+    shift = 1 << step  # a descent at step+1 is bit `step` of a mask
+    for row in range(len(outer)):
+        col = state[row]
+        if col >= outer[row]:
+            continue
+        if row and col >= inner[row - 1] and state[row - 1] <= col:
+            continue  # the box above exists and is still unfilled
+        if step + 1 == n:
+            out[row] = 1  # the one completion: no descents left
+            continue
+        nxt = state[:row] + (col + 1,) + state[row + 1:]
+        rest = memo.get(nxt)
+        if rest is None:
+            rest = memo[nxt] = _support_completions(nxt, step + 1, n, inner,
+                                                    outer, memo)
+        acc = 0
+        for below, sets in rest.items():
+            acc |= sets << shift if below > row else sets
+        out[row] = acc
+    return out
+
+
 def lr_tally(inner, outer):
     """Tally lattice semistandard fillings by content.
 

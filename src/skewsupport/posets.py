@@ -8,10 +8,13 @@ bigger support corresponds to more dominated overlaps.  The containment
 direction of the correspondence is a proved theorem (checked here as a
 sweep); the dominance-to-containment direction is open, so any reverse
 failure is reported as a discovery rather than an error.  Every sweep reads
-one fingerprint per component key, on shapes.component_keys'
-representatives.  The poset and multiplicity-free sweeps, which list every
-class member, build each shape from its key (shapes.key_shapes);
-verify_conjecture and saturation_check list shapes only on a failure.
+one fingerprint per component key, from the key and its representative
+(shapes.component_keys): support data from the key's Schur expansion,
+composed from its components (tableaux.key_schur_expansion), and overlap
+data from the representative.  The poset and multiplicity-free sweeps,
+which list every class member, build each shape from its key
+(shapes.key_shapes); verify_conjecture and saturation_check list shapes
+only on a failure.
 Every order is a list of bitset rows, built by _containing or _dominated.
 _containing tests each pair of support masks.  _dominated is bit-sliced
 over the fields of the dominance keys (overlaps.profile_keys): one class
@@ -43,8 +46,8 @@ from skewsupport.shapes import (
     scale,
 )
 from skewsupport.tableaux import (
-    f_support_mask,
-    schur_expansion,
+    f_support_mask_of,
+    key_schur_expansion,
     schur_support,
 )
 
@@ -171,24 +174,48 @@ def _key(s: SkewShape) -> int:
     return profile_keys(s.outer, s.inner, s.size)[0]
 
 
-def _mask_and_key(s: SkewShape) -> tuple[int, int]:
-    return f_support_mask(s), _key(s)
+# The fingerprints below take one (key, shape) pair per component key:
+# the key (shapes.component_keys) and its representative shape.  Support
+# data comes from the key's composed Schur expansion, overlap data from
+# the shape.
 
 
-def _mask_and_multfree(s: SkewShape) -> tuple[int, bool]:
+def _mask(keyed) -> int:
+    return f_support_mask_of(key_schur_expansion(keyed[0]))
+
+
+def _nc_key(keyed) -> int:
+    return _key(keyed[1])
+
+
+def _mask_and_key(keyed) -> tuple[int, int]:
+    return _mask(keyed), _nc_key(keyed)
+
+
+def _mask_and_multfree(keyed) -> tuple[int, bool]:
     """F-support mask, and whether no F coefficient exceeds 1.
 
     The coefficients come from relations.packed_f, the Schur route; the
     direct route, tableaux.is_f_multiplicity_free, is what the tests check
     it against.
     """
-    f = packed_f(schur_expansion(s))  # checks the size guard first
+    key, s = keyed
+    schur = key_schur_expansion(key)  # checks the size guard first
     lay = layout(s.size)
-    return f_support_mask(s), key_dominated(f, lay.ones[1], lay.guards[1])
+    free = key_dominated(packed_f(schur), lay.ones[1], lay.guards[1])
+    return f_support_mask_of(schur), free
 
 
-def _mask_and_scaled(s: SkewShape, factor: int) -> tuple[int, int]:
-    return f_support_mask(s), f_support_mask(scale(s, factor))
+def _mask_and_scaled(keyed, factor: int) -> tuple[int, int]:
+    """F-support masks of the key and of the key with each component scaled.
+
+    scale commutes with direct sums, so the scaled key's components are
+    the scaled components.
+    """
+    key = keyed[0]
+    scaled = tuple(tuple((a * factor, b * factor) for a, b in comp)
+                   for comp in key)
+    return _mask(keyed), f_support_mask_of(key_schur_expansion(scaled))
 
 
 def _poset(kind, n, shapes, fingerprints, order) -> ShapeClassPoset:
@@ -207,17 +234,18 @@ def _poset(kind, n, shapes, fingerprints, order) -> ShapeClassPoset:
 def _shape_prints(n: int, fingerprint) -> tuple[list, list]:
     """Every size-n shape, sorted, and the fingerprint of each.
 
-    fingerprint runs once per component key, on its representative.
+    fingerprint runs once per component key, on the pair of the key and
+    its representative.
     """
     keyed = component_keys(_sweep_size(n))
-    rows = fingerprint_all([s for _, s, _ in keyed], fingerprint)
+    rows = fingerprint_all([(key, s) for key, s, _ in keyed], fingerprint)
     shapes, slots = key_shapes(keyed)
     return shapes, [rows[k] for k in slots]
 
 
 def build_suppf(n: int) -> ShapeClassPoset:
     """Classes by equal F-support, ordered by strict support containment."""
-    shapes, masks = _shape_prints(n, f_support_mask)
+    shapes, masks = _shape_prints(n, _mask)
     return _poset("suppf", n, shapes, masks, _containing)
 
 
@@ -227,7 +255,7 @@ def build_nc(n: int) -> ShapeClassPoset:
     A class sits above another when its row statistics are dominated at
     every depth (more spread out means higher).
     """
-    shapes, keys = _shape_prints(n, _key)
+    shapes, keys = _shape_prints(n, _nc_key)
     return _poset("nc", n, shapes, keys, partial(_dominated, n=n))
 
 
@@ -246,7 +274,7 @@ def verify_conjecture(n: int) -> dict:
     """
     keyed = component_keys(_sweep_size(n))
     reps = [s for _, s, _ in keyed]
-    rows = fingerprint_all(reps, _mask_and_key)
+    rows = fingerprint_all([(key, s) for key, s, _ in keyed], _mask_and_key)
     shape_count = sum(count for *_, count in keyed)
     report = _conjecture_report(n, shape_count, reps, rows)
     if report["pass_theorem"] and report["pass_conjecture"]:
@@ -528,7 +556,7 @@ def saturation_check(n: int, factor: int) -> dict:
             f"{limit}"
         )
     keyed = component_keys(_sweep_size(n))
-    rows = fingerprint_all([s for _, s, _ in keyed],
+    rows = fingerprint_all([(key, s) for key, s, _ in keyed],
                            partial(_mask_and_scaled, factor=factor))
     masks, scaled = zip(*rows)
     only_if, if_dir = [], []

@@ -579,14 +579,14 @@ def key_shapes(keyed) -> tuple[list[SkewShape], list[int]]:
     return [s for s, _ in out], [slot for _, slot in out]
 
 
-def fingerprint_all(shapes, fingerprint) -> list:
-    """[fingerprint(s) for s in shapes], over a fork pool if asked.
+def fingerprint_all(items, fingerprint) -> list:
+    """[fingerprint(item) for item in items], over a fork pool if asked.
 
     SKEWSUPPORT_JOBS > 1 maps over a fork pool of that many workers, which
     needs a module-level fingerprint.
     """
     jobs = default_jobs()
     if jobs == 1:
-        return [fingerprint(s) for s in shapes]
+        return [fingerprint(item) for item in items]
     with get_context("fork").Pool(jobs) as pool:
-        return pool.map(fingerprint, shapes)
+        return pool.map(fingerprint, items)

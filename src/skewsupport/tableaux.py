@@ -9,14 +9,23 @@ expansion.  The Schur expansion is computed by two genuinely different
 routes (lattice fillings, and inverting the unitriangular Kostka matrix
 against the monomial expansion) so each can certify the other.
 
+The sweeps read the Schur expansion of a component key (key_schur_expansion):
+each connected component is tallied by lattice fillings once, and the
+components are multiplied through a table of straight products
+c^nu_{lam mu}.  schur_expansion of a whole shape, which relate, expand and
+verify figure6 use, is the per-shape oracle the tests check it against.
+Every lattice-filling tally passes the row/column frame check.
+
 Per-size and per-partition tables are cached; no cache keeps a tally such a
-table summarises.  Each shape-keyed result goes through _guarded_cache, a
-bounded LRU that checks the size guard on every call, hit or miss.
+table summarises.  Each shape-keyed result, and each component's tally,
+goes through _guarded_cache, a bounded LRU that checks the size guard on
+every call, hit or miss.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from math import factorial
+from operator import attrgetter
 
 from skewsupport import kernels
 from skewsupport.config import max_size
@@ -90,27 +99,29 @@ class Expansion:
         }
 
 
-def _check_size(shape: SkewShape) -> None:
+def _check_size(size: int) -> None:
     limit = max_size()
-    if shape.size > limit:
+    if size > limit:
         raise SizeLimitError(
-            f"shape has {shape.size} boxes, over the size limit {limit}"
+            f"shape has {size} boxes, over the size limit {limit}"
         )
 
 
-def _guarded_cache(fn, maxsize=_CACHE_SIZE):
-    """Cache fn per shape, checking the size guard on every call.
+def _guarded_cache(fn, maxsize=_CACHE_SIZE, size=attrgetter("size")):
+    """Cache fn per argument, checking the size guard on every call.
 
     A cache hit must not get round the guard, or whether a call raises
-    would depend on what the process computed before.  The LRU keeps
-    maxsize results; the wrapper keeps its ``cache_info`` and ``cache_clear``.
+    would depend on what the process computed before.  size(arg) is the
+    box count the guard checks; the argument is a shape unless size says
+    otherwise.  The LRU keeps maxsize results; the wrapper keeps its
+    ``cache_info`` and ``cache_clear``.
     """
     cached = lru_cache(maxsize=maxsize)(fn)
 
     @wraps(fn)
-    def guarded(shape: SkewShape):
-        _check_size(shape)
-        return cached(shape)
+    def guarded(arg):
+        _check_size(size(arg))
+        return cached(arg)
 
     guarded.cache_info = cached.cache_info
     guarded.cache_clear = cached.cache_clear
@@ -178,7 +189,7 @@ def enumerate_syt(shape: SkewShape):
     Entries 1..n are placed in increasing order; candidate boxes for the next
     entry are tried top row first, so the stream is deterministic.
     """
-    _check_size(shape)
+    _check_size(shape.size)
     outer, inner = shape.outer, shape.inner_padded
     nrows = len(outer)
     n = shape.size
@@ -253,7 +264,7 @@ def m_expansion(shape: SkewShape) -> Expansion:
 
 def schur_expansion_lr(shape: SkewShape) -> Expansion:
     """Schur expansion by counting lattice semistandard fillings."""
-    _check_size(shape)
+    _check_size(shape.size)
     tally = kernels.lr_tally(shape.inner_padded, shape.outer)
     return Expansion("schur", tally)
 
@@ -353,13 +364,101 @@ def schur_expansion(shape: SkewShape) -> Expansion:
     """
     exp = schur_expansion_lr(shape)
     if shape.size:
-        rows_part = sort_desc(shape.row_lengths())
-        colst = transpose_partition(sort_desc(shape.col_lengths()))
-        if exp[rows_part] != 1 or exp[colst] != 1:
-            raise ConsistencyError(
-                f"Schur expansion of {shape} fails the row/column frame check"
-            )
+        rows = tuple(zip(shape.inner_padded, shape.outer))
+        _check_frame(exp.coeffs, [_frame(rows)], shape)
     return exp
+
+
+def _frame(rows) -> tuple[Partition, Partition]:
+    """Sorted row lengths and sorted column lengths of a diagram given as
+    row intervals (a, b)."""
+    cols = [0] * max(b for _, b in rows)
+    for a, b in rows:
+        for c in range(a, b):
+            cols[c] += 1
+    return sort_desc(b - a for a, b in rows), sort_desc(k for k in cols if k)
+
+
+def _check_frame(coeffs: dict, frames, *what) -> None:
+    """Raise ConsistencyError unless coeffs passes the row/column frame check.
+
+    frames are the _frame of each piece of a diagram, the pieces sharing
+    no column.  The support of the diagram's skew Schur function contains
+    the sorted row lengths and the transpose of the sorted column lengths,
+    both with coefficient 1.  what names the diagram in the message.
+    """
+    rows = sort_desc(n for piece, _ in frames for n in piece)
+    cols = sort_desc(n for _, piece in frames for n in piece)
+    if rows and (coeffs.get(rows) != 1
+                 or coeffs.get(transpose_partition(cols)) != 1):
+        raise ConsistencyError(
+            f"Schur expansion of {' '.join(map(str, what))} fails the "
+            "row/column frame check"
+        )
+
+
+def _rows_size(rows) -> int:
+    return sum(b - a for a, b in rows)
+
+
+@partial(_guarded_cache, size=_rows_size)
+def _component_tally(rows) -> tuple[dict, tuple]:
+    """(lr_tally, _frame) of a connected component given as row intervals."""
+    inner, outer = (tuple(side) for side in zip(*rows))
+    return kernels.lr_tally(inner, outer), _frame(rows)
+
+
+@lru_cache(maxsize=None)
+def _lr_product(top: Partition, bottom: Partition) -> dict:
+    """{nu: c^nu_{top, bottom}}: lr_tally of the straight direct sum.
+
+    s_top * s_bottom is the skew Schur function of top placed above and to
+    the right of bottom (EC2 Sec. 7.10).  The top shape fills one way, so
+    the kernel branches over the bottom one's boxes only; _product puts
+    the larger partition on top.
+    """
+    shift = bottom[0]
+    inner = (shift,) * len(top) + (0,) * len(bottom)
+    outer = tuple(p + shift for p in top) + bottom
+    return kernels.lr_tally(inner, outer)
+
+
+def _product(x: dict, y: dict) -> dict:
+    """The Schur expansion of (sum x[lam] s_lam)(sum y[mu] s_mu).
+
+    x and y are homogeneous, as expansions of shapes are.
+    """
+    if sum(next(iter(x), ())) < sum(next(iter(y), ())):
+        x, y = y, x  # the larger partitions go on top
+    out: dict = {}
+    get = out.get
+    for lam, a in x.items():
+        for mu, b in y.items():
+            ab = a * b
+            for nu, c in _lr_product(lam, mu).items():
+                out[nu] = get(nu, 0) + ab * c
+    return out
+
+
+def key_schur_expansion(key) -> Expansion:
+    """Schur expansion of the shapes of a component key, with a frame check.
+
+    key is a shapes.component_keys key: the tuple of a shape's connected
+    components, each as its row intervals.  s_{A+B} = s_A s_B for a direct
+    sum (EC2 Sec. 7.10), so each component is tallied once, in a bounded
+    LRU keyed by its rows, and the tallies are multiplied through the
+    per-pair table _lr_product.  Equal to schur_expansion of any shape of
+    the key, which the tests use as its oracle.  The frame check runs on
+    every call, hit or miss, so a bad tally a cache holds raises each time.
+    """
+    _check_size(sum(b - a for comp in key for a, b in comp))
+    coeffs, frames = {(): 1}, []
+    for comp in key:
+        tally, frame = _component_tally(comp)
+        coeffs = _product(coeffs, tally) if frames else tally
+        frames.append(frame)
+    _check_frame(coeffs, frames, "component key", key)
+    return Expansion("schur", coeffs)
 
 
 def schur_support(shape: SkewShape) -> frozenset:
@@ -390,22 +489,26 @@ def f_expansion_via_schur(shape: SkewShape) -> Expansion:
 def f_support_mask(shape: SkewShape) -> int:
     """F-support as a bitmask over descent subsets (bit = comp_to_mask(alpha)).
 
-    Uses the Schur route; the union of the straight supports over the Schur
-    support is the skew support because all coefficients involved are
-    nonnegative.
+    Uses the Schur route (f_support_mask_of).
+    """
+    return f_support_mask_of(schur_expansion(shape))
+
+
+def f_support_mask_of(schur: Expansion) -> int:
+    """The F-support mask of sum c_lam s_lam over a Schur expansion.
+
+    The union of the straight supports over the Schur support: every
+    coefficient involved is nonnegative, so nothing cancels.
     """
     out = 0
-    for lam in schur_expansion(shape).support():
+    for lam in schur.coeffs:
         out |= _straight_support_bits(lam)
     return out
 
 
 @lru_cache(maxsize=None)
 def _straight_support_bits(lam: Partition) -> int:
-    bits = 0
-    for mask in _straight_f_masks(lam):
-        bits |= 1 << mask
-    return bits
+    return kernels.descent_support((0,) * len(lam), lam)
 
 
 def f_support_from_mask(bits: int, n: int) -> frozenset:

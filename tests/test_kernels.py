@@ -95,6 +95,16 @@ def test_pure_descent_tally_matches_walk_size8():
     assert len(tally) == 1 << 7  # every descent set occurs
 
 
+def test_descent_support_matches_tally():
+    # bit m set iff some filling has descent bits m, for every straight
+    # and skew shape of size <= 8
+    for n in range(9):
+        for s in enumerate_shapes(n):
+            ip, o = s.inner_padded, s.outer
+            bits = sum(1 << m for m in kernels.descent_tally(ip, o))
+            assert kernels.descent_support(ip, o) == bits, format_shape(s)
+
+
 def test_descent_tally_frozen():
     # single row: one filling, no descents
     assert kernels.descent_tally((0,), (4,)) == {0: 1}

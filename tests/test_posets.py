@@ -7,7 +7,8 @@ from multiprocessing import get_context
 
 import pytest
 
-from skewsupport import posets, relations
+from skewsupport import kernels, posets, relations, tableaux
+from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.errors import (
     InvalidShapeError,
     SizeLimitError,
@@ -276,7 +277,9 @@ def test_verify_conjecture_failures_match_a_per_shape_sweep(monkeypatch):
 
     counts = []
     for fake in (complement_and_first_depth, three_supports):
-        monkeypatch.setattr(posets, "_mask_and_key", fake)
+        # the sweep hands its hook (key, representative) pairs
+        monkeypatch.setattr(posets, "_mask_and_key",
+                            lambda keyed, fake=fake: fake(keyed[1]))
         report = verify_conjecture(n)
         mismatches, forward, reverse = _conjecture_oracle(n, fake)
         assert report["partition_mismatches"] == mismatches
@@ -362,7 +365,7 @@ def _dominated_per_pair(keys, n):
 def _check_dominated_rows(n):
     # the nc classes, and the conjecture sweep's support class
     # representatives, whose keys could repeat on a partition mismatch
-    _, keys = posets._shape_prints(n, posets._key)
+    _, keys = posets._shape_prints(n, posets._nc_key)
     nc = list(dict.fromkeys(keys))
     assert list(build_nc(n).below) == _dominated_per_pair(nc, n)
     assert posets._dominated(nc, n) == _dominated_per_pair(nc, n)
@@ -522,6 +525,23 @@ def test_multfree_counts_n6():
     assert len(report["subposet"].hasse_edges()) == 12
 
 
+def test_multfree_tallies_each_partition_once(monkeypatch):
+    # the support bits come from kernels.descent_support, so only the
+    # packed straight records ask descent_tally, once per partition
+    outers = []
+    tally = kernels.descent_tally
+
+    def spy(inner, outer):
+        outers.append(outer)
+        return tally(inner, outer)
+
+    monkeypatch.setattr(kernels, "descent_tally", spy)
+    tableaux._straight_support_bits.cache_clear()
+    relations._straight_packed.cache_clear()
+    assert multfree_report(10)["pass"]
+    assert len(outers) == len(set(outers)) == 42
+
+
 # --------------------------------------------------------------- saturation
 
 
@@ -549,7 +569,8 @@ def test_saturation_disagreements_match_a_per_shape_sweep(monkeypatch):
     def fake(s, factor):
         return f_support_mask(s), posets._key(s)
 
-    monkeypatch.setattr(posets, "_mask_and_scaled", fake)
+    monkeypatch.setattr(posets, "_mask_and_scaled",
+                        lambda keyed, factor: fake(keyed[1], factor))
     shapes = enumerate_shapes(5)
     lost, gained = [], []
     for a in shapes:
@@ -614,6 +635,16 @@ def test_saturation_memory_is_bounded():
 @pytest.mark.nightly
 def test_nightly_saturation_memory_is_bounded():
     assert _memory_held_after_saturation(7, 2) < 4 << 20
+
+
+@pytest.mark.nightly
+def test_nightly_saturation_n9_scale2(monkeypatch):
+    monkeypatch.setenv(ENV_MAX_SIZE, "18")
+    report = saturation_check(9, 2)
+    assert report["agreement"]
+    assert report["containment_lost_after_scaling"] == []
+    assert report["containment_gained_after_scaling"] == []
+    assert report["schur_regression"]["confirmed"]
 
 
 def test_poset_dataclass_accessors():

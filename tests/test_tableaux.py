@@ -4,12 +4,15 @@ from math import factorial
 
 import pytest
 
+from skewsupport import kernels
 from skewsupport import tableaux as T
 from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.errors import ConsistencyError, InvalidShapeError, SizeLimitError
 from skewsupport.overlaps import dominance_leq
 from skewsupport.shapes import (
+    component_keys,
     enumerate_shapes,
+    format_shape,
     parse_shape,
     partitions_of,
     ribbon_stats,
@@ -387,15 +390,23 @@ def test_schur_frame_check_raises_on_corrupt_route(monkeypatch):
 
 def test_size_guard_holds_on_cache_hits(monkeypatch):
     s = parse_shape("3,1")
-    for cached in (schur_expansion, f_support_mask, T._f_masks):
-        cached(s)
+    rows = ((0, 3), (0, 1))  # the component 3,1 as its row intervals
+    calls = ((schur_expansion, s), (f_support_mask, s), (T._f_masks, s),
+             (T._component_tally, rows))
+    for cached, arg in calls:
+        cached(arg)
         hits = cached.cache_info().hits
-        cached(s)
+        cached(arg)
         assert cached.cache_info().hits == hits + 1
+    # a key is guarded by its total size, even with its components cached
+    T.key_schur_expansion((((0, 1), (0, 1)), ((0, 2),)))
+    monkeypatch.setenv(ENV_MAX_SIZE, "3")
+    with pytest.raises(SizeLimitError):
+        T.key_schur_expansion((((0, 1), (0, 1)), ((0, 2),)))
     monkeypatch.setenv(ENV_MAX_SIZE, "2")
-    for cached in (schur_expansion, f_support_mask, T._f_masks):
+    for cached, arg in calls:
         with pytest.raises(SizeLimitError):
-            cached(s)
+            cached(arg)
 
 
 def test_shape_keyed_caches_share_one_bound():
@@ -403,6 +414,46 @@ def test_shape_keyed_caches_share_one_bound():
     # the straight-shape descent tallies are not cached at all: the
     # per-partition support bits and packed records summarise them
     bounds = {cached.cache_info().maxsize
-              for cached in (schur_expansion, f_support_mask, T._f_masks)}
+              for cached in (schur_expansion, f_support_mask, T._f_masks,
+                             T._component_tally)}
     assert len(bounds) == 1 and None not in bounds
     assert not hasattr(T._straight_f_masks, "cache_info")
+
+
+def test_key_schur_expansion_matches_whole_shape_routes():
+    # composed from the components, it is the Schur expansion of the key's
+    # representative by lattice fillings and, at size <= 7, by Kostka
+    for n in range(1, 10):
+        for key, s, _ in component_keys(n):
+            composed = T.key_schur_expansion(key)
+            assert composed == schur_expansion_lr(s), format_shape(s)
+            if n <= 7:
+                assert composed == schur_expansion_kostka(s), format_shape(s)
+
+
+def test_key_frame_check_raises_on_corrupt_kernel(monkeypatch):
+    # an lr_tally that drops the top term of the straight products, and
+    # then of every tally, must be caught on every call
+    key = next(key for key, *_ in component_keys(6) if len(key) == 3)
+    good = T.key_schur_expansion(key)
+    tally = kernels.lr_tally
+
+    def drop_top(inner, outer):
+        out = tally(inner, outer)
+        out.pop(max(out))
+        return out
+
+    monkeypatch.setattr(kernels, "lr_tally", drop_top)
+    try:
+        T._lr_product.cache_clear()  # the components stay cached, unbroken
+        for _ in range(2):
+            with pytest.raises(ConsistencyError):
+                T.key_schur_expansion(key)
+        T._component_tally.cache_clear()
+        with pytest.raises(ConsistencyError):
+            T.key_schur_expansion(key)
+    finally:
+        T._lr_product.cache_clear()
+        T._component_tally.cache_clear()
+    monkeypatch.setattr(kernels, "lr_tally", tally)
+    assert T.key_schur_expansion(key) == good
