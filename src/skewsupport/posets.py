@@ -15,10 +15,14 @@ data from the representative.  The poset and multiplicity-free sweeps,
 which list every class member, build each shape from its key
 (shapes.key_shapes); verify_conjecture and saturation_check list shapes
 only on a failure.
-Every order is a list of bitset rows, built by _containing or _dominated.
-_containing tests each pair of support masks.  _dominated is bit-sliced
-over the fields of the dominance keys (overlaps.profile_keys): one class
-bitset per field and value, and one AND per non-zero field of a row's key.
+Every order is a list of bitset rows from one builder, _order_rows, which
+is bit-sliced over byte fields: one class bitset per field and value, and
+one AND per non-zero field of a row's fields.  Support data is held as an
+F-support cover (tableaux.f_support_cover), the p(n)-bit set of partitions
+whose straight supports a support contains, so support containment is
+cover containment (_containing: one byte per bit of a cover's complement).
+Overlap dominance reads the bytes of the dominance keys
+(overlaps.profile_keys; _dominated).
 """
 
 from dataclasses import dataclass
@@ -46,7 +50,7 @@ from skewsupport.shapes import (
     scale,
 )
 from skewsupport.tableaux import (
-    f_support_mask_of,
+    f_support_cover,
     key_schur_expansion,
     schur_support,
 )
@@ -129,39 +133,57 @@ def _classes_of(fingerprints) -> dict:
     return groups
 
 
-def _containing(masks) -> list[int]:
-    """Bit j of row i is set iff j != i and masks[i] contains masks[j]."""
-    return [sum(1 << j for j, m in enumerate(masks) if mi | m == mi and j != i)
-            for i, mi in enumerate(masks)]
+def _order_rows(fields) -> list[int]:
+    """Bit j of row i: j != i and fields[j] >= fields[i] at every byte.
+
+    fields are byte strings of one length.  The rows are bit-sliced: per
+    byte position f and value v >= 1, at_least[f][v - 1] is the set of
+    indices whose byte f is at least v, so row i is the AND of those sets
+    over the non-zero bytes of fields[i].
+    """
+    at_least = []
+    for column in zip(*fields):
+        # one byte per index, last index first, read as base-2 digits
+        digits = bytes(column)[::-1]
+        at_least.append([int(digits.translate(_at_least_digits(v)), 2)
+                         for v in range(1, max(column) + 1)])
+    rows = []
+    everyone = (1 << len(fields)) - 1
+    for i, values in enumerate(fields):
+        row = everyone
+        for f, v in enumerate(values):
+            if v:
+                row &= at_least[f][v - 1]
+        rows.append(row ^ 1 << i)
+    return rows
+
+
+_COMPLEMENT_DIGITS = bytes.maketrans(b"01", b"\1\0")
+
+
+def _containing(sets) -> list[int]:
+    """Bit j of row i: j != i and sets[i] contains sets[j].
+
+    sets are non-negative ints read as bitsets.  sets[i] contains sets[j]
+    iff sets[j] lacks every bit sets[i] lacks, so the rows are _order_rows
+    over one 0/1 byte per bit of each set's complement.
+    """
+    width = max(sets, default=0).bit_length()
+    return _order_rows([format(s, f"0{width}b").encode()
+                        .translate(_COMPLEMENT_DIGITS) for s in sets])
 
 
 def _dominated(keys, n: int) -> list[int]:
     """Bit j of row i: keys[i] != keys[j] and keys[j] dominates keys[i].
 
-    keys are size-n profile_keys, one byte per field.  The rows are
-    bit-sliced: per key field f and value v >= 1, at_least[f][v - 1] is the
-    set of classes whose field f is at least v, so the classes dominating
-    keys[i] are the AND of those sets over the non-zero fields of keys[i].
+    keys are size-n profile_keys, one byte per field, so dominance is
+    _order_rows over their bytes, less the other copies of each key.
     """
-    fields = [k.to_bytes(n * n, "big") for k in keys]
-    at_least = []
-    for column in zip(*fields):
-        # one byte per class, last class first, read as base-2 digits
-        digits = bytes(column)[::-1]
-        at_least.append([int(digits.translate(_at_least_digits(v)), 2)
-                         for v in range(1, max(column) + 1)])
-    equal: dict = {}
+    copies: dict = {}
     for j, k in enumerate(keys):
-        equal[k] = equal.get(k, 0) | 1 << j
-    rows = []
-    everyone = (1 << len(keys)) - 1
-    for k, values in zip(keys, fields):
-        row = everyone
-        for f, v in enumerate(values):
-            if v:
-                row &= at_least[f][v - 1]
-        rows.append(row & ~equal[k])
-    return rows
+        copies[k] = copies.get(k, 0) | 1 << j
+    rows = _order_rows([k.to_bytes(n * n, "big") for k in keys])
+    return [row & ~copies[k] for row, k in zip(rows, keys)]
 
 
 @lru_cache(maxsize=None)
@@ -176,12 +198,12 @@ def _key(s: SkewShape) -> int:
 
 # The fingerprints below take one (key, shape) pair per component key:
 # the key (shapes.component_keys) and its representative shape.  Support
-# data comes from the key's composed Schur expansion, overlap data from
-# the shape.
+# data comes from the key's composed Schur expansion, as its F-support
+# cover (tableaux.f_support_cover), overlap data from the shape.
 
 
 def _mask(keyed) -> int:
-    return f_support_mask_of(key_schur_expansion(keyed[0]))
+    return f_support_cover(key_schur_expansion(keyed[0]))
 
 
 def _nc_key(keyed) -> int:
@@ -193,7 +215,7 @@ def _mask_and_key(keyed) -> tuple[int, int]:
 
 
 def _mask_and_multfree(keyed) -> tuple[int, bool]:
-    """F-support mask, and whether no F coefficient exceeds 1.
+    """F-support cover, and whether no F coefficient exceeds 1.
 
     The coefficients come from relations.packed_f, the Schur route; the
     direct route, tableaux.is_f_multiplicity_free, is what the tests check
@@ -203,11 +225,11 @@ def _mask_and_multfree(keyed) -> tuple[int, bool]:
     schur = key_schur_expansion(key)  # checks the size guard first
     lay = layout(s.size)
     free = key_dominated(packed_f(schur), lay.ones[1], lay.guards[1])
-    return f_support_mask_of(schur), free
+    return f_support_cover(schur), free
 
 
 def _mask_and_scaled(keyed, factor: int) -> tuple[int, int]:
-    """F-support masks of the key and of the key with each component scaled.
+    """F-support covers of the key and of the key with each component scaled.
 
     scale commutes with direct sums, so the scaled key's components are
     the scaled components.
@@ -215,13 +237,14 @@ def _mask_and_scaled(keyed, factor: int) -> tuple[int, int]:
     key = keyed[0]
     scaled = tuple(tuple((a * factor, b * factor) for a, b in comp)
                    for comp in key)
-    return _mask(keyed), f_support_mask_of(key_schur_expansion(scaled))
+    return _mask(keyed), f_support_cover(key_schur_expansion(scaled))
 
 
 def _poset(kind, n, shapes, fingerprints, order) -> ShapeClassPoset:
     """Classes of equal fingerprint, ordered by the rows order builds.
 
-    order (_containing or _dominated) gets one fingerprint per class.
+    order gets one fingerprint per class: _containing takes F-support
+    covers, _dominated dominance keys; both build rows with _order_rows.
     shapes are sorted, so each class is sorted and the classes, in
     first-seen order, come out ordered by their least members.
     """
@@ -245,8 +268,8 @@ def _shape_prints(n: int, fingerprint) -> tuple[list, list]:
 
 def build_suppf(n: int) -> ShapeClassPoset:
     """Classes by equal F-support, ordered by strict support containment."""
-    shapes, masks = _shape_prints(n, _mask)
-    return _poset("suppf", n, shapes, masks, _containing)
+    shapes, covers = _shape_prints(n, _mask)
+    return _poset("suppf", n, shapes, covers, _containing)
 
 
 def build_nc(n: int) -> ShapeClassPoset:
@@ -284,20 +307,20 @@ def verify_conjecture(n: int) -> dict:
 
 
 def _conjecture_report(n, shape_count, shapes, prints) -> dict:
-    """verify_conjecture's report on shapes and their (mask, key) prints.
+    """verify_conjecture's report on shapes and their (cover, key) prints.
 
     Given every shape, sorted, it names each class by its least shape.
     Given one shape per component key, it has the same counts and pass
     flags, so it is the same report whenever both flags pass.
     """
-    masks, keys = zip(*prints)
-    by_mask = _classes_of(masks)
+    covers, keys = zip(*prints)
+    by_cover = _classes_of(covers)
     by_key = _classes_of(keys)
 
     partition_mismatches = []
     for groups, other_side, kind in (
-        (by_mask, keys, "equal_support_different_profile"),
-        (by_key, masks, "equal_profile_different_support"),
+        (by_cover, keys, "equal_support_different_profile"),
+        (by_key, covers, "equal_profile_different_support"),
     ):
         for first, *rest in groups.values():
             for other in rest:
@@ -311,9 +334,9 @@ def _conjecture_report(n, shape_count, shapes, prints) -> dict:
                     )
 
     # shapes are sorted, so the first index of a class is its least shape
-    reps = [members[0] for members in by_mask.values()]
+    reps = [members[0] for members in by_cover.values()]
     names = [format_shape(shapes[i]) for i in reps]
-    contains = _containing([masks[i] for i in reps])
+    contains = _containing([covers[i] for i in reps])
     dominated = _dominated([keys[i] for i in reps], n)
     rows = list(enumerate(zip(contains, dominated)))
     forward = [{"a": names[x], "b": names[y]}
@@ -325,7 +348,7 @@ def _conjecture_report(n, shape_count, shapes, prints) -> dict:
         # a fixed field, kept so reports stay byte-identical to older ones
         "shard": {"index": 1, "count": 1},
         "shape_count": shape_count,
-        "class_count_suppf": len(by_mask),
+        "class_count_suppf": len(by_cover),
         "class_count_nc": len(by_key),
         "pairs_checked": len(reps) * (len(reps) - 1),
         "partition_mismatches": partition_mismatches,
@@ -449,7 +472,7 @@ def multfree_report(n: int) -> dict:
     shapes, prints = _shape_prints(n, _mask_and_multfree)
     classification_mismatches = []
     free, classified = set(), []
-    for s, (mask, free_f) in zip(shapes, prints):
+    for s, (cover, free_f) in zip(shapes, prints):
         tag = multfree_classify(s)
         if (tag is not None) != free_f:
             classification_mismatches.append(
@@ -462,13 +485,15 @@ def multfree_report(n: int) -> dict:
         if free_f:
             free.add(s)
             if tag is not None:
-                classified.append((s, tag, mask))
+                classified.append((s, tag, cover))
     # the rules only speak of classified shapes; the rest are listed above
     comparability_mismatches = []
-    for a, ta, ma in classified:
-        for b, tb, mb in classified:
+    contains = _containing([cover for *_, cover in classified])
+    for x, ((a, ta, _), row) in enumerate(zip(classified, contains)):
+        row |= 1 << x  # each support contains itself
+        for y, (b, tb, _) in enumerate(classified):
             predicted = _comparable(ta, tb, n)
-            actual = ma | mb == ma
+            actual = bool(row >> y & 1)
             if predicted != actual:
                 comparability_mismatches.append(
                     {
@@ -479,8 +504,8 @@ def multfree_report(n: int) -> dict:
                     }
                 )
     # the subposet: every class holding a multiplicity-free shape
-    free_masks = {mask for mask, free_f in prints if free_f}
-    kept = [i for i, (mask, _) in enumerate(prints) if mask in free_masks]
+    free_covers = {cover for cover, free_f in prints if free_f}
+    kept = [i for i, (cover, _) in enumerate(prints) if cover in free_covers]
     sub = _poset("suppf", n, [shapes[i] for i in kept],
                  [prints[i][0] for i in kept], _containing)
     impure = [
@@ -558,10 +583,10 @@ def saturation_check(n: int, factor: int) -> dict:
     keyed = component_keys(_sweep_size(n))
     rows = fingerprint_all([(key, s) for key, s, _ in keyed],
                            partial(_mask_and_scaled, factor=factor))
-    masks, scaled = zip(*rows)
+    covers, scaled = zip(*rows)
     only_if, if_dir = [], []
     flips = {}  # key pair -> the list its shape pairs go to
-    for x, (b, a) in enumerate(zip(_containing(masks), _containing(scaled))):
+    for x, (b, a) in enumerate(zip(_containing(covers), _containing(scaled))):
         flips.update(((x, y), only_if) for y in _bit_indices(b & ~a))
         flips.update(((x, y), if_dir) for y in _bit_indices(a & ~b))
     if flips:

@@ -14,7 +14,10 @@ each connected component is tallied by lattice fillings once, and the
 components are multiplied through a table of straight products
 c^nu_{lam mu}.  schur_expansion of a whole shape, which relate, expand and
 verify figure6 use, is the per-shape oracle the tests check it against.
-Every lattice-filling tally passes the row/column frame check.
+Every lattice-filling tally passes the row/column frame check.  The sweeps
+hold an F-support as its cover (f_support_cover): the partitions of n whose
+straight F-supports it contains, p(n) bits that order and group shapes as
+the 2^(n-1)-bit support masks do.
 
 Per-size and per-partition tables are cached; no cache keeps a tally such a
 table summarises.  Each shape-keyed result, and each component's tally,
@@ -489,7 +492,9 @@ def f_expansion_via_schur(shape: SkewShape) -> Expansion:
 def f_support_mask(shape: SkewShape) -> int:
     """F-support as a bitmask over descent subsets (bit = comp_to_mask(alpha)).
 
-    Uses the Schur route (f_support_mask_of).
+    Uses the Schur route (f_support_mask_of).  No sweep calls it; the
+    tests use it as the per-shape support.  It keeps its LRU because the
+    traced benchmark reads this cache's counters for its hit ratio.
     """
     return f_support_mask_of(schur_expansion(shape))
 
@@ -504,6 +509,30 @@ def f_support_mask_of(schur: Expansion) -> int:
     for lam in schur.coeffs:
         out |= _straight_support_bits(lam)
     return out
+
+
+def f_support_cover(schur: Expansion) -> int:
+    """The partitions lam whose straight F-support lies in that of schur.
+
+    Bit i stands for partitions_of(n)[i].  s_lam is the sum of F over the
+    standard fillings of lam (EC2 Sec. 7.19) and no coefficient is
+    negative, so the F-support of sum c_lam s_lam is the union of the
+    straight supports over its Schur support, and so over its cover too.
+    Hence one F-support contains another iff its cover contains the
+    other's, and equal covers mean equal supports: the cover is the
+    F-support in p(n) bits rather than 2^(n-1).
+    """
+    mask = f_support_mask_of(schur)
+    n = sum(next(iter(schur.coeffs), ()))
+    return sum(1 << i for i, bits in enumerate(_straight_supports(n))
+               if bits | mask == mask)
+
+
+@lru_cache(maxsize=None)
+def _straight_supports(n: int) -> tuple[int, ...]:
+    """_straight_support_bits of each partition of n, as partitions_of
+    lists them."""
+    return tuple(map(_straight_support_bits, partitions_of(n)))
 
 
 @lru_cache(maxsize=None)

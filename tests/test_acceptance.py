@@ -303,7 +303,8 @@ def test_nightly_figure6_sweep(n, pairs):
 
 
 @pytest.mark.longrun
-@pytest.mark.parametrize("n, classes", [(11, 1916), (12, 3695), (13, 6872)])
+@pytest.mark.parametrize("n, classes",
+                         [(11, 1916), (12, 3695), (13, 6872), (14, 12905)])
 def test_longrun_sweep(n, classes):
     report = verify_conjecture(n)
     assert report["pass_theorem"] is True

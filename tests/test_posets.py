@@ -1,8 +1,9 @@
 import gc
+import random
 import sys
 import tracemalloc
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 from multiprocessing import get_context
 
 import pytest
@@ -42,6 +43,7 @@ from skewsupport.shapes import (
     format_shape,
     key_shapes,
     parse_shape,
+    partitions_of,
     scale,
     straight,
 )
@@ -345,14 +347,87 @@ def test_component_key():
     assert counts == [1, 3, 6, 16, 34, 87, 198, 493]
 
 
+def _fillings_support(s: SkewShape) -> int:
+    """s's F-support mask from the descent sets of its standard fillings."""
+    return kernels.descent_support(s.inner_padded, s.outer)
+
+
+@lru_cache(maxsize=None)
+def _straight_supports(n: int) -> tuple:
+    return tuple(_fillings_support(straight(lam)) for lam in partitions_of(n))
+
+
+def _cover_per_shape(s: SkewShape) -> int:
+    """s's F-support cover, read from standard fillings, not from Schur.
+
+    Bit i is set iff every descent set of the straight shape
+    partitions_of(n)[i] is one of s's.
+    """
+    mask = _fillings_support(s)
+    return sum(1 << i for i, bits in enumerate(_straight_supports(s.size))
+               if bits | mask == mask)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_fingerprints_match_per_shape(jobs, set_jobs):
     set_jobs(jobs)
     for n in range(1, 8):
         prints = posets._shape_prints(n, posets._mask_and_key)
-        for s, (mask, key) in zip(*prints):
-            assert mask == f_support_mask(s), format_shape(s)
+        for s, (cover, key) in zip(*prints):
+            assert cover == _cover_per_shape(s), format_shape(s)
             assert key == _pack(OverlapProfile.of(s), n)
+
+
+def test_cover_containment_is_support_containment():
+    # equal covers group shapes as equal support masks do, and one
+    # class's cover contains another's iff its support mask does
+    for n in range(1, 9):
+        shapes, prints = posets._shape_prints(n, posets._mask_and_key)
+        masks = [f_support_mask(s) for s in shapes]
+        classes = list(posets._classes_of([c for c, _ in prints]).values())
+        assert list(posets._classes_of(masks).values()) == classes
+        reps = [(prints[m[0]][0], masks[m[0]]) for m in classes]
+        for ci, mi in reps:
+            for cj, mj in reps:
+                assert (ci | cj == ci) == (mi | mj == mi)
+
+
+def _containing_per_pair(sets):
+    """The reference containment rows: one subset test per pair."""
+    return [sum(1 << j for j, m in enumerate(sets) if mi | m == mi and j != i)
+            for i, mi in enumerate(sets)]
+
+
+def _check_containing_rows(n):
+    # the conjecture sweep's support class covers, and the same classes'
+    # support masks
+    shapes, prints = posets._shape_prints(n, posets._mask_and_key)
+    classes = posets._classes_of([cover for cover, _ in prints]).values()
+    covers = [prints[m[0]][0] for m in classes]
+    assert list(build_suppf(n).below) == _containing_per_pair(covers)
+    assert posets._containing(covers) == _containing_per_pair(covers)
+    masks = [f_support_mask(shapes[m[0]]) for m in classes]
+    assert posets._containing(masks) == _containing_per_pair(masks)
+
+
+def test_containing_rows_match_per_pair_tests():
+    for n in range(1, 9):
+        _check_containing_rows(n)
+
+
+@pytest.mark.nightly
+def test_nightly_containing_rows_match_per_pair_tests():
+    _check_containing_rows(10)
+
+
+def test_containing_rows_on_raw_sets():
+    # any non-negative ints, repeats included: a copy of a set contains it
+    rng = random.Random(22)
+    cases = [[], [0], [0, 0, 0], [5, 0, 5, 7, 2, 1 << 70, (1 << 71) - 1]]
+    cases += [[rng.getrandbits(rng.choice((3, 9, 80))) for _ in range(40)]
+              for _ in range(20)]
+    for sets in cases:
+        assert posets._containing(sets) == _containing_per_pair(sets)
 
 
 def _dominated_per_pair(keys, n):
@@ -405,13 +480,13 @@ def test_multfree_and_saturation_fingerprints_match_per_shape(jobs, set_jobs):
     for n in range(1, 8):
         prints = posets._shape_prints(n, posets._mask_and_multfree)
         for s, row in zip(*prints):
-            assert row == (f_support_mask(s),
+            assert row == (_cover_per_shape(s),
                            is_f_multiplicity_free(s)), format_shape(s)
     fingerprint = partial(posets._mask_and_scaled, factor=2)
     for n in range(1, 7):
         for s, row in zip(*posets._shape_prints(n, fingerprint)):
-            assert row == (f_support_mask(s),
-                           f_support_mask(scale(s, 2))), format_shape(s)
+            assert row == (_cover_per_shape(s),
+                           _cover_per_shape(scale(s, 2))), format_shape(s)
 
 
 # ------------------------------------------------------ multiplicity-free
