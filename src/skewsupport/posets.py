@@ -43,7 +43,6 @@ from skewsupport.shapes import (
     check_same_size,
     component_keys,
     direct_sum,
-    fingerprint_all,
     format_shape,
     key_shapes,
     parse_shape,
@@ -196,48 +195,46 @@ def _key(s: SkewShape) -> int:
     return profile_keys(s.outer, s.inner, s.size)[0]
 
 
-# The fingerprints below take one (key, shape) pair per component key:
-# the key (shapes.component_keys) and its representative shape.  Support
+# The fingerprints below take, per component key, the key
+# (shapes.component_keys) and its representative shape.  Support
 # data comes from the key's composed Schur expansion, as its F-support
 # cover (tableaux.f_support_cover), overlap data from the shape.
 
 
-def _mask(keyed) -> int:
-    return f_support_cover(key_schur_expansion(keyed[0]))
+def _mask(key, s) -> int:
+    return f_support_cover(key_schur_expansion(key))
 
 
-def _nc_key(keyed) -> int:
-    return _key(keyed[1])
+def _nc_key(key, s) -> int:
+    return _key(s)
 
 
-def _mask_and_key(keyed) -> tuple[int, int]:
-    return _mask(keyed), _nc_key(keyed)
+def _mask_and_key(key, s) -> tuple[int, int]:
+    return _mask(key, s), _key(s)
 
 
-def _mask_and_multfree(keyed) -> tuple[int, bool]:
+def _mask_and_multfree(key, s) -> tuple[int, bool]:
     """F-support cover, and whether no F coefficient exceeds 1.
 
     The coefficients come from relations.packed_f, the Schur route; the
     direct route, tableaux.is_f_multiplicity_free, is what the tests check
     it against.
     """
-    key, s = keyed
     schur = key_schur_expansion(key)  # checks the size guard first
     lay = layout(s.size)
     free = key_dominated(packed_f(schur), lay.ones[1], lay.guards[1])
     return f_support_cover(schur), free
 
 
-def _mask_and_scaled(keyed, factor: int) -> tuple[int, int]:
+def _mask_and_scaled(key, s, factor: int) -> tuple[int, int]:
     """F-support covers of the key and of the key with each component scaled.
 
     scale commutes with direct sums, so the scaled key's components are
     the scaled components.
     """
-    key = keyed[0]
     scaled = tuple(tuple((a * factor, b * factor) for a, b in comp)
                    for comp in key)
-    return _mask(keyed), f_support_cover(key_schur_expansion(scaled))
+    return _mask(key, s), f_support_cover(key_schur_expansion(scaled))
 
 
 def _poset(kind, n, shapes, fingerprints, order) -> ShapeClassPoset:
@@ -257,11 +254,11 @@ def _poset(kind, n, shapes, fingerprints, order) -> ShapeClassPoset:
 def _shape_prints(n: int, fingerprint) -> tuple[list, list]:
     """Every size-n shape, sorted, and the fingerprint of each.
 
-    fingerprint runs once per component key, on the pair of the key and
-    its representative.
+    fingerprint runs once per component key, on the key and its
+    representative.
     """
     keyed = component_keys(_sweep_size(n))
-    rows = fingerprint_all([(key, s) for key, s, _ in keyed], fingerprint)
+    rows = [fingerprint(key, s) for key, s, _ in keyed]
     shapes, slots = key_shapes(keyed)
     return shapes, [rows[k] for k in slots]
 
@@ -297,7 +294,7 @@ def verify_conjecture(n: int) -> dict:
     """
     keyed = component_keys(_sweep_size(n))
     reps = [s for _, s, _ in keyed]
-    rows = fingerprint_all([(key, s) for key, s, _ in keyed], _mask_and_key)
+    rows = [_mask_and_key(key, s) for key, s, _ in keyed]
     shape_count = sum(count for *_, count in keyed)
     report = _conjecture_report(n, shape_count, reps, rows)
     if report["pass_theorem"] and report["pass_conjecture"]:
@@ -581,8 +578,7 @@ def saturation_check(n: int, factor: int) -> dict:
             f"{limit}"
         )
     keyed = component_keys(_sweep_size(n))
-    rows = fingerprint_all([(key, s) for key, s, _ in keyed],
-                           partial(_mask_and_scaled, factor=factor))
+    rows = [_mask_and_scaled(key, s, factor) for key, s, _ in keyed]
     covers, scaled = zip(*rows)
     only_if, if_dir = [], []
     flips = {}  # key pair -> the list its shape pairs go to

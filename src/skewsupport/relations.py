@@ -35,7 +35,6 @@ from skewsupport.shapes import (
     comp_to_mask,
     component_keys,
     distinct_permutations,
-    fingerprint_all,
     format_shape,
     key_shapes,
     parse_shape,
@@ -133,10 +132,6 @@ class Layout:
     guards: tuple  # guard bits, per basis and then per dominance key
     bias: int  # the bias in every D field
     zeta: tuple  # per bit b < n - 1: the whole fields whose index lacks b
-
-    def __reduce__(self):
-        # a record sent back from a pool worker shares its size's layout
-        return layout, (self.n,)
 
 
 def _repeat(pattern: bytes, count: int) -> int:
@@ -331,11 +326,9 @@ def verify_implications(n: int) -> dict:
     # listing size n first checks n before any record is built
     largest = component_keys(_sweep_size(n))
     by_size = [component_keys(size) for size in range(1, n)] + [largest]
-    records = iter(fingerprint_all(
-        [s for same in by_size for _, s, _ in same], record))
     violations = []
     for keyed in by_size:  # arrows only pair shapes of one size
-        rows = [next(records) for _ in keyed]
+        rows = [record(s) for _, s, _ in keyed]
         broken = {}
         for (x, ra), (y, rb) in permutations(enumerate(rows), 2):
             arrows = check_implications(compare(ra, rb))

@@ -18,10 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby, product
 from math import factorial
-from multiprocessing import get_context
 from operator import attrgetter, ge, le, lt
 
-from skewsupport.config import default_jobs, max_size
+from skewsupport.config import max_size
 from skewsupport.errors import (
     InvalidArgumentError,
     InvalidShapeError,
@@ -578,15 +577,3 @@ def key_shapes(keyed) -> tuple[list[SkewShape], list[int]]:
     out.sort(key=lambda pair: (pair[0].outer, pair[0].inner))
     return [s for s, _ in out], [slot for _, slot in out]
 
-
-def fingerprint_all(items, fingerprint) -> list:
-    """[fingerprint(item) for item in items], over a fork pool if asked.
-
-    SKEWSUPPORT_JOBS > 1 maps over a fork pool of that many workers, which
-    needs a module-level fingerprint.
-    """
-    jobs = default_jobs()
-    if jobs == 1:
-        return [fingerprint(item) for item in items]
-    with get_context("fork").Pool(jobs) as pool:
-        return pool.map(fingerprint, items)

@@ -12,8 +12,9 @@ against the monomial expansion) so each can certify the other.
 The sweeps read the Schur expansion of a component key (key_schur_expansion):
 each connected component is tallied by lattice fillings once, and the
 components are multiplied through a table of straight products
-c^nu_{lam mu}.  schur_expansion of a whole shape, which relate, expand and
-verify figure6 use, is the per-shape oracle the tests check it against.
+c^nu_{lam mu}.  relate, expand and verify figure6 use schur_expansion of
+the whole shape instead.  The tests check the composed expansion against
+both whole-shape routes, schur_expansion_lr and schur_expansion_kostka.
 Every lattice-filling tally passes the row/column frame check.  The sweeps
 hold an F-support as its cover (f_support_cover): the partitions of n whose
 straight F-supports it contains, p(n) bits that order and group shapes as
@@ -450,9 +451,11 @@ def key_schur_expansion(key) -> Expansion:
     components, each as its row intervals.  s_{A+B} = s_A s_B for a direct
     sum (EC2 Sec. 7.10), so each component is tallied once, in a bounded
     LRU keyed by its rows, and the tallies are multiplied through the
-    per-pair table _lr_product.  Equal to schur_expansion of any shape of
-    the key, which the tests use as its oracle.  The frame check runs on
-    every call, hit or miss, so a bad tally a cache holds raises each time.
+    per-pair table _lr_product.  Equal to the Schur expansion of any shape
+    of the key; the tests check it against schur_expansion_lr and
+    schur_expansion_kostka of the key's representative.  The frame check
+    runs on every call, hit or miss, so a bad tally a cache holds raises
+    each time.
     """
     _check_size(sum(b - a for comp in key for a, b in comp))
     coeffs, frames = {(): 1}, []

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 import skewsupport
-from skewsupport import config
 from skewsupport.shapes import enumerate_shapes
 
 try:
@@ -54,25 +53,13 @@ if HAVE_HYPOTHESIS:
 def _no_caller_settings():
     """Run every test without the caller's ``SKEWSUPPORT_*`` variables.
 
-    Tests set the ones they need themselves, so an exported size guard or
-    worker count cannot change what the suite checks.
+    Tests set the ones they need themselves, so an exported size guard
+    cannot change what the suite checks.
     """
     with pytest.MonkeyPatch.context() as mp:
         for name in [k for k in os.environ if k.startswith("SKEWSUPPORT_")]:
             mp.delenv(name)
         yield
-
-
-@pytest.fixture
-def set_jobs(monkeypatch):
-    """Set ``SKEWSUPPORT_JOBS`` for one test, whatever the host's CPU count."""
-    cpus = os.cpu_count() or 1
-
-    def set_(jobs: int):
-        monkeypatch.setattr(os, "cpu_count", lambda: max(cpus, jobs))
-        monkeypatch.setenv(config.ENV_JOBS, str(jobs))
-
-    return set_
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,8 @@
 import hashlib
 import importlib.util
 import json
-import os
 import subprocess
 import sys
-from multiprocessing import get_context
 from pathlib import Path
 
 import pytest
@@ -17,8 +15,7 @@ from skewsupport.cli import (
     main,
 )
 from skewsupport import overlaps, shapes
-from skewsupport.config import ENV_JOBS, ENV_MAX_SIZE, default_jobs
-from skewsupport.errors import InvalidArgumentError
+from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.overlaps import overlap_rows
 
 
@@ -312,22 +309,9 @@ def test_usage_errors(capsys, monkeypatch):
         ["--max-size", "0", "shapes", "--n", "2"],
     ):
         _assert_one_line_error(capsys, argv)
-    for name, value in (
-        (ENV_MAX_SIZE, "many"),
-        (ENV_JOBS, "many"),
-        (ENV_JOBS, "0"),
-        (ENV_JOBS, str((os.cpu_count() or 1) + 1)),
-    ):
-        monkeypatch.setenv(name, value)
-        _assert_one_line_error(
-            capsys, ["verify", "conjecture", "--n", "3"]
-        )
-        monkeypatch.delenv(name)
-    # a huge worker count is refused before any pool could start
-    monkeypatch.setenv(ENV_JOBS, "10000")
-    with pytest.raises(InvalidArgumentError):
-        default_jobs()
-    monkeypatch.delenv(ENV_JOBS)
+    monkeypatch.setenv(ENV_MAX_SIZE, "many")
+    _assert_one_line_error(capsys, ["verify", "conjecture", "--n", "3"])
+    monkeypatch.delenv(ENV_MAX_SIZE)
     # saturation's fixed Schur regression doubles a 6-box pair, so it needs
     # a guard of 12 whatever --n is, and says so before sweeping
     monkeypatch.setenv(ENV_MAX_SIZE, "4")
@@ -357,29 +341,16 @@ def _assert_one_line_error(capsys, argv):
     return err
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "conjecture", "--n", "6"],
-    ["verify", "figure6", "--n", "5"],
-    ["poset", "--n", "6"],
-    ["poset", "--n", "6", "--which", "nc", "--format", "dot"],
-    ["multfree", "--n", "6"],
-    ["saturation", "--n", "4", "--scale", "2"],
-])
-def test_every_sweep_reads_the_worker_setting(argv, capsys, monkeypatch,
-                                              set_jobs):
-    pools = []
-
-    def counting_context(method):
-        pools.append(method)
-        return get_context(method)
-
-    monkeypatch.setattr(shapes, "get_context", counting_context)
-    set_jobs(2)
-    pooled = run_cli(capsys, *argv)
-    assert pools == ["fork"]
-    set_jobs(1)
-    assert run_cli(capsys, *argv) == pooled
-    assert pools == ["fork"]
+def test_a_worker_count_in_the_environment_changes_nothing(capsys,
+                                                           monkeypatch):
+    # sweeps fingerprint serially; a SKEWSUPPORT_JOBS left in the
+    # environment, valid or not, is ignored
+    argvs = (["verify", "conjecture", "--n", "5"], ["poset", "--n", "5"])
+    plain = [run_cli(capsys, *argv) for argv in argvs]
+    assert all(code == EXIT_OK for code, *_ in plain)
+    for value in ("many", "0", "2"):
+        monkeypatch.setenv("SKEWSUPPORT_JOBS", value)
+        assert [run_cli(capsys, *argv) for argv in argvs] == plain, value
 
 
 def test_max_size_override_and_restore(capsys):
@@ -409,6 +380,19 @@ def test_console_script_runs(child_env):
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "3"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded(child_env):
+    # sweeps run in the calling process; no pool module is loaded at start
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, skewsupport.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_discovery_and_theorem_exit_mapping(monkeypatch, capsys):

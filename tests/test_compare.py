@@ -16,7 +16,6 @@ from skewsupport.relations import (
 from skewsupport.shapes import (
     component_keys,
     enumerate_shapes,
-    fingerprint_all,
     format_shape,
     key_shapes,
     mask_to_comp,
@@ -256,16 +255,6 @@ def test_records_and_multfree_tally_descents_of_straight_shapes_only(
     assert posets.multfree_report(6)["pass"]
     assert inners  # each straight shape's tally was asked for
     assert all(not any(inner) for inner in inners)
-
-
-def test_records_from_a_pool_share_the_layout(set_jobs):
-    # a worker's record comes back pickled; it must point at this process's
-    # layout of its size, not carry a copy of it
-    set_jobs(2)
-    shapes = enumerate_shapes(5)
-    records = fingerprint_all(shapes, record)
-    assert all(r.layout is relations.layout(5) for r in records)
-    assert records == [record(s) for s in shapes]
 
 
 def test_verify_implications_records_once_per_key(monkeypatch):

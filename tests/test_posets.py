@@ -4,7 +4,6 @@ import sys
 import tracemalloc
 from collections import Counter
 from functools import lru_cache, partial
-from multiprocessing import get_context
 
 import pytest
 
@@ -167,43 +166,6 @@ def test_verify_conjecture_small():
     assert report["partition_mismatches"] == []
 
 
-def test_verify_conjecture_parallel_fingerprints_match(monkeypatch, set_jobs):
-    pools = []
-
-    def counting_context(method):
-        pools.append(method)
-        return get_context(method)
-
-    monkeypatch.setattr(shapes_module, "get_context", counting_context)
-    for n in (5, 6):
-        # pooled first, so the serial run does not find the workers' results
-        # in this process's caches
-        set_jobs(2)
-        parallel = verify_conjecture(n)
-        set_jobs(1)
-        assert verify_conjecture(n) == parallel
-    # one pool per pooled sweep, none for the serial ones
-    assert pools == ["fork", "fork"]
-
-
-def test_listing_sweeps_open_one_pool(monkeypatch, set_jobs):
-    # the poset and multiplicity-free sweeps fingerprint every key in one
-    # pool and give what the serial sweep gives
-    pools = []
-
-    def counting_context(method):
-        pools.append(method)
-        return get_context(method)
-
-    monkeypatch.setattr(shapes_module, "get_context", counting_context)
-    sweeps = (build_suppf, build_nc, multfree_report)
-    set_jobs(2)
-    parallel = [sweep(5) for sweep in sweeps]
-    set_jobs(1)
-    assert [sweep(5) for sweep in sweeps] == parallel
-    assert pools == ["fork"] * len(sweeps)
-
-
 def test_passing_key_sweeps_list_no_shapes(monkeypatch):
     # verify_conjecture, verify_implications and saturation_check fingerprint
     # component_keys' representatives; only a failure lists the shapes
@@ -279,9 +241,9 @@ def test_verify_conjecture_failures_match_a_per_shape_sweep(monkeypatch):
 
     counts = []
     for fake in (complement_and_first_depth, three_supports):
-        # the sweep hands its hook (key, representative) pairs
+        # the sweep hands its hook each key and its representative
         monkeypatch.setattr(posets, "_mask_and_key",
-                            lambda keyed, fake=fake: fake(keyed[1]))
+                            lambda key, s, fake=fake: fake(s))
         report = verify_conjecture(n)
         mismatches, forward, reverse = _conjecture_oracle(n, fake)
         assert report["partition_mismatches"] == mismatches
@@ -368,9 +330,7 @@ def _cover_per_shape(s: SkewShape) -> int:
                if bits | mask == mask)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_fingerprints_match_per_shape(jobs, set_jobs):
-    set_jobs(jobs)
+def test_fingerprints_match_per_shape():
     for n in range(1, 8):
         prints = posets._shape_prints(n, posets._mask_and_key)
         for s, (cover, key) in zip(*prints):
@@ -474,9 +434,7 @@ def test_dominated_rows_on_repeated_and_no_keys():
     assert rows[0] and rows[0] >> 1 & 1  # 3,2/1 dominates 3,1,1/1
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_multfree_and_saturation_fingerprints_match_per_shape(jobs, set_jobs):
-    set_jobs(jobs)
+def test_multfree_and_saturation_fingerprints_match_per_shape():
     for n in range(1, 8):
         prints = posets._shape_prints(n, posets._mask_and_multfree)
         for s, row in zip(*prints):
@@ -645,7 +603,7 @@ def test_saturation_disagreements_match_a_per_shape_sweep(monkeypatch):
         return f_support_mask(s), posets._key(s)
 
     monkeypatch.setattr(posets, "_mask_and_scaled",
-                        lambda keyed, factor: fake(keyed[1], factor))
+                        lambda key, s, factor: fake(s, factor))
     shapes = enumerate_shapes(5)
     lost, gained = [], []
     for a in shapes:
