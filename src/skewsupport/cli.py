@@ -28,7 +28,7 @@ from skewsupport.posets import (
     saturation_check,
     verify_conjecture,
 )
-from skewsupport.relations import check_implications, relate, verify_implications
+from skewsupport.relations import relate, verify_implications
 from skewsupport.shapes import (
     component_keys,
     enumerate_shapes,
@@ -159,9 +159,9 @@ def _cmd_overlaps(args) -> int:
 def _cmd_compare(args) -> int:
     a = parse_shape(args.a)
     b = parse_shape(args.b)
-    matrix = relate(a, b)
-    _emit(matrix.to_json_obj())
-    return EXIT_THEOREM if check_implications(matrix) else EXIT_OK
+    obj = relate(a, b).to_json_obj()
+    _emit(obj)
+    return EXIT_THEOREM if obj["violations"] else EXIT_OK
 
 
 def _cmd_verify_figure6(args) -> int:

@@ -15,18 +15,18 @@ data from the representative.  The poset and multiplicity-free sweeps,
 which list every class member, build each shape from its key
 (shapes.key_shapes); verify_conjecture and saturation_check list shapes
 only on a failure.
-Every order is a list of bitset rows from one builder, _order_rows, which
-is bit-sliced over byte fields: one class bitset per field and value, and
-one AND per non-zero field of a row's fields.  Support data is held as an
-F-support cover (tableaux.f_support_cover), the p(n)-bit set of partitions
-whose straight supports a support contains, so support containment is
-cover containment (_containing: one byte per bit of a cover's complement).
-Overlap dominance reads the bytes of the dominance keys
-(overlaps.profile_keys; _dominated).
+Every order is a list of bitset rows from the order-row module shared
+with relations' implication sweep (skewsupport.orders), bit-sliced over
+byte fields.  Support data is held as an F-support cover
+(tableaux.f_support_cover), the p(n)-bit set of partitions whose straight
+supports a support contains, so support containment is cover containment
+(orders.containing: one byte per bit of a cover's complement).  Overlap
+dominance reads the bytes of the dominance keys (overlaps.profile_keys;
+orders.dominated).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import permutations
 
 from skewsupport.config import max_size
@@ -35,6 +35,7 @@ from skewsupport.errors import (
     InvalidShapeError,
     SizeLimitError,
 )
+from skewsupport.orders import bit_indices, containing, dominated
 from skewsupport.overlaps import key_dominated, profile_keys
 from skewsupport.relations import layout, packed_f
 from skewsupport.shapes import (
@@ -75,9 +76,9 @@ class ShapeClassPoset:
         edges = []
         for i, bits in enumerate(self.below):
             two_step = 0
-            for k in _bit_indices(bits):
+            for k in bit_indices(bits):
                 two_step |= self.below[k]
-            edges.extend((i, j) for j in _bit_indices(bits & ~two_step))
+            edges.extend((i, j) for j in bit_indices(bits & ~two_step))
         return edges
 
     def to_json_obj(self) -> dict:
@@ -116,79 +117,12 @@ class ShapeClassPoset:
         return "\n".join(lines) + "\n"
 
 
-def _bit_indices(bits: int):
-    """Indices of the set bits, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 def _classes_of(fingerprints) -> dict:
     """Indices grouped by equal fingerprint, in first-seen order."""
     groups: dict = {}
     for i, f in enumerate(fingerprints):
         groups.setdefault(f, []).append(i)
     return groups
-
-
-def _order_rows(fields) -> list[int]:
-    """Bit j of row i: j != i and fields[j] >= fields[i] at every byte.
-
-    fields are byte strings of one length.  The rows are bit-sliced: per
-    byte position f and value v >= 1, at_least[f][v - 1] is the set of
-    indices whose byte f is at least v, so row i is the AND of those sets
-    over the non-zero bytes of fields[i].
-    """
-    at_least = []
-    for column in zip(*fields):
-        # one byte per index, last index first, read as base-2 digits
-        digits = bytes(column)[::-1]
-        at_least.append([int(digits.translate(_at_least_digits(v)), 2)
-                         for v in range(1, max(column) + 1)])
-    rows = []
-    everyone = (1 << len(fields)) - 1
-    for i, values in enumerate(fields):
-        row = everyone
-        for f, v in enumerate(values):
-            if v:
-                row &= at_least[f][v - 1]
-        rows.append(row ^ 1 << i)
-    return rows
-
-
-_COMPLEMENT_DIGITS = bytes.maketrans(b"01", b"\1\0")
-
-
-def _containing(sets) -> list[int]:
-    """Bit j of row i: j != i and sets[i] contains sets[j].
-
-    sets are non-negative ints read as bitsets.  sets[i] contains sets[j]
-    iff sets[j] lacks every bit sets[i] lacks, so the rows are _order_rows
-    over one 0/1 byte per bit of each set's complement.
-    """
-    width = max(sets, default=0).bit_length()
-    return _order_rows([format(s, f"0{width}b").encode()
-                        .translate(_COMPLEMENT_DIGITS) for s in sets])
-
-
-def _dominated(keys, n: int) -> list[int]:
-    """Bit j of row i: keys[i] != keys[j] and keys[j] dominates keys[i].
-
-    keys are size-n profile_keys, one byte per field, so dominance is
-    _order_rows over their bytes, less the other copies of each key.
-    """
-    copies: dict = {}
-    for j, k in enumerate(keys):
-        copies[k] = copies.get(k, 0) | 1 << j
-    rows = _order_rows([k.to_bytes(n * n, "big") for k in keys])
-    return [row & ~copies[k] for row, k in zip(rows, keys)]
-
-
-@lru_cache(maxsize=None)
-def _at_least_digits(v: int) -> bytes:
-    """The byte table taking x to the digit 1 if x >= v, else to 0."""
-    return bytes(b"01"[x >= v] for x in range(256))
 
 
 def _key(s: SkewShape) -> int:
@@ -240,8 +174,9 @@ def _mask_and_scaled(key, s, factor: int) -> tuple[int, int]:
 def _poset(kind, n, shapes, fingerprints, order) -> ShapeClassPoset:
     """Classes of equal fingerprint, ordered by the rows order builds.
 
-    order gets one fingerprint per class: _containing takes F-support
-    covers, _dominated dominance keys; both build rows with _order_rows.
+    order gets one fingerprint per class: containing takes F-support
+    covers, dominated dominance keys; both build rows with
+    orders.order_rows.
     shapes are sorted, so each class is sorted and the classes, in
     first-seen order, come out ordered by their least members.
     """
@@ -266,7 +201,7 @@ def _shape_prints(n: int, fingerprint) -> tuple[list, list]:
 def build_suppf(n: int) -> ShapeClassPoset:
     """Classes by equal F-support, ordered by strict support containment."""
     shapes, covers = _shape_prints(n, _mask)
-    return _poset("suppf", n, shapes, covers, _containing)
+    return _poset("suppf", n, shapes, covers, containing)
 
 
 def build_nc(n: int) -> ShapeClassPoset:
@@ -276,7 +211,7 @@ def build_nc(n: int) -> ShapeClassPoset:
     every depth (more spread out means higher).
     """
     shapes, keys = _shape_prints(n, _nc_key)
-    return _poset("nc", n, shapes, keys, partial(_dominated, n=n))
+    return _poset("nc", n, shapes, keys, partial(dominated, n=n))
 
 
 # ------------------------------------------------- the equivalence sweep
@@ -333,13 +268,13 @@ def _conjecture_report(n, shape_count, shapes, prints) -> dict:
     # shapes are sorted, so the first index of a class is its least shape
     reps = [members[0] for members in by_cover.values()]
     names = [format_shape(shapes[i]) for i in reps]
-    contains = _containing([covers[i] for i in reps])
-    dominated = _dominated([keys[i] for i in reps], n)
-    rows = list(enumerate(zip(contains, dominated)))
+    contains = containing([covers[i] for i in reps])
+    dominance = dominated([keys[i] for i in reps], n)
+    rows = list(enumerate(zip(contains, dominance)))
     forward = [{"a": names[x], "b": names[y]}
-               for x, (c, d) in rows for y in _bit_indices(c & ~d)]
+               for x, (c, d) in rows for y in bit_indices(c & ~d)]
     reverse = [{"a": names[x], "b": names[y]}
-               for x, (c, d) in rows for y in _bit_indices(d & ~c)]
+               for x, (c, d) in rows for y in bit_indices(d & ~c)]
     return {
         "n": n,
         # a fixed field, kept so reports stay byte-identical to older ones
@@ -485,7 +420,7 @@ def multfree_report(n: int) -> dict:
                 classified.append((s, tag, cover))
     # the rules only speak of classified shapes; the rest are listed above
     comparability_mismatches = []
-    contains = _containing([cover for *_, cover in classified])
+    contains = containing([cover for *_, cover in classified])
     for x, ((a, ta, _), row) in enumerate(zip(classified, contains)):
         row |= 1 << x  # each support contains itself
         for y, (b, tb, _) in enumerate(classified):
@@ -504,7 +439,7 @@ def multfree_report(n: int) -> dict:
     free_covers = {cover for cover, free_f in prints if free_f}
     kept = [i for i, (cover, _) in enumerate(prints) if cover in free_covers]
     sub = _poset("suppf", n, [shapes[i] for i in kept],
-                 [prints[i][0] for i in kept], _containing)
+                 [prints[i][0] for i in kept], containing)
     impure = [
         format_shape(cls[0])
         for cls in sub.classes
@@ -582,9 +517,9 @@ def saturation_check(n: int, factor: int) -> dict:
     covers, scaled = zip(*rows)
     only_if, if_dir = [], []
     flips = {}  # key pair -> the list its shape pairs go to
-    for x, (b, a) in enumerate(zip(_containing(covers), _containing(scaled))):
-        flips.update(((x, y), only_if) for y in _bit_indices(b & ~a))
-        flips.update(((x, y), if_dir) for y in _bit_indices(a & ~b))
+    for x, (b, a) in enumerate(zip(containing(covers), containing(scaled))):
+        flips.update(((x, y), only_if) for y in bit_indices(b & ~a))
+        flips.update(((x, y), if_dir) for y in bit_indices(a & ~b))
     if flips:
         shapes, slots = key_shapes(keyed)
         for (a, x), (b, y) in permutations(zip(shapes, slots), 2):

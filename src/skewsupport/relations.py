@@ -11,14 +11,25 @@ expansion: F, S and D are its combination of the straight shapes' packed
 expansions, and M is F's zeta transform, so the descent kernel only ever
 counts the fillings of straight shapes.  The dominance keys come from
 overlaps.profile_keys on the shape's partitions and on their conjugates.
-relate() compares one pair, through a bounded cache of recent records;
-verify_implications records one shape per component key
-(shapes.component_keys), compares each ordered pair of distinct same-size
-keys, and lists the shapes of one size (shapes.key_shapes) only to name
-the pairs of a broken arrow.
-check_implications lists every broken arrow of the known implication
-diagram; an exhaustive sweep must find none and confirm the four published
-non-implications at witnesses.
+relate() compares one pair, through a bounded cache of recent records,
+and check_implications lists the arrows of the known implication diagram
+that its matrix breaks.
+
+verify_implications checks the diagram on every ordered pair of distinct
+same-size shapes without a matrix per pair.  It records one shape per
+component key (shapes.component_keys) and, per size, builds one bitset row
+per condition and key: bit y of row x is set when the condition holds for
+keys x and y (_condition_rows).  The rows test what compare() tests, field
+by field, through the order-row module that posets also uses
+(orders.order_rows), at a cost that grows with the keys times the fields
+rather than with the key pairs.  An arrow L => R is broken on the bits of
+L's row that R's lacks, and an equivalence on the bits where a row differs
+from the first of its group.  Only a broken key pair goes through compare()
+and check_implications, so that its arrows are named in the same order as
+for one pair, and only then are the shapes of its size listed
+(shapes.key_shapes) to name every shape pair.  An exhaustive sweep must
+find no broken arrow and confirm the four published non-implications at
+witnesses.
 """
 
 from dataclasses import dataclass
@@ -27,6 +38,7 @@ from itertools import permutations
 from math import factorial
 
 from skewsupport import bases, overlaps, tableaux
+from skewsupport.orders import bit_indices, order_rows
 from skewsupport.shapes import (
     Partition,
     SkewShape,
@@ -316,24 +328,74 @@ WITNESSES = (
 )
 
 
+_ABSENT_DIGITS = bytes.maketrans(b"\0\x80", b"\1\0")
+
+
+def _condition_rows(records) -> dict:
+    """Each condition's rows: bit y of row x iff it holds for keys x and y.
+
+    records are of shapes of one size, one per key; a condition holds for
+    x and y when compare(records[x], records[y]) says so, and no row has
+    its own bit.  Each condition's rows are orders.order_rows over one byte
+    string per record, so they test what compare() tests, field by field:
+    for positive:<basis>, the expansion with each field complemented (the
+    field's all-ones value less it), so that y's fields are at most x's;
+    for dominated:<key>, the dominance key, so that y's key dominates x's;
+    for contains:<key>, one byte per field, 1 outside the support, so that
+    y's support lacks whatever x's lacks.
+    """
+    lay = records[0].layout
+    rows = {}
+    for b, basis in enumerate(BASES):
+        full = lay.guards[b] - lay.ones[b]
+        length = lay.width[b] * lay.fields[b]
+        rows[f"positive:{basis}"] = order_rows(
+            [(full - r.coeffs[b]).to_bytes(length, "big") for r in records],
+            lay.width[b])
+    for k, key in enumerate(_DOM_KEYS):
+        rows[f"dominated:{key}"] = order_rows(
+            [r.keys[k].to_bytes(lay.n * lay.n, "big") for r in records])
+    for k, key in enumerate(_SUP_KEYS):
+        b = min(k, 4)  # d_positive is in D's fields
+        width, length = lay.width[b], lay.width[b] * lay.fields[b]
+        rows[f"contains:{key}"] = order_rows(
+            [r.supports[k].to_bytes(length, "big")[::width]
+             .translate(_ABSENT_DIGITS) for r in records])
+    return rows
+
+
 def verify_implications(n: int) -> dict:
     """Check every arrow on every ordered same-size pair of sizes 1..n.
 
     Returns a report dict; report["violations"] is empty exactly when the
-    diagram survives.  The four witness pairs must each be seen with their
-    published hold/fail pattern once their size is within range.
+    diagram survives.  Per size it records one shape per component key and
+    builds every condition's rows over the records (_condition_rows); an
+    arrow L => R breaks on the bits of L's row that R's lacks, and an
+    equivalence on the bits where a row differs from its group's first.
+    Only a broken key pair is compared, to name its arrows in
+    check_implications' order, and only then are the shapes of that size
+    listed (shapes.key_shapes), to name every shape pair of a broken key
+    pair.  The arrows and equivalences are read on each call.  The four
+    witness pairs must each be seen with their published hold/fail pattern
+    once their size is within range.
     """
     # listing size n first checks n before any record is built
     largest = component_keys(_sweep_size(n))
     by_size = [component_keys(size) for size in range(1, n)] + [largest]
     violations = []
     for keyed in by_size:  # arrows only pair shapes of one size
-        rows = [record(s) for _, s, _ in keyed]
+        records = [record(s) for _, s, _ in keyed]
+        rows = _condition_rows(records)
         broken = {}
-        for (x, ra), (y, rb) in permutations(enumerate(rows), 2):
-            arrows = check_implications(compare(ra, rb))
-            if arrows:
-                broken[x, y] = arrows
+        for x, ra in enumerate(records):
+            bad = 0
+            for left, right in _ARROWS:
+                bad |= rows[left][x] & ~rows[right][x]
+            for first, *rest in _EQUIVALENCES:
+                for cond in rest:
+                    bad |= rows[first][x] ^ rows[cond][x]
+            for y in bit_indices(bad):
+                broken[x, y] = check_implications(compare(ra, records[y]))
         if broken:  # the shape pairs of each broken key pair, in shape order
             shapes, slots = key_shapes(keyed)
             violations += [

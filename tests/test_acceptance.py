@@ -303,6 +303,19 @@ def test_nightly_figure6_sweep(n, pairs):
 
 
 @pytest.mark.longrun
+def test_longrun_figure6_sweep(capsys):
+    # size 10 alone pairs 2,873 component keys: 8,251,256 ordered key pairs
+    from skewsupport.cli import main
+
+    code = main(["verify", "figure6", "--n", "10"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["pass"] is True and report["all_witnesses_found"] is True
+    assert report["violations"] == []
+    assert report["pairs_checked"] == 754_326_706
+
+
+@pytest.mark.longrun
 @pytest.mark.parametrize("n, classes",
                          [(11, 1916), (12, 3695), (13, 6872), (14, 12905)])
 def test_longrun_sweep(n, classes):

@@ -14,7 +14,7 @@ from skewsupport.cli import (
     EXIT_USAGE,
     main,
 )
-from skewsupport import overlaps, shapes
+from skewsupport import overlaps, relations, shapes
 from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.overlaps import overlap_rows
 
@@ -101,6 +101,22 @@ def test_compare_pair(capsys):
     assert data["positive"]["f"] is True
     assert data["support_contains"]["schur"] is False
     assert data["violations"] == []
+
+
+def test_a_broken_arrow_exits_2(capsys, monkeypatch):
+    # the third witness's non-implication, added as an arrow, is named in
+    # the output of both commands, and each exits 2
+    arrow = ("positive:f", "contains:schur")
+    monkeypatch.setattr(relations, "_ARROWS", relations._ARROWS + (arrow,))
+    code, out, _ = run_cli(capsys, "compare", "311/1", "22")
+    assert code == EXIT_THEOREM
+    assert json.loads(out)["violations"] == ["positive:f => contains:schur"]
+    code, out, _ = run_cli(capsys, "verify", "figure6", "--n", "4")
+    assert code == EXIT_THEOREM
+    data = json.loads(out)
+    assert data["pass"] is False
+    assert {"a": "3,1,1/1", "b": "2,2",
+            "arrow": "positive:f => contains:schur"} in data["violations"]
 
 
 def test_verify_figure6(capsys):

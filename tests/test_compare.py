@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -270,11 +271,10 @@ def test_verify_implications_records_once_per_key(monkeypatch):
     monkeypatch.setattr(relations, "compare", counting("compare", compare))
     assert verify_implications(5)["pass"]
     keys = [1, 3, 6, 16, 34]  # component keys of sizes 1..5
-    # one record per key, and one compare per ordered pair of distinct
-    # same-size keys, plus compare(record(a), record(b)) on each of the
-    # four witness pairs
-    assert calls == {"record": sum(keys) + 2 * 4,
-                     "compare": sum(k * (k - 1) for k in keys) + 4}
+    # one record per key, plus record(a) and record(b) on each of the four
+    # witness pairs; the condition rows stand in for a compare per key
+    # pair, so a passing sweep compares the witness pairs only
+    assert calls == {"record": sum(keys) + 2 * 4, "compare": 4}
 
 
 def test_violations_match_a_per_shape_sweep(monkeypatch):
@@ -299,3 +299,83 @@ def test_violations_match_a_per_shape_sweep(monkeypatch):
     report = verify_implications(5)
     assert report["violations"] == expected
     assert not report["pass"]
+
+
+def _check_condition_rows(n):
+    # bit y of row x holds exactly when compare(record(a), record(b)) says
+    # the condition holds, for every ordered pair of distinct size-n keys
+    records = [record(s) for _, s, _ in component_keys(n)]
+    rows = relations._condition_rows(records)
+    assert list(rows) == list(relations._CONDITIONS)
+    for x, ra in enumerate(records):
+        assert not any(row[x] >> x & 1 for row in rows.values())
+        for y, rb in enumerate(records):
+            if x != y:
+                held = compare(ra, rb).conditions
+                assert {c: bool(r[x] >> y & 1) for c, r in rows.items()} == (
+                    held), (format_shape(ra.shape), format_shape(rb.shape))
+
+
+def test_condition_rows_match_compare():
+    for n in range(1, 7):
+        _check_condition_rows(n)
+
+
+@pytest.mark.nightly
+def test_nightly_condition_rows_match_compare():
+    _check_condition_rows(8)
+
+
+def _violations_per_pair(n):
+    """The reference violation list: check_implications on compare() for
+    every ordered pair of distinct same-size component keys, each broken
+    key pair then named by every ordered pair of its shapes."""
+    violations = []
+    for size in range(1, n + 1):
+        keyed = component_keys(size)
+        records = [record(s) for _, s, _ in keyed]
+        broken = {}
+        for (x, ra), (y, rb) in permutations(enumerate(records), 2):
+            arrows = check_implications(compare(ra, rb))
+            if arrows:
+                broken[x, y] = arrows
+        if broken:
+            shapes, slots = key_shapes(keyed)
+            violations += [
+                {"a": format_shape(a), "b": format_shape(b), "arrow": arrow}
+                for (a, x), (b, y) in permutations(zip(shapes, slots), 2)
+                for arrow in broken.get((x, y), ())
+            ]
+    return violations
+
+
+# false statements, each broken on some pairs of size 4 and up: the
+# published non-implications of the second and third witnesses, and
+# positivity in two bases as an equivalence
+_FALSE_ARROWS = (("positive:f", "contains:schur"),
+                 ("dominated:rows", "positive:m"))
+_FALSE_EQUIVALENCE = ("positive:schur", "positive:f")
+
+
+def _check_violations_match_per_pair(monkeypatch, sizes):
+    monkeypatch.setattr(relations, "_ARROWS",
+                        relations._ARROWS + _FALSE_ARROWS)
+    monkeypatch.setattr(relations, "_EQUIVALENCES",
+                        relations._EQUIVALENCES + (_FALSE_EQUIVALENCE,))
+    for n in sizes:
+        expected = _violations_per_pair(n)
+        report = verify_implications(n)
+        assert report["violations"] == expected, n
+        assert report["pass"] == (not expected)
+    assert {v["arrow"] for v in expected} == {
+        "positive:f => contains:schur", "dominated:rows => positive:m",
+        "positive:schur <=> positive:f"}
+
+
+def test_violations_match_the_per_pair_sweep(monkeypatch):
+    _check_violations_match_per_pair(monkeypatch, range(1, 7))
+
+
+@pytest.mark.nightly
+def test_nightly_violations_match_the_per_pair_sweep(monkeypatch):
+    _check_violations_match_per_pair(monkeypatch, [8])

@@ -7,7 +7,7 @@ from functools import lru_cache, partial
 
 import pytest
 
-from skewsupport import kernels, posets, relations, tableaux
+from skewsupport import kernels, orders, posets, relations, tableaux
 from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.errors import (
     InvalidShapeError,
@@ -365,9 +365,9 @@ def _check_containing_rows(n):
     classes = posets._classes_of([cover for cover, _ in prints]).values()
     covers = [prints[m[0]][0] for m in classes]
     assert list(build_suppf(n).below) == _containing_per_pair(covers)
-    assert posets._containing(covers) == _containing_per_pair(covers)
+    assert orders.containing(covers) == _containing_per_pair(covers)
     masks = [f_support_mask(shapes[m[0]]) for m in classes]
-    assert posets._containing(masks) == _containing_per_pair(masks)
+    assert orders.containing(masks) == _containing_per_pair(masks)
 
 
 def test_containing_rows_match_per_pair_tests():
@@ -387,7 +387,7 @@ def test_containing_rows_on_raw_sets():
     cases += [[rng.getrandbits(rng.choice((3, 9, 80))) for _ in range(40)]
               for _ in range(20)]
     for sets in cases:
-        assert posets._containing(sets) == _containing_per_pair(sets)
+        assert orders.containing(sets) == _containing_per_pair(sets)
 
 
 def _dominated_per_pair(keys, n):
@@ -403,11 +403,11 @@ def _check_dominated_rows(n):
     _, keys = posets._shape_prints(n, posets._nc_key)
     nc = list(dict.fromkeys(keys))
     assert list(build_nc(n).below) == _dominated_per_pair(nc, n)
-    assert posets._dominated(nc, n) == _dominated_per_pair(nc, n)
+    assert orders.dominated(nc, n) == _dominated_per_pair(nc, n)
     _, prints = posets._shape_prints(n, posets._mask_and_key)
     masks, keys = zip(*prints)
     reps = [keys[m[0]] for m in posets._classes_of(masks).values()]
-    assert posets._dominated(reps, n) == _dominated_per_pair(reps, n)
+    assert orders.dominated(reps, n) == _dominated_per_pair(reps, n)
 
 
 def test_dominated_rows_match_per_pair_tests():
@@ -421,13 +421,13 @@ def test_nightly_dominated_rows_match_per_pair_tests():
 
 
 def test_dominated_rows_on_repeated_and_no_keys():
-    assert posets._dominated([], 5) == []
+    assert orders.dominated([], 5) == []
     # repeated keys, as a partition mismatch gives: equal keys never lie
     # under each other, and each copy gets the same row
     texts = ("3,1,1/1", "3,2/1", "2,2", "4", "1,1,1,1", "3,1", "2,1,1")
     keys = [posets._key(parse_shape(t)) for t in texts]
     keys += [keys[0], keys[2], keys[0]]
-    rows = posets._dominated(keys, 4)
+    rows = orders.dominated(keys, 4)
     assert rows == _dominated_per_pair(keys, 4)
     assert rows[0] == rows[7] == rows[9] and rows[2] == rows[8]
     assert not rows[0] >> 7 & 1 and not rows[7] >> 0 & 1
