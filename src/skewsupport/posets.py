@@ -42,6 +42,7 @@ from skewsupport.shapes import (
     SkewShape,
     _sweep_size,
     check_same_size,
+    component_key,
     component_keys,
     direct_sum,
     format_shape,
@@ -161,13 +162,8 @@ def _mask_and_multfree(key, s) -> tuple[int, bool]:
 
 
 def _mask_and_scaled(key, s, factor: int) -> tuple[int, int]:
-    """F-support covers of the key and of the key with each component scaled.
-
-    scale commutes with direct sums, so the scaled key's components are
-    the scaled components.
-    """
-    scaled = tuple(tuple((a * factor, b * factor) for a, b in comp)
-                   for comp in key)
+    """F-support covers of the key and of its representative scaled."""
+    scaled = component_key(scale(s, factor))
     return _mask(key, s), f_support_cover(key_schur_expansion(scaled))
 
 

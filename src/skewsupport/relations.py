@@ -45,6 +45,7 @@ from skewsupport.shapes import (
     _sweep_size,
     check_same_size,
     comp_to_mask,
+    component_key,
     component_keys,
     distinct_permutations,
     format_shape,
@@ -243,7 +244,7 @@ class ShapeRecord:
 def record(shape: SkewShape) -> ShapeRecord:
     """Packed expansions, supports and dominance keys of one shape.
 
-    Schur is packed from its cached tally, and the rest is derived from it.
+    Schur is packed from tableaux.schur_expansion, and the rest from it.
     F, S and D are the Schur combination of the straight shapes' packed
     expansions (packed_f for F).  M is the zeta transform of F over descent
     sets: for each bit b, every field whose mask has b gains the field of
@@ -377,14 +378,22 @@ def verify_implications(n: int) -> dict:
     listed (shapes.key_shapes), to name every shape pair of a broken key
     pair.  The arrows and equivalences are read on each call.  The four
     witness pairs must each be seen with their published hold/fail pattern
-    once their size is within range.
+    once their size is within range, compared on that size's records.
     """
     # listing size n first checks n before any record is built
     largest = component_keys(_sweep_size(n))
     by_size = [component_keys(size) for size in range(1, n)] + [largest]
-    violations = []
+    violations, witnesses = [], {}
     for keyed in by_size:  # arrows only pair shapes of one size
         records = [record(s) for _, s, _ in keyed]
+        index = {key: x for x, (key, *_) in enumerate(keyed)}
+        for a_str, b_str, holds, fails in WITNESSES:
+            a, b = parse_shape(a_str), parse_shape(b_str)
+            if a.size == keyed[0][1].size:
+                m = compare(records[index[component_key(a)]],
+                            records[index[component_key(b)]])
+                confirmed = m.get(holds) and not m.get(fails)
+                witnesses[f"{a_str} vs {b_str}"] = confirmed
         rows = _condition_rows(records)
         broken = {}
         for x, ra in enumerate(records):
@@ -404,12 +413,6 @@ def verify_implications(n: int) -> dict:
                 for arrow in broken.get((x, y), ())
             ]
     counts = [sum(count for *_, count in same) for same in by_size]
-    witnesses = {}
-    for a_str, b_str, holds, fails in WITNESSES:
-        wa, wb = parse_shape(a_str), parse_shape(b_str)
-        if wa.size <= n:
-            m = compare(record(wa), record(wb))
-            witnesses[f"{a_str} vs {b_str}"] = m.get(holds) and not m.get(fails)
     return {
         "max_size": n,
         "pairs_checked": sum(c * (c - 1) for c in counts),

@@ -577,3 +577,18 @@ def key_shapes(keyed) -> tuple[list[SkewShape], list[int]]:
     out.sort(key=lambda pair: (pair[0].outer, pair[0].inner))
     return [s for s, _ in out], [slot for _, slot in out]
 
+
+def component_key(shape: SkewShape) -> tuple:
+    """shape's key, as component_keys writes it: the inverse of key_shapes.
+
+    A component ends at row i when row i + 1 shares no column with it.
+    """
+    outer, inner = shape.outer, shape.inner_padded
+    comps, top = [], 0
+    for i, left in enumerate(inner):
+        if i + 1 == len(outer) or outer[i + 1] <= left:
+            rows = tuple((inner[r] - left, outer[r] - left)
+                         for r in range(top, i + 1))
+            comps.append(min(rows, _half_turn(rows)))
+            top = i + 1
+    return tuple(sorted(comps))

@@ -5,17 +5,16 @@ increase left to right, columns increase top to bottom) and their descent
 compositions.  Summing one fundamental quasisymmetric term per tableau gives
 the F-expansion of s_A; coarsening by the subset-sum transform gives the
 monomial expansion; counting lattice semistandard fillings gives the Schur
-expansion.  The Schur expansion is computed by two genuinely different
-routes (lattice fillings, and inverting the unitriangular Kostka matrix
-against the monomial expansion) so each can certify the other.
+expansion.
 
-The sweeps read the Schur expansion of a component key (key_schur_expansion):
-each connected component is tallied by lattice fillings once, and the
-components are multiplied through a table of straight products
-c^nu_{lam mu}.  relate, expand and verify figure6 use schur_expansion of
-the whole shape instead.  The tests check the composed expansion against
-both whole-shape routes, schur_expansion_lr and schur_expansion_kostka.
-Every lattice-filling tally passes the row/column frame check.  The sweeps
+Every Schur expansion comes from one route: the shape's component key
+(shapes.component_key), whose connected components are each tallied by
+lattice fillings once and multiplied through a table of straight products
+c^nu_{lam mu} (key_schur_expansion), with the row/column frame check on
+every call.  schur_expansion(shape) is that route behind a cache.  Two
+whole-shape routes stay as the tests' references: lattice fillings of the
+whole diagram (schur_expansion_lr), and inverting the unitriangular Kostka
+matrix against the monomial expansion (schur_expansion_kostka).  The sweeps
 hold an F-support as its cover (f_support_cover): the partitions of n whose
 straight F-supports it contains, p(n) bits that order and group shapes as
 the 2^(n-1)-bit support masks do.
@@ -38,6 +37,10 @@ from skewsupport.shapes import (
     Composition,
     Partition,
     SkewShape,
+    _direct_sum_rows,
+    _from_rows,
+    component_key,
+    format_shape,
     mask_to_comp,
     partitions_of,
     sort_desc,
@@ -267,7 +270,7 @@ def m_expansion(shape: SkewShape) -> Expansion:
 
 
 def schur_expansion_lr(shape: SkewShape) -> Expansion:
-    """Schur expansion by counting lattice semistandard fillings."""
+    """Whole-diagram lattice-filling Schur expansion; the tests' reference."""
     _check_size(shape.size)
     tally = kernels.lr_tally(shape.inner_padded, shape.outer)
     return Expansion("schur", tally)
@@ -358,58 +361,21 @@ def schur_expansion_kostka(shape: SkewShape) -> Expansion:
     return Expansion("schur", result)
 
 
-@_guarded_cache
-def schur_expansion(shape: SkewShape) -> Expansion:
-    """Cached Schur expansion (lattice-filling route) with a frame check.
-
-    The support of any skew Schur function contains the sorted row lengths
-    and the transpose of the sorted column lengths, both with coefficient 1;
-    a kernel bug would almost surely break this, so it is cheap insurance.
-    """
-    exp = schur_expansion_lr(shape)
-    if shape.size:
-        rows = tuple(zip(shape.inner_padded, shape.outer))
-        _check_frame(exp.coeffs, [_frame(rows)], shape)
-    return exp
-
-
-def _frame(rows) -> tuple[Partition, Partition]:
-    """Sorted row lengths and sorted column lengths of a diagram given as
-    row intervals (a, b)."""
-    cols = [0] * max(b for _, b in rows)
-    for a, b in rows:
-        for c in range(a, b):
-            cols[c] += 1
-    return sort_desc(b - a for a, b in rows), sort_desc(k for k in cols if k)
-
-
-def _check_frame(coeffs: dict, frames, *what) -> None:
-    """Raise ConsistencyError unless coeffs passes the row/column frame check.
-
-    frames are the _frame of each piece of a diagram, the pieces sharing
-    no column.  The support of the diagram's skew Schur function contains
-    the sorted row lengths and the transpose of the sorted column lengths,
-    both with coefficient 1.  what names the diagram in the message.
-    """
-    rows = sort_desc(n for piece, _ in frames for n in piece)
-    cols = sort_desc(n for _, piece in frames for n in piece)
-    if rows and (coeffs.get(rows) != 1
-                 or coeffs.get(transpose_partition(cols)) != 1):
-        raise ConsistencyError(
-            f"Schur expansion of {' '.join(map(str, what))} fails the "
-            "row/column frame check"
-        )
-
-
 def _rows_size(rows) -> int:
     return sum(b - a for a, b in rows)
 
 
 @partial(_guarded_cache, size=_rows_size)
-def _component_tally(rows) -> tuple[dict, tuple]:
-    """(lr_tally, _frame) of a connected component given as row intervals."""
+def _component_tally(rows) -> tuple[dict, Partition, Partition]:
+    """(lr_tally, sorted row lengths, sorted column lengths) of a connected
+    component given as row intervals."""
     inner, outer = (tuple(side) for side in zip(*rows))
-    return kernels.lr_tally(inner, outer), _frame(rows)
+    cols = [0] * outer[0]
+    for a, b in rows:
+        for c in range(a, b):
+            cols[c] += 1
+    return (kernels.lr_tally(inner, outer),
+            sort_desc(b - a for a, b in rows), sort_desc(cols))
 
 
 @lru_cache(maxsize=None)
@@ -451,20 +417,40 @@ def key_schur_expansion(key) -> Expansion:
     components, each as its row intervals.  s_{A+B} = s_A s_B for a direct
     sum (EC2 Sec. 7.10), so each component is tallied once, in a bounded
     LRU keyed by its rows, and the tallies are multiplied through the
-    per-pair table _lr_product.  Equal to the Schur expansion of any shape
-    of the key; the tests check it against schur_expansion_lr and
-    schur_expansion_kostka of the key's representative.  The frame check
-    runs on every call, hit or miss, so a bad tally a cache holds raises
-    each time.
+    per-pair table _lr_product.  The support of a skew Schur function
+    contains the sorted row lengths and the transpose of the sorted column
+    lengths, both with coefficient 1; a kernel bug would almost surely
+    break this.  The check runs on every call, hit or miss, so a bad tally
+    a cache holds raises each time.
     """
-    _check_size(sum(b - a for comp in key for a, b in comp))
-    coeffs, frames = {(): 1}, []
-    for comp in key:
-        tally, frame = _component_tally(comp)
-        coeffs = _product(coeffs, tally) if frames else tally
-        frames.append(frame)
-    _check_frame(coeffs, frames, "component key", key)
+    _check_size(sum(map(_rows_size, key)))
+    coeffs, rows, cols = {(): 1}, (), ()
+    for i, comp in enumerate(key):
+        tally, comp_rows, comp_cols = _component_tally(comp)
+        coeffs = _product(coeffs, tally) if i else tally
+        rows += comp_rows
+        cols += comp_cols
+    frame = sort_desc(rows), transpose_partition(sort_desc(cols))
+    if key and any(coeffs.get(lam) != 1 for lam in frame):
+        found = " and ".join(
+            f"{coeffs.get(lam, 0)} at {','.join(map(str, lam))}"
+            for lam in frame)
+        shape = format_shape(_from_rows(_direct_sum_rows(key)))
+        raise ConsistencyError(
+            f"Schur expansion of {shape} fails the row/column frame check: "
+            f"coefficients {found}, where both must be 1")
     return Expansion("schur", coeffs)
+
+
+@_guarded_cache
+def schur_expansion(shape: SkewShape) -> Expansion:
+    """Cached Schur expansion of one shape: key_schur_expansion of its key.
+
+    The LRU checks the size guard on every call; a hit returns a value
+    that passed the frame check.  The tests check it against the two
+    whole-shape references, schur_expansion_lr and schur_expansion_kostka.
+    """
+    return key_schur_expansion(component_key(shape))
 
 
 def schur_support(shape: SkewShape) -> frozenset:

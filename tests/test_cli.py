@@ -263,6 +263,19 @@ def test_benchmark_trace_targets_resolve():
         # a method is rebound on the class that defines it
         assert attr in vars(owner) if outer else hasattr(owner, attr), (
             f"trace target {module_name}.{target} not found")
+    # each <layer>.hit_ratio the benchmark reports is read from the
+    # counters of an LRU that perfbench/worker.py's cache_stats finds:
+    # a module function of that name with cache_info
+    bench = json.loads((path.parent.parent / "BENCHMARK.json").read_text())
+    ratios = [m["name"].removesuffix(".hit_ratio") for m in bench["per_layer"]
+              if m["name"].endswith(".hit_ratio")]
+    assert ratios
+    for layer in ratios:
+        module_name, attr = layer.split(".")
+        fn = getattr(sys.modules[f"skewsupport.{module_name}"], attr, None)
+        assert hasattr(fn, "cache_info"), f"{layer} has no cache_info"
+        assert (fn.__module__, fn.__name__) == (
+            f"skewsupport.{module_name}", attr), layer
 
 
 # stdout sha256 of sweeps that build every shape, pinned to catch any change

@@ -271,10 +271,10 @@ def test_verify_implications_records_once_per_key(monkeypatch):
     monkeypatch.setattr(relations, "compare", counting("compare", compare))
     assert verify_implications(5)["pass"]
     keys = [1, 3, 6, 16, 34]  # component keys of sizes 1..5
-    # one record per key, plus record(a) and record(b) on each of the four
-    # witness pairs; the condition rows stand in for a compare per key
-    # pair, so a passing sweep compares the witness pairs only
-    assert calls == {"record": sum(keys) + 2 * 4, "compare": 4}
+    # one record per key, the witness pairs included: they are compared
+    # on their size's records; the condition rows stand in for a compare
+    # per key pair, so a passing sweep compares the witness pairs only
+    assert calls == {"record": sum(keys), "compare": 4}
 
 
 def test_violations_match_a_per_shape_sweep(monkeypatch):

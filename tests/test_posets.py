@@ -36,6 +36,7 @@ from skewsupport.relations import verify_implications
 from skewsupport import shapes as shapes_module
 from skewsupport.shapes import (
     SkewShape,
+    component_key,
     component_keys,
     direct_sum,
     enumerate_shapes,
@@ -307,6 +308,12 @@ def test_component_key():
                 assert same[direct_sum(a.rotate(), b)] == slot
     counts = [len(component_keys(n)) for n in range(1, 9)]
     assert counts == [1, 3, 6, 16, 34, 87, 198, 493]
+    # shapes.component_key inverts key_shapes
+    for n in range(1, 9):
+        keyed = component_keys(n)
+        for s, slot in zip(*key_shapes(keyed)):
+            assert component_key(s) == keyed[slot][0], format_shape(s)
+    assert component_key(SkewShape((), ())) == ()
 
 
 def _fillings_support(s: SkewShape) -> int:

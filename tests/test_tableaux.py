@@ -209,9 +209,12 @@ def test_m_expansion_matches_direct_coarsening_sum():
 
 
 def test_schur_routes_agree():
+    # the composed route and both whole-shape references, on every shape
     for n in range(1, 7):
         for s in enumerate_shapes(n):
-            assert schur_expansion_lr(s) == schur_expansion_kostka(s)
+            lr = schur_expansion_lr(s)
+            assert lr == schur_expansion_kostka(s), format_shape(s)
+            assert schur_expansion(s) == lr, format_shape(s)
 
 
 def test_schur_expansion_endpoints(small_shapes):
@@ -377,15 +380,32 @@ def test_expansion_json_ordering():
 
 
 def test_schur_frame_check_raises_on_corrupt_route(monkeypatch):
-    import skewsupport.tableaux as T
+    # an lr_tally that drops the top term; s_{3,2/1} = s_{3,1} + s_{2,2}
+    s = parse_shape("3,2/1")
+    good = schur_expansion(s)
+    tally = kernels.lr_tally
 
-    broken = Expansion("schur", {(4,): 1})
-    monkeypatch.setattr(T, "schur_expansion_lr", lambda s: broken)
-    # empty the cache so the corrupt route is actually exercised;
-    # the raise keeps the bad value out of it afterwards
-    T.schur_expansion.cache_clear()
-    with pytest.raises(ConsistencyError):
-        T.schur_expansion(parse_shape("2,1,1"))
+    def drop_top(inner, outer):
+        out = tally(inner, outer)
+        out.pop(max(out))
+        return out
+
+    monkeypatch.setattr(kernels, "lr_tally", drop_top)
+    message = (r"^Schur expansion of 3,2/1 fails the row/column frame "
+               r"check: coefficients 1 at 2,2 and 0 at 3,1, where both "
+               r"must be 1$")
+    try:
+        for cached in (schur_expansion, T._component_tally, T._lr_product):
+            cached.cache_clear()  # so the corrupt kernel is reached
+        for _ in range(2):
+            with pytest.raises(ConsistencyError, match=message):
+                schur_expansion(s)
+    finally:
+        T._lr_product.cache_clear()
+        T._component_tally.cache_clear()
+    monkeypatch.setattr(kernels, "lr_tally", tally)
+    # the raise kept the bad value out of schur_expansion's cache
+    assert schur_expansion(s) == good
 
 
 def test_size_guard_holds_on_cache_hits(monkeypatch):
