@@ -138,32 +138,32 @@ def lr_tally(inner, outer):
         for i in range(nrows)
         for j in range(outer[i] - 1, inner[i] - 1, -1)
     ]
-    entries = {}
     counts = [0] * (nrows + 2)
     tally: dict[tuple[int, ...], int] = {}
-
-    def fill(pos):
-        if pos == n:
-            top = nrows
-            while counts[top] == 0:
-                top -= 1
-            key = tuple(counts[1 : top + 1])
-            tally[key] = tally.get(key, 0) + 1
-            return
-        i, j = cells[pos]
-        lo = 1
-        if i and inner[i - 1] <= j < outer[i - 1]:
-            lo = entries[i - 1, j] + 1  # strictly below the box above
-        hi = i + 1  # a lattice word never exceeds the row index
-        if j + 1 < outer[i]:
-            hi = min(hi, entries[i, j + 1])
-        for v in range(lo, hi + 1):
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # would break the prefix condition
-            counts[v] += 1
-            entries[i, j] = v
-            fill(pos + 1)
-            counts[v] -= 1
-
-    fill(0)
+    _fill(0, cells, inner, outer, {}, counts, tally)
     return tally
+
+
+def _fill(pos, cells, inner, outer, entries, counts, tally) -> None:
+    """lr_tally's walk over cells[pos:]; no closure, so it leaves no cycle."""
+    if pos == len(cells):
+        top = len(counts) - 2
+        while counts[top] == 0:
+            top -= 1
+        key = tuple(counts[1 : top + 1])
+        tally[key] = tally.get(key, 0) + 1
+        return
+    i, j = cells[pos]
+    lo = 1
+    if i and inner[i - 1] <= j < outer[i - 1]:
+        lo = entries[i - 1, j] + 1  # strictly below the box above
+    hi = i + 1  # a lattice word never exceeds the row index
+    if j + 1 < outer[i]:
+        hi = min(hi, entries[i, j + 1])
+    for v in range(lo, hi + 1):
+        if v > 1 and counts[v] >= counts[v - 1]:
+            continue  # would break the prefix condition
+        counts[v] += 1
+        entries[i, j] = v
+        _fill(pos + 1, cells, inner, outer, entries, counts, tally)
+        counts[v] -= 1

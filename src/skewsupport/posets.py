@@ -13,8 +13,8 @@ one fingerprint per component key, from the key and its representative
 composed from its components (tableaux.key_schur_expansion), and overlap
 data from the representative.  The poset and multiplicity-free sweeps,
 which list every class member, build each shape from its key
-(shapes.key_shapes); verify_conjecture and saturation_check list shapes
-only on a failure.
+(shapes.key_shapes); verify_conjecture lists them only on a failure, and
+saturation_check only those of a disagreeing pair's keys (key_pair_shapes).
 Every order is a list of bitset rows from the order-row module shared
 with relations' implication sweep (skewsupport.orders), bit-sliced over
 byte fields.  Support data is held as an F-support cover
@@ -27,7 +27,6 @@ orders.dominated).
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations
 
 from skewsupport.config import max_size
 from skewsupport.errors import (
@@ -36,8 +35,7 @@ from skewsupport.errors import (
     SizeLimitError,
 )
 from skewsupport.orders import bit_indices, containing, dominated
-from skewsupport.overlaps import key_dominated, profile_keys
-from skewsupport.relations import layout, packed_f
+from skewsupport.overlaps import profile_keys
 from skewsupport.shapes import (
     SkewShape,
     _sweep_size,
@@ -46,14 +44,17 @@ from skewsupport.shapes import (
     component_keys,
     direct_sum,
     format_shape,
+    key_pair_shapes,
     key_shapes,
     parse_shape,
     scale,
 )
 from skewsupport.tableaux import (
     f_support_cover,
+    f_support_mask_of,
     key_schur_expansion,
     schur_support,
+    syt_count,
 )
 
 # ---------------------------------------------------------------- posets
@@ -151,14 +152,14 @@ def _mask_and_key(key, s) -> tuple[int, int]:
 def _mask_and_multfree(key, s) -> tuple[int, bool]:
     """F-support cover, and whether no F coefficient exceeds 1.
 
-    The coefficients come from relations.packed_f, the Schur route; the
-    direct route, tableaux.is_f_multiplicity_free, is what the tests check
-    it against.
+    s_A's F coefficients are positive on its support and sum to f^A =
+    sum c_lam f^lam, so all are 1 iff the support has f^A members.  The
+    tests check it against the direct route, is_f_multiplicity_free.
     """
     schur = key_schur_expansion(key)  # checks the size guard first
-    lay = layout(s.size)
-    free = key_dominated(packed_f(schur), lay.ones[1], lay.guards[1])
-    return f_support_cover(schur), free
+    f_a = sum(c * syt_count(lam) for lam, c in schur.items())
+    return (f_support_cover(schur),
+            f_support_mask_of(schur).bit_count() == f_a)
 
 
 def _mask_and_scaled(key, s, factor: int) -> tuple[int, int]:
@@ -495,7 +496,8 @@ def saturation_check(n: int, factor: int) -> dict:
     """Probe F-support saturation: does containment survive scaling, both ways?
 
     Sweeps all ordered pairs of size-n shapes comparing containment before
-    and after scaling by `factor`.  Disagreements in either direction are
+    and after scaling by `factor`, listing the shapes of disagreeing key
+    pairs only (shapes.key_pair_shapes).  Disagreements either way are
     open-question data, reported as discoveries, never as errors.  The fixed
     Schur-side regression is recomputed alongside, so the size guard must
     admit both n * factor and the regression's doubled shapes.
@@ -516,12 +518,8 @@ def saturation_check(n: int, factor: int) -> dict:
     for x, (b, a) in enumerate(zip(containing(covers), containing(scaled))):
         flips.update(((x, y), only_if) for y in bit_indices(b & ~a))
         flips.update(((x, y), if_dir) for y in bit_indices(a & ~b))
-    if flips:
-        shapes, slots = key_shapes(keyed)
-        for (a, x), (b, y) in permutations(zip(shapes, slots), 2):
-            if (x, y) in flips:
-                flips[x, y].append({"a": format_shape(a),
-                                    "b": format_shape(b)})
+    for a, b, out in key_pair_shapes(keyed, flips):
+        out.append({"a": format_shape(a), "b": format_shape(b)})
     shape_count = sum(count for *_, count in keyed)
     return {
         "n": n,

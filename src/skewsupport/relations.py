@@ -26,15 +26,14 @@ rather than with the key pairs.  An arrow L => R is broken on the bits of
 L's row that R's lacks, and an equivalence on the bits where a row differs
 from the first of its group.  Only a broken key pair goes through compare()
 and check_implications, so that its arrows are named in the same order as
-for one pair, and only then are the shapes of its size listed
-(shapes.key_shapes) to name every shape pair.  An exhaustive sweep must
-find no broken arrow and confirm the four published non-implications at
-witnesses.
+for one pair, and only the broken pairs' keys have their shapes listed
+(shapes.key_pair_shapes) to name every shape pair.  An exhaustive sweep
+must find no broken arrow and confirm the four published non-implications
+at witnesses.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from math import factorial
 
 from skewsupport import bases, overlaps, tableaux
@@ -49,7 +48,7 @@ from skewsupport.shapes import (
     component_keys,
     distinct_permutations,
     format_shape,
-    key_shapes,
+    key_pair_shapes,
     parse_shape,
     partitions_of,
     transpose_partition,
@@ -210,17 +209,6 @@ def _straight_packed(lam: Partition) -> tuple:
     return f, s, above - below
 
 
-def packed_f(schur: tableaux.Expansion) -> int:
-    """The F expansion of sum c_lam s_lam over schur, in layout's F fields.
-
-    s_lam is the sum of F_Des(T) over the standard fillings T of lam (EC2
-    Sec. 7.19), so F is the same combination of the straight shapes'
-    packed F: the descent kernel only ever sees straight shapes.  Given
-    schur_expansion(A), this is the F expansion of s_A.
-    """
-    return sum(c * _straight_packed(lam)[0] for lam, c in schur.items())
-
-
 def _nonzero(packed: int, guard: int, one: int) -> int:
     """The guard bits of the non-zero fields of packed.
 
@@ -246,21 +234,22 @@ def record(shape: SkewShape) -> ShapeRecord:
 
     Schur is packed from tableaux.schur_expansion, and the rest from it.
     F, S and D are the Schur combination of the straight shapes' packed
-    expansions (packed_f for F).  M is the zeta transform of F over descent
-    sets: for each bit b, every field whose mask has b gains the field of
-    the mask without it.
+    expansions, so the descent kernel only sees straight shapes.  M is the
+    zeta transform of F over descent sets: for each bit b, every field
+    whose mask has b gains the field of the mask without it.
     """
     n = shape.size
     schur = tableaux.schur_expansion(shape)  # checks the size guard
     lay = layout(n)
-    f = m = packed_f(schur)
-    for b, low in enumerate(lay.zeta):
-        m += (m & low) << (8 * lay.width[1] << b)
-    s, d = 0, lay.bias
+    f, s, d = 0, 0, lay.bias
     for lam, c in schur.items():
-        _, s_lam, d_lam = _straight_packed(lam)
+        f_lam, s_lam, d_lam = _straight_packed(lam)
+        f += c * f_lam
         s += c * s_lam
         d += c * d_lam
+    m = f
+    for b, low in enumerate(lay.zeta):
+        m += (m & low) << (8 * lay.width[1] << b)
     part = lay.part_index
     coeffs = (_pack(((part[lam], c) for lam, c in schur.items()),
                     lay.fields[0], lay.width[0]), f, m, s, d)
@@ -374,11 +363,11 @@ def verify_implications(n: int) -> dict:
     arrow L => R breaks on the bits of L's row that R's lacks, and an
     equivalence on the bits where a row differs from its group's first.
     Only a broken key pair is compared, to name its arrows in
-    check_implications' order, and only then are the shapes of that size
-    listed (shapes.key_shapes), to name every shape pair of a broken key
-    pair.  The arrows and equivalences are read on each call.  The four
-    witness pairs must each be seen with their published hold/fail pattern
-    once their size is within range, compared on that size's records.
+    check_implications' order, and only the broken pairs' keys have their
+    shapes listed (shapes.key_pair_shapes), to name its shape pairs.  The
+    arrows and equivalences are read on each call.  The four witness pairs
+    must each be seen with their published hold/fail pattern once their
+    size is within range, compared on that size's records.
     """
     # listing size n first checks n before any record is built
     largest = component_keys(_sweep_size(n))
@@ -405,13 +394,11 @@ def verify_implications(n: int) -> dict:
                     bad |= rows[first][x] ^ rows[cond][x]
             for y in bit_indices(bad):
                 broken[x, y] = check_implications(compare(ra, records[y]))
-        if broken:  # the shape pairs of each broken key pair, in shape order
-            shapes, slots = key_shapes(keyed)
-            violations += [
-                {"a": format_shape(a), "b": format_shape(b), "arrow": arrow}
-                for (a, x), (b, y) in permutations(zip(shapes, slots), 2)
-                for arrow in broken.get((x, y), ())
-            ]
+        violations += [
+            {"a": format_shape(a), "b": format_shape(b), "arrow": arrow}
+            for a, b, arrows in key_pair_shapes(keyed, broken)
+            for arrow in arrows
+        ]
     counts = [sum(count for *_, count in same) for same in by_size]
     return {
         "max_size": n,

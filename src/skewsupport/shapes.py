@@ -70,18 +70,19 @@ def transpose_partition(lam: Partition) -> Partition:
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, in descending lexicographic order."""
     out: list[Partition] = []
-
-    def rec(remaining, cap, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
+    _partitions(n, n, [], out)
     return out
+
+
+def _partitions(remaining, cap, prefix, out) -> None:
+    """Append to out prefix + each partition of remaining with parts <= cap."""
+    if remaining == 0:
+        out.append(tuple(prefix))
+        return
+    for p in range(min(cap, remaining), 0, -1):
+        prefix.append(p)
+        _partitions(remaining - p, p, prefix, out)
+        prefix.pop()
 
 
 def distinct_permutations(items):
@@ -576,6 +577,22 @@ def key_shapes(keyed) -> tuple[list[SkewShape], list[int]]:
                 out.append((_from_rows(_direct_sum_rows(comps)), slot))
     out.sort(key=lambda pair: (pair[0].outer, pair[0].inner))
     return [s for s, _ in out], [slot for _, slot in out]
+
+
+def key_pair_shapes(keyed, pairs) -> list[tuple]:
+    """(a, b, pairs[x, y]) per ordered pair of distinct shapes of keys
+    keyed[x] and keyed[y], in the order of a scan over the ordered pairs of
+    key_shapes(keyed); only the keys in pairs have their shapes listed."""
+    if not pairs:
+        return []
+    involved = sorted({x for pair in pairs for x in pair})
+    shapes, slots = key_shapes([keyed[x] for x in involved])
+    members = {x: [] for x in involved}
+    for i, slot in enumerate(slots):
+        members[involved[slot]].append(i)
+    hits = sorted((i, j, value) for (x, y), value in pairs.items()
+                  for i in members[x] for j in members[y] if i != j)
+    return [(shapes[i], shapes[j], value) for i, j, value in hits]
 
 
 def component_key(shape: SkewShape) -> tuple:

@@ -461,6 +461,12 @@ def _straight_f_masks(lam: Partition) -> dict:
     return kernels.descent_tally((0,) * len(lam), lam)
 
 
+@lru_cache(maxsize=None)
+def syt_count(lam: Partition) -> int:
+    """f^lam, the number of standard fillings of the straight shape lam."""
+    return sum(_straight_f_masks(lam).values())
+
+
 def f_expansion_via_schur(shape: SkewShape) -> Expansion:
     """F-expansion assembled from the Schur expansion.
 

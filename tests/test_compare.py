@@ -248,7 +248,7 @@ def test_records_and_multfree_tally_descents_of_straight_shapes_only(
 
     monkeypatch.setattr(kernels, "descent_tally", spy)
     for cached in (tableaux._f_masks, tableaux._straight_support_bits,
-                   relations._straight_packed):
+                   tableaux.syt_count, relations._straight_packed):
         cached.cache_clear()
     for n in range(7):
         for s in enumerate_shapes(n):

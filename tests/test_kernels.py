@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from math import factorial
 
@@ -6,9 +7,10 @@ from skewsupport.shapes import (
     enumerate_shapes,
     format_shape,
     parse_shape,
+    partitions_of,
     sort_desc,
 )
-from skewsupport.tableaux import enumerate_syt
+from skewsupport.tableaux import enumerate_syt, syt_count
 
 
 def test_backend_identifier():
@@ -122,17 +124,22 @@ def test_lr_tally_totals_match_tableau_counts():
                 lam == sort_desc(lam) and sum(lam) == n for lam in tally
             )
             assert sum(
-                count * _syt_count(lam) for lam, count in tally.items()
+                count * syt_count(lam) for lam, count in tally.items()
             ) == len(list(enumerate_syt(s)))
 
 
-def _syt_count(lam) -> int:
-    total = 0
-    for mask, count in kernels.descent_tally(
-        (0,) * len(lam), tuple(lam)
-    ).items():
-        total += count
-    return total
+def test_recursive_walks_leave_no_cycles():
+    # lr_tally's and partitions_of's walks are module functions, not
+    # closures, so a call leaves nothing for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        assert kernels.lr_tally((1, 1, 0), (3, 2, 1)) == {
+            (3, 1): 1, (2, 2): 1, (2, 1, 1): 1}
+        assert len(partitions_of(8)) == 22
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_lr_tally_frozen():

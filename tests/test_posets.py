@@ -1,3 +1,4 @@
+import ast
 import gc
 import random
 import sys
@@ -173,7 +174,7 @@ def test_passing_key_sweeps_list_no_shapes(monkeypatch):
     def no_listing(keyed):
         raise AssertionError(f"key_shapes called on {len(keyed)} keys")
 
-    for module in (posets, relations, shapes_module):
+    for module in (posets, shapes_module):
         monkeypatch.setattr(module, "key_shapes", no_listing)
     report = verify_conjecture(6)
     assert report["pass_theorem"] and report["pass_conjecture"]
@@ -182,6 +183,23 @@ def test_passing_key_sweeps_list_no_shapes(monkeypatch):
     assert report["pass"] and report["pairs_checked"] == 8316
     report = saturation_check(5, 2)
     assert report["agreement"] and report["pairs_checked"] == 87 * 86
+
+
+def test_posets_imports_nothing_from_relations():
+    # the conjecture and implication sweeps are siblings: both read the
+    # shared modules (shapes, tableaux, orders), neither the other
+    tree = ast.parse(open(posets.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}"
+                            for alias in node.names)
+    assert "skewsupport" in {name.split(".")[0] for name in imported}
+    assert not any(name.startswith("skewsupport.relations")
+                   for name in imported), sorted(imported)
 
 
 def _conjecture_oracle(n, fingerprint):
@@ -630,6 +648,44 @@ def test_saturation_disagreements_match_a_per_shape_sweep(monkeypatch):
     assert report["containment_gained_after_scaling"] == gained
     assert report["pairs_checked"] == len(shapes) * (len(shapes) - 1)
     assert not report["agreement"]
+
+
+def test_saturation_lists_only_the_disagreeing_keys_shapes(monkeypatch):
+    # fake covers: one bit per key, so no key's contains another's, except
+    # that scaling makes p's contain q's and stops r's containing t's; only
+    # the shapes of p, q, r and t may be listed, and in per-shape order
+    keyed = component_keys(5)
+    index = {key: x for x, (key, *_) in enumerate(keyed)}
+    p, q, r, t = [x for x, (*_, count) in enumerate(keyed) if count > 1][:4]
+
+    def fake(key):
+        x = index[key]
+        before = 1 << x | (1 << t if x == r else 0)
+        return before, 1 << x | (1 << q if x == p else 0)
+
+    monkeypatch.setattr(posets, "_mask_and_scaled",
+                        lambda key, s, factor: fake(key))
+    listed = []
+
+    def spy(rows):
+        listed.append([key for key, *_ in rows])
+        return key_shapes(rows)
+
+    monkeypatch.setattr(shapes_module, "key_shapes", spy)
+    report = saturation_check(5, 2)
+    lost, gained = [], []
+    for a in enumerate_shapes(5):
+        for b in enumerate_shapes(5):
+            x, y = index[component_key(a)], index[component_key(b)]
+            pair = {"a": format_shape(a), "b": format_shape(b)}
+            if a != b and (x, y) == (r, t):
+                lost.append(pair)
+            if a != b and (x, y) == (p, q):
+                gained.append(pair)
+    assert report["containment_lost_after_scaling"] == lost
+    assert report["containment_gained_after_scaling"] == gained
+    assert lost and gained
+    assert listed == [[keyed[x][0] for x in sorted((p, q, r, t))]]
 
 
 def test_saturation_factor_one_trivial():

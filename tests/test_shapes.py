@@ -1,7 +1,9 @@
 import gc
+import random
 import re
 import weakref
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -21,6 +23,7 @@ from skewsupport.shapes import (
     direct_sum,
     enumerate_shapes,
     format_shape,
+    key_pair_shapes,
     key_shapes,
     mask_to_comp,
     parse_shape,
@@ -218,6 +221,26 @@ def test_component_keys_match_enumeration():
             assert shape.size == n and slot_of[shape] == slot
         key_counts.append(len(keyed))
     assert key_counts == [1, 1, 3, 6, 16, 34, 87, 198, 493, 1167]
+
+
+def test_key_pair_shapes_match_a_scan_over_every_shape_pair():
+    # the shape pairs of the given key pairs, in the order a scan over
+    # every ordered pair of the size's shapes meets them
+    rng = random.Random(26)
+    for n in range(7):
+        keyed = component_keys(n)
+        shapes, slots = key_shapes(keyed)
+        keys = range(len(keyed))
+        for trial in range(6):
+            pairs = {(x, y): rng.random()
+                     for x in rng.sample(keys, min(trial, len(keyed)))
+                     for y in rng.sample(keys, min(2, len(keyed)))}
+            expected = [(a, b, pairs[x, y])
+                        for (a, x), (b, y) in permutations(zip(shapes, slots),
+                                                           2)
+                        if (x, y) in pairs]
+            assert key_pair_shapes(keyed, pairs) == expected, (n, pairs)
+        assert key_pair_shapes(keyed, {}) == []
 
 
 @pytest.mark.nightly

@@ -145,6 +145,8 @@ def test_syt_counts_match_determinant_formula():
     for n in range(1, 7):
         for s in enumerate_shapes(n):
             assert len(list(enumerate_syt(s))) == _syt_count_determinant(s)
+        for lam in partitions_of(n):
+            assert T.syt_count(lam) == _syt_count_determinant(straight(lam))
 
 
 def test_syt_are_valid_and_distinct():
