@@ -9,12 +9,17 @@ direction of the correspondence is a proved theorem (checked here as a
 sweep); the dominance-to-containment direction is open, so any reverse
 failure is reported as a discovery rather than an error.  Every sweep reads
 one fingerprint per component key, from the key and its representative
-(shapes.component_keys): support data from the key's Schur expansion,
-composed from its components (tableaux.key_schur_expansion), and overlap
-data from the representative.  The poset and multiplicity-free sweeps,
-which list every class member, build each shape from its key
-(shapes.key_shapes); verify_conjecture lists them only on a failure, and
-saturation_check only those of a disagreeing pair's keys (key_pair_shapes).
+(shapes.component_keys): support data from the key's Schur support, and
+overlap data from the representative.  The support-only sweeps
+(verify_conjecture, saturation_check with its scaled keys, build_suppf)
+take every key's cover from one call of the support route
+(tableaux.support_covers), which composes Schur supports, not
+coefficients; the multiplicity-free sweep reads coefficients, so it
+composes each key's Schur expansion (tableaux.key_schur_expansion).  The
+poset and multiplicity-free sweeps, which list every class member, build
+each shape from its key (shapes.key_shapes); verify_conjecture lists them
+only on a failure, and saturation_check only those of a disagreeing
+pair's keys (key_pair_shapes).
 Every order is a list of bitset rows from the order-row module shared
 with relations' implication sweep (skewsupport.orders), bit-sliced over
 byte fields.  Support data is held as an F-support cover
@@ -54,6 +59,7 @@ from skewsupport.tableaux import (
     f_support_mask_of,
     key_schur_expansion,
     schur_support,
+    support_covers,
     syt_count,
 )
 
@@ -131,41 +137,49 @@ def _key(s: SkewShape) -> int:
     return profile_keys(s.outer, s.inner, s.size)[0]
 
 
-# The fingerprints below take, per component key, the key
-# (shapes.component_keys) and its representative shape.  Support
-# data comes from the key's composed Schur expansion, as its F-support
-# cover (tableaux.f_support_cover), overlap data from the shape.
+# The fingerprints below take a sweep's rows of shapes.component_keys,
+# (key, representative, count), and give one fingerprint per row.
+# Support data is the key's F-support cover, from the support route
+# (tableaux.support_covers), which composes Schur supports only; overlap
+# data comes from the representative.
 
 
-def _mask(key, s) -> int:
-    return f_support_cover(key_schur_expansion(key))
+def _masks(keyed) -> list[int]:
+    return support_covers([key for key, *_ in keyed])
 
 
-def _nc_key(key, s) -> int:
-    return _key(s)
+def _nc_keys(keyed) -> list[int]:
+    return [_key(s) for _, s, _ in keyed]
 
 
-def _mask_and_key(key, s) -> tuple[int, int]:
-    return _mask(key, s), _key(s)
+def _masks_and_keys(keyed) -> list[tuple[int, int]]:
+    return list(zip(_masks(keyed), _nc_keys(keyed)))
 
 
-def _mask_and_multfree(key, s) -> tuple[int, bool]:
-    """F-support cover, and whether no F coefficient exceeds 1.
+def _masks_and_multfree(keyed) -> list[tuple[int, bool]]:
+    """F-support cover, and whether no F coefficient exceeds 1, per key.
 
     s_A's F coefficients are positive on its support and sum to f^A =
-    sum c_lam f^lam, so all are 1 iff the support has f^A members.  The
+    sum c_lam f^lam, so all are 1 iff the support has f^A members.  This
+    reads coefficients, so it composes each key's Schur expansion.  The
     tests check it against the direct route, is_f_multiplicity_free.
     """
-    schur = key_schur_expansion(key)  # checks the size guard first
-    f_a = sum(c * syt_count(lam) for lam, c in schur.items())
-    return (f_support_cover(schur),
-            f_support_mask_of(schur).bit_count() == f_a)
+    out = []
+    for key, *_ in keyed:
+        schur = key_schur_expansion(key)  # checks the size guard first
+        f_a = sum(c * syt_count(lam) for lam, c in schur.items())
+        out.append((f_support_cover(schur.coeffs),
+                    f_support_mask_of(schur.coeffs).bit_count() == f_a))
+    return out
 
 
-def _mask_and_scaled(key, s, factor: int) -> tuple[int, int]:
-    """F-support covers of the key and of its representative scaled."""
-    scaled = component_key(scale(s, factor))
-    return _mask(key, s), f_support_cover(key_schur_expansion(scaled))
+def _masks_and_scaled(keyed, factor: int) -> list[tuple[int, int]]:
+    """F-support covers of each key and of its representative scaled,
+    from one pass of the support route."""
+    keys = [key for key, *_ in keyed]
+    keys += [component_key(scale(s, factor)) for _, s, _ in keyed]
+    covers = support_covers(keys)
+    return list(zip(covers[:len(keyed)], covers[len(keyed):]))
 
 
 def _poset(kind, n, shapes, fingerprints, order) -> ShapeClassPoset:
@@ -186,18 +200,18 @@ def _poset(kind, n, shapes, fingerprints, order) -> ShapeClassPoset:
 def _shape_prints(n: int, fingerprint) -> tuple[list, list]:
     """Every size-n shape, sorted, and the fingerprint of each.
 
-    fingerprint runs once per component key, on the key and its
-    representative.
+    fingerprint runs once per sweep, on the rows of component_keys(n),
+    and gives one fingerprint per key.
     """
     keyed = component_keys(_sweep_size(n))
-    rows = [fingerprint(key, s) for key, s, _ in keyed]
+    rows = fingerprint(keyed)
     shapes, slots = key_shapes(keyed)
     return shapes, [rows[k] for k in slots]
 
 
 def build_suppf(n: int) -> ShapeClassPoset:
     """Classes by equal F-support, ordered by strict support containment."""
-    shapes, covers = _shape_prints(n, _mask)
+    shapes, covers = _shape_prints(n, _masks)
     return _poset("suppf", n, shapes, covers, containing)
 
 
@@ -207,7 +221,7 @@ def build_nc(n: int) -> ShapeClassPoset:
     A class sits above another when its row statistics are dominated at
     every depth (more spread out means higher).
     """
-    shapes, keys = _shape_prints(n, _nc_key)
+    shapes, keys = _shape_prints(n, _nc_keys)
     return _poset("nc", n, shapes, keys, partial(dominated, n=n))
 
 
@@ -226,7 +240,7 @@ def verify_conjecture(n: int) -> dict:
     """
     keyed = component_keys(_sweep_size(n))
     reps = [s for _, s, _ in keyed]
-    rows = [_mask_and_key(key, s) for key, s, _ in keyed]
+    rows = _masks_and_keys(keyed)
     shape_count = sum(count for *_, count in keyed)
     report = _conjecture_report(n, shape_count, reps, rows)
     if report["pass_theorem"] and report["pass_conjecture"]:
@@ -393,12 +407,12 @@ def multfree_report(n: int) -> dict:
 
     Checks, for every shape of size n, that the pattern classification
     matches multiplicity-freeness of the F-expansion, read from the Schur
-    expansion (_mask_and_multfree), and that the published comparability
+    expansion (_masks_and_multfree), and that the published comparability
     rules match computed support containment on every ordered pair of
     classified shapes.  Returns the restricted subposet of the support
     poset as well.
     """
-    shapes, prints = _shape_prints(n, _mask_and_multfree)
+    shapes, prints = _shape_prints(n, _masks_and_multfree)
     classification_mismatches = []
     free, classified = set(), []
     for s, (cover, free_f) in zip(shapes, prints):
@@ -511,8 +525,7 @@ def saturation_check(n: int, factor: int) -> dict:
             f"{limit}"
         )
     keyed = component_keys(_sweep_size(n))
-    rows = [_mask_and_scaled(key, s, factor) for key, s, _ in keyed]
-    covers, scaled = zip(*rows)
+    covers, scaled = zip(*_masks_and_scaled(keyed, factor))
     only_if, if_dir = [], []
     flips = {}  # key pair -> the list its shape pairs go to
     for x, (b, a) in enumerate(zip(containing(covers), containing(scaled))):

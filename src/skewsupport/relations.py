@@ -17,7 +17,9 @@ that its matrix breaks.
 
 verify_implications checks the diagram on every ordered pair of distinct
 same-size shapes without a matrix per pair.  It records one shape per
-component key (shapes.component_keys) and, per size, builds one bitset row
+component key (shapes.component_keys), from the key's Schur expansion
+(tableaux.key_schur_expansion) rather than through record(shape), which
+would find the shape's key again, and, per size, builds one bitset row
 per condition and key: bit y of row x is set when the condition holds for
 keys x and y (_condition_rows).  The rows test what compare() tests, field
 by field, through the order-row module that posets also uses
@@ -72,6 +74,13 @@ _ARROWS = (
     ("contains:schur", "contains:f"),
     ("contains:f", "contains:m"),
     ("contains:f", "dominated:rows"),
+    # K_{lam mu} > 0 iff mu <= lam in dominance (EC2 Sec. 7.10), and every
+    # content of an LR filling of A is dominated by cols(A)', which is in
+    # the Schur support; so the M-support of s_A is {alpha : sort(alpha)
+    # <= cols(A)'}, and conjugation reverses dominance (Macdonald
+    # I.(1.11)): contains:m holds iff cols(A) <= cols(B), the depth-1 part
+    # of dominated:cols
+    ("dominated:cols", "contains:m"),
 )
 
 # conditions that must all have the same truth value
@@ -232,14 +241,21 @@ class ShapeRecord:
 def record(shape: SkewShape) -> ShapeRecord:
     """Packed expansions, supports and dominance keys of one shape.
 
-    Schur is packed from tableaux.schur_expansion, and the rest from it.
+    Schur is packed from tableaux.schur_expansion, which checks the size
+    guard, and the rest from it (_record).
+    """
+    return _record(shape, tableaux.schur_expansion(shape))
+
+
+def _record(shape: SkewShape, schur) -> ShapeRecord:
+    """record(shape), given the Schur expansion of shape.
+
     F, S and D are the Schur combination of the straight shapes' packed
     expansions, so the descent kernel only sees straight shapes.  M is the
     zeta transform of F over descent sets: for each bit b, every field
     whose mask has b gains the field of the mask without it.
     """
     n = shape.size
-    schur = tableaux.schur_expansion(shape)  # checks the size guard
     lay = layout(n)
     f, s, d = 0, 0, lay.bias
     for lam, c in schur.items():
@@ -374,7 +390,8 @@ def verify_implications(n: int) -> dict:
     by_size = [component_keys(size) for size in range(1, n)] + [largest]
     violations, witnesses = [], {}
     for keyed in by_size:  # arrows only pair shapes of one size
-        records = [record(s) for _, s, _ in keyed]
+        records = [_record(s, tableaux.key_schur_expansion(key))
+                   for key, s, _ in keyed]
         index = {key: x for x, (key, *_) in enumerate(keyed)}
         for a_str, b_str, holds, fails in WITNESSES:
             a, b = parse_shape(a_str), parse_shape(b_str)

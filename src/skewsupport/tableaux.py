@@ -17,7 +17,11 @@ whole diagram (schur_expansion_lr), and inverting the unitriangular Kostka
 matrix against the monomial expansion (schur_expansion_kostka).  The sweeps
 hold an F-support as its cover (f_support_cover): the partitions of n whose
 straight F-supports it contains, p(n) bits that order and group shapes as
-the 2^(n-1)-bit support masks do.
+the 2^(n-1)-bit support masks do.  The cover depends only on the Schur
+support, so the support-only sweeps take their covers from the support
+route (support_covers), which composes each key's Schur support from its
+components' supports, each component tallied once up to transpose, and
+never its coefficients.
 
 Per-size and per-partition tables are cached; no cache keeps a tally such a
 table summarises.  Each shape-keyed result, and each component's tally,
@@ -26,7 +30,7 @@ every call, hit or miss.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, wraps
 from math import factorial
 from operator import attrgetter
 
@@ -39,6 +43,7 @@ from skewsupport.shapes import (
     SkewShape,
     _direct_sum_rows,
     _from_rows,
+    _half_turn,
     component_key,
     format_shape,
     mask_to_comp,
@@ -365,8 +370,7 @@ def _rows_size(rows) -> int:
     return sum(b - a for a, b in rows)
 
 
-@partial(_guarded_cache, size=_rows_size)
-def _component_tally(rows) -> tuple[dict, Partition, Partition]:
+def _tally_component(rows) -> tuple[dict, Partition, Partition]:
     """(lr_tally, sorted row lengths, sorted column lengths) of a connected
     component given as row intervals."""
     inner, outer = (tuple(side) for side in zip(*rows))
@@ -376,6 +380,27 @@ def _component_tally(rows) -> tuple[dict, Partition, Partition]:
             cols[c] += 1
     return (kernels.lr_tally(inner, outer),
             sort_desc(b - a for a, b in rows), sort_desc(cols))
+
+
+_component_tally = _guarded_cache(_tally_component, size=_rows_size)
+
+
+def _check_frame(coeffs: dict, frame, key) -> None:
+    """Raise ConsistencyError unless coeffs is 1 at both frame partitions.
+
+    The support of a skew Schur function contains the sorted row lengths
+    and the transpose of the sorted column lengths, both with coefficient
+    1; a kernel bug would almost surely break this.  key names the shape
+    in the message.
+    """
+    if any(coeffs.get(lam) != 1 for lam in frame):
+        found = " and ".join(
+            f"{coeffs.get(lam, 0)} at {','.join(map(str, lam))}"
+            for lam in frame)
+        shape = format_shape(_from_rows(_direct_sum_rows(key)))
+        raise ConsistencyError(
+            f"Schur expansion of {shape} fails the row/column frame check: "
+            f"coefficients {found}, where both must be 1")
 
 
 @lru_cache(maxsize=None)
@@ -417,11 +442,8 @@ def key_schur_expansion(key) -> Expansion:
     components, each as its row intervals.  s_{A+B} = s_A s_B for a direct
     sum (EC2 Sec. 7.10), so each component is tallied once, in a bounded
     LRU keyed by its rows, and the tallies are multiplied through the
-    per-pair table _lr_product.  The support of a skew Schur function
-    contains the sorted row lengths and the transpose of the sorted column
-    lengths, both with coefficient 1; a kernel bug would almost surely
-    break this.  The check runs on every call, hit or miss, so a bad tally
-    a cache holds raises each time.
+    per-pair table _lr_product.  The frame check (_check_frame) runs on
+    every call, hit or miss, so a bad tally a cache holds raises each time.
     """
     _check_size(sum(map(_rows_size, key)))
     coeffs, rows, cols = {(): 1}, (), ()
@@ -430,15 +452,9 @@ def key_schur_expansion(key) -> Expansion:
         coeffs = _product(coeffs, tally) if i else tally
         rows += comp_rows
         cols += comp_cols
-    frame = sort_desc(rows), transpose_partition(sort_desc(cols))
-    if key and any(coeffs.get(lam) != 1 for lam in frame):
-        found = " and ".join(
-            f"{coeffs.get(lam, 0)} at {','.join(map(str, lam))}"
-            for lam in frame)
-        shape = format_shape(_from_rows(_direct_sum_rows(key)))
-        raise ConsistencyError(
-            f"Schur expansion of {shape} fails the row/column frame check: "
-            f"coefficients {found}, where both must be 1")
+    if key:
+        _check_frame(coeffs, (sort_desc(rows),
+                              transpose_partition(sort_desc(cols))), key)
     return Expansion("schur", coeffs)
 
 
@@ -491,23 +507,25 @@ def f_support_mask(shape: SkewShape) -> int:
     tests use it as the per-shape support.  It keeps its LRU because the
     traced benchmark reads this cache's counters for its hit ratio.
     """
-    return f_support_mask_of(schur_expansion(shape))
+    return f_support_mask_of(schur_expansion(shape).coeffs)
 
 
-def f_support_mask_of(schur: Expansion) -> int:
-    """The F-support mask of sum c_lam s_lam over a Schur expansion.
+def f_support_mask_of(support) -> int:
+    """The F-support mask of sum c_lam s_lam over a Schur support.
 
-    The union of the straight supports over the Schur support: every
-    coefficient involved is nonnegative, so nothing cancels.
+    support holds the partitions lam with c_lam > 0.  The F-support is
+    the union of their straight supports: every coefficient involved is
+    nonnegative, so nothing cancels.
     """
     out = 0
-    for lam in schur.coeffs:
+    for lam in support:
         out |= _straight_support_bits(lam)
     return out
 
 
-def f_support_cover(schur: Expansion) -> int:
-    """The partitions lam whose straight F-support lies in that of schur.
+def f_support_cover(support) -> int:
+    """The partitions lam whose straight F-support lies in that of a Schur
+    support (partitions of one size n, as f_support_mask_of takes).
 
     Bit i stands for partitions_of(n)[i].  s_lam is the sum of F over the
     standard fillings of lam (EC2 Sec. 7.19) and no coefficient is
@@ -515,10 +533,11 @@ def f_support_cover(schur: Expansion) -> int:
     straight supports over its Schur support, and so over its cover too.
     Hence one F-support contains another iff its cover contains the
     other's, and equal covers mean equal supports: the cover is the
-    F-support in p(n) bits rather than 2^(n-1).
+    F-support in p(n) bits rather than 2^(n-1).  It depends on the Schur
+    support only, never on the coefficients.
     """
-    mask = f_support_mask_of(schur)
-    n = sum(next(iter(schur.coeffs), ()))
+    mask = f_support_mask_of(support)
+    n = sum(next(iter(support), ()))
     return sum(1 << i for i, bits in enumerate(_straight_supports(n))
                if bits | mask == mask)
 
@@ -533,6 +552,144 @@ def _straight_supports(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _straight_support_bits(lam: Partition) -> int:
     return kernels.descent_support((0,) * len(lam), lam)
+
+
+# ------------------------------------------------------ the support route
+
+
+def support_covers(keys) -> list[int]:
+    """The F-support cover (f_support_cover) of each component key, in order.
+
+    The cover depends only on the key's Schur support, so this composes
+    supports and never coefficients.  LR coefficients are non-negative,
+    so supp(s_A s_B) is the union of supp(s_lam s_mu) over lam in supp s_A
+    and mu in supp s_B (EC2 Sec. 7.10): a key's support is its first
+    component's, times each next component's, a product being the OR of
+    per-pair support bits read from _lr_product.  And omega s_{lam/mu} =
+    s_{lam'/mu'} (EC2 Sec. 7.14), so each component is tallied once up to
+    transpose (_component_support).  A support is held as bits over
+    partitions_of(size).  Every memo is a plain dict local to the call,
+    so nothing outlives it: the supports of components, of straight
+    products per pair of partitions, and the cover per distinct (size,
+    support).  The size guard runs on every key; each tally must hold
+    both frame partitions of its component with coefficient 1, and each
+    key's support both of its.
+    """
+    tables: dict = {}  # size -> (partitions_of(size), {partition: bit})
+    comps: dict = {}  # component rows -> (support, size, rows, cols)
+    pairs: dict = {}  # (lam, mu) -> the support bits of s_lam s_mu
+    covers: dict = {}  # size -> {support: cover}
+    out = []
+    for key in keys:
+        n = sum(map(_rows_size, key))
+        _check_size(n)
+        size, rows, cols = 0, (), ()
+        for comp in key:
+            got = comps.get(comp)
+            if got is None:
+                got = comps[comp] = _component_support(comp, comps, tables)
+            c_bits, c_size, c_rows, c_cols = got
+            bits = (_support_product(bits, size, c_bits, c_size, tables, pairs)
+                    if size else c_bits)
+            size += c_size
+            rows += c_rows
+            cols += c_cols
+        parts, pos, _ = _size_table(n, tables)
+        known = covers.setdefault(n, {})
+        for lam in sort_desc(rows), transpose_partition(sort_desc(cols)):
+            if not bits >> pos[lam] & 1:
+                shape = format_shape(_from_rows(_direct_sum_rows(key)))
+                raise ConsistencyError(
+                    f"Schur support of {shape} fails the row/column frame "
+                    f"check: it lacks {','.join(map(str, lam))}")
+        cover = known.get(bits)
+        if cover is None:
+            cover = known[bits] = f_support_cover(_members(bits, parts))
+        out.append(cover)
+    return out
+
+
+def _size_table(size: int, tables: dict) -> tuple:
+    """(partitions_of(size), {partition: its index}, the bit of each
+    partition's conjugate), kept in tables."""
+    table = tables.get(size)
+    if table is None:
+        parts = partitions_of(size)
+        pos = {lam: i for i, lam in enumerate(parts)}
+        conj = [1 << pos[transpose_partition(lam)] for lam in parts]
+        table = tables[size] = parts, pos, conj
+    return table
+
+
+def _members(bits: int, items) -> list:
+    """items[i] for each set bit i of bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(items[low.bit_length() - 1])
+        bits ^= low
+    return out
+
+
+def _transpose_rows(rows) -> tuple:
+    """A connected component's transpose, written as component_key writes
+    a component: row c of the transpose spans the rows that column c
+    crosses."""
+    turned = []
+    for c in range(rows[0][1]):
+        hit = [i for i, (a, b) in enumerate(rows) if a <= c < b]
+        turned.append((hit[0], hit[-1] + 1))
+    turned = tuple(turned)
+    return min(turned, _half_turn(turned))
+
+
+def _component_support(comp, comps: dict, tables: dict) -> tuple:
+    """(support bits, size, row lengths, column lengths) of a component.
+
+    If comps holds its transpose, the support is that one's conjugated
+    (omega s_{lam/mu} = s_{lam'/mu'}).  Otherwise the orientation with
+    fewer rows is tallied, whose lattice fillings lr_tally walks faster,
+    with the frame check (_check_frame) on the tally.  Only the support
+    bits are kept, and the frame partitions as partitions_of lists them,
+    so each is held once.
+    """
+    turned = _transpose_rows(comp)
+    size = _rows_size(comp)
+    parts, pos, conj = _size_table(size, tables)
+    seen = comps.get(turned)
+    if seen is not None:
+        bits, _, cols, rows = seen
+        return sum(_members(bits, conj)), size, rows, cols
+    tallied = min(comp, turned, key=lambda rows: (len(rows), rows))
+    tally, rows, cols = _tally_component(tallied)
+    _check_frame(tally, (rows, transpose_partition(cols)), (tallied,))
+    bits = sum(1 << pos[lam] for lam in tally)
+    rows, cols = parts[pos[rows]], parts[pos[cols]]
+    if tallied is comp:
+        return bits, size, rows, cols
+    return sum(_members(bits, conj)), size, cols, rows
+
+
+def _support_product(a, a_size, b, b_size, tables: dict, pairs: dict) -> int:
+    """The support bits of s_A s_B from the support bits a of s_A and b of
+    s_B: the OR of the per-pair support bits of s_lam s_mu, read from the
+    keys of _lr_product with the larger partition on top, as _product puts
+    it, and kept in pairs.
+    """
+    if a_size < b_size:
+        a, a_size, b, b_size = b, b_size, a, a_size
+    tops, bottoms = tables[a_size][0], tables[b_size][0]
+    pos = _size_table(a_size + b_size, tables)[1]
+    lower = _members(b, bottoms)
+    out = 0
+    for lam in _members(a, tops):
+        for mu in lower:
+            got = pairs.get((lam, mu))
+            if got is None:
+                got = pairs[lam, mu] = sum(1 << pos[nu]
+                                           for nu in _lr_product(lam, mu))
+            out |= got
+    return out
 
 
 def f_support_from_mask(bits: int, n: int) -> frozenset:
@@ -551,7 +708,7 @@ def is_f_multiplicity_free(shape: SkewShape) -> bool:
 
     The direct route, over the shape's own standard fillings.  The sweeps
     read the same property from the Schur expansion
-    (posets._mask_and_multfree); the tests check the two routes agree.
+    (posets._masks_and_multfree); the tests check the two routes agree.
     """
     return all(c == 1 for c in _f_masks(shape).values())
 

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from skewsupport.bases import d_expansion, s_expansion
+from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.overlaps import (
     OverlapProfile,
     dominance_leq,
@@ -316,9 +317,11 @@ def test_longrun_figure6_sweep(capsys):
 
 
 @pytest.mark.longrun
-@pytest.mark.parametrize("n, classes",
-                         [(11, 1916), (12, 3695), (13, 6872), (14, 12905)])
-def test_longrun_sweep(n, classes):
+@pytest.mark.parametrize("n, classes", [(11, 1916), (12, 3695), (13, 6872),
+                                        (14, 12905), (15, 23695)])
+def test_longrun_sweep(n, classes, monkeypatch):
+    # size 15 is over the default size guard of 14
+    monkeypatch.setenv(ENV_MAX_SIZE, "15")
     report = verify_conjecture(n)
     assert report["pass_theorem"] is True
     assert report["pass_conjecture"] is True

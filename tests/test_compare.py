@@ -6,6 +6,7 @@ import pytest
 from skewsupport import bases, kernels, posets, relations, tableaux
 from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.errors import SizeLimitError, SizeMismatchError
+from skewsupport.overlaps import dominance_leq
 from skewsupport.relations import (
     WITNESSES,
     check_implications,
@@ -22,6 +23,8 @@ from skewsupport.shapes import (
     mask_to_comp,
     parse_shape,
     partitions_of,
+    sort_desc,
+    transpose_partition,
 )
 from skewsupport.tableaux import BASES
 
@@ -167,7 +170,8 @@ def test_verify_implications_small():
 def test_verify_implications_checks_size_first(monkeypatch):
     # a size over the guard fails before any smaller size is swept
     recorded = []
-    monkeypatch.setattr(relations, "record", recorded.append)
+    monkeypatch.setattr(relations, "_record",
+                        lambda *args: recorded.append(args))
     monkeypatch.setenv(ENV_MAX_SIZE, "3")
     with pytest.raises(SizeLimitError, match="n=4 exceeds the size limit 3"):
         verify_implications(4)
@@ -268,13 +272,17 @@ def test_verify_implications_records_once_per_key(monkeypatch):
         return counted
 
     monkeypatch.setattr(relations, "record", counting("record", record))
+    monkeypatch.setattr(relations, "_record",
+                        counting("_record", relations._record))
     monkeypatch.setattr(relations, "compare", counting("compare", compare))
     assert verify_implications(5)["pass"]
     keys = [1, 3, 6, 16, 34]  # component keys of sizes 1..5
     # one record per key, the witness pairs included: they are compared
     # on their size's records; the condition rows stand in for a compare
-    # per key pair, so a passing sweep compares the witness pairs only
-    assert calls == {"record": sum(keys), "compare": 4}
+    # per key pair, so a passing sweep compares the witness pairs only.
+    # Each record is built from its key's Schur expansion, never through
+    # record(shape), which would find the shape's key again
+    assert calls == {"_record": sum(keys), "compare": 4}
 
 
 def test_violations_match_a_per_shape_sweep(monkeypatch):
@@ -379,3 +387,18 @@ def test_violations_match_the_per_pair_sweep(monkeypatch):
 @pytest.mark.nightly
 def test_nightly_violations_match_the_per_pair_sweep(monkeypatch):
     _check_violations_match_per_pair(monkeypatch, [8])
+
+
+def test_m_support_is_everything_dominated_by_the_column_frame():
+    # the M-support of s_A is {alpha : sort(alpha) <= cols(A)'}, where
+    # cols(A) is A's sorted column lengths; conjugation reverses
+    # dominance, so contains:m(A, B) is cols(A) <= cols(B), which
+    # dominated:cols forces (relations._ARROWS)
+    assert ("dominated:cols", "contains:m") in relations._ARROWS
+    for n in range(1, 8):
+        comps = [mask_to_comp(m, n) for m in range(1 << (n - 1))]
+        for s in enumerate_shapes(n):
+            top = transpose_partition(sort_desc(s.col_lengths()))
+            want = {alpha for alpha in comps
+                    if dominance_leq(sort_desc(alpha), top)}
+            assert tableaux.m_expansion(s).support() == want, format_shape(s)

@@ -260,9 +260,10 @@ def test_verify_conjecture_failures_match_a_per_shape_sweep(monkeypatch):
 
     counts = []
     for fake in (complement_and_first_depth, three_supports):
-        # the sweep hands its hook each key and its representative
-        monkeypatch.setattr(posets, "_mask_and_key",
-                            lambda key, s, fake=fake: fake(s))
+        # the sweep hands its hook its keys and their representatives
+        monkeypatch.setattr(
+            posets, "_masks_and_keys",
+            lambda keyed, fake=fake: [fake(s) for _, s, _ in keyed])
         report = verify_conjecture(n)
         mismatches, forward, reverse = _conjecture_oracle(n, fake)
         assert report["partition_mismatches"] == mismatches
@@ -357,7 +358,7 @@ def _cover_per_shape(s: SkewShape) -> int:
 
 def test_fingerprints_match_per_shape():
     for n in range(1, 8):
-        prints = posets._shape_prints(n, posets._mask_and_key)
+        prints = posets._shape_prints(n, posets._masks_and_keys)
         for s, (cover, key) in zip(*prints):
             assert cover == _cover_per_shape(s), format_shape(s)
             assert key == _pack(OverlapProfile.of(s), n)
@@ -367,7 +368,7 @@ def test_cover_containment_is_support_containment():
     # equal covers group shapes as equal support masks do, and one
     # class's cover contains another's iff its support mask does
     for n in range(1, 9):
-        shapes, prints = posets._shape_prints(n, posets._mask_and_key)
+        shapes, prints = posets._shape_prints(n, posets._masks_and_keys)
         masks = [f_support_mask(s) for s in shapes]
         classes = list(posets._classes_of([c for c, _ in prints]).values())
         assert list(posets._classes_of(masks).values()) == classes
@@ -386,7 +387,7 @@ def _containing_per_pair(sets):
 def _check_containing_rows(n):
     # the conjecture sweep's support class covers, and the same classes'
     # support masks
-    shapes, prints = posets._shape_prints(n, posets._mask_and_key)
+    shapes, prints = posets._shape_prints(n, posets._masks_and_keys)
     classes = posets._classes_of([cover for cover, _ in prints]).values()
     covers = [prints[m[0]][0] for m in classes]
     assert list(build_suppf(n).below) == _containing_per_pair(covers)
@@ -425,11 +426,11 @@ def _dominated_per_pair(keys, n):
 def _check_dominated_rows(n):
     # the nc classes, and the conjecture sweep's support class
     # representatives, whose keys could repeat on a partition mismatch
-    _, keys = posets._shape_prints(n, posets._nc_key)
+    _, keys = posets._shape_prints(n, posets._nc_keys)
     nc = list(dict.fromkeys(keys))
     assert list(build_nc(n).below) == _dominated_per_pair(nc, n)
     assert orders.dominated(nc, n) == _dominated_per_pair(nc, n)
-    _, prints = posets._shape_prints(n, posets._mask_and_key)
+    _, prints = posets._shape_prints(n, posets._masks_and_keys)
     masks, keys = zip(*prints)
     reps = [keys[m[0]] for m in posets._classes_of(masks).values()]
     assert orders.dominated(reps, n) == _dominated_per_pair(reps, n)
@@ -461,11 +462,11 @@ def test_dominated_rows_on_repeated_and_no_keys():
 
 def test_multfree_and_saturation_fingerprints_match_per_shape():
     for n in range(1, 8):
-        prints = posets._shape_prints(n, posets._mask_and_multfree)
+        prints = posets._shape_prints(n, posets._masks_and_multfree)
         for s, row in zip(*prints):
             assert row == (_cover_per_shape(s),
                            is_f_multiplicity_free(s)), format_shape(s)
-    fingerprint = partial(posets._mask_and_scaled, factor=2)
+    fingerprint = partial(posets._masks_and_scaled, factor=2)
     for n in range(1, 7):
         for s, row in zip(*posets._shape_prints(n, fingerprint)):
             assert row == (_cover_per_shape(s),
@@ -627,8 +628,9 @@ def test_saturation_disagreements_match_a_per_shape_sweep(monkeypatch):
     def fake(s, factor):
         return f_support_mask(s), posets._key(s)
 
-    monkeypatch.setattr(posets, "_mask_and_scaled",
-                        lambda key, s, factor: fake(s, factor))
+    monkeypatch.setattr(
+        posets, "_masks_and_scaled",
+        lambda keyed, factor: [fake(s, factor) for _, s, _ in keyed])
     shapes = enumerate_shapes(5)
     lost, gained = [], []
     for a in shapes:
@@ -663,8 +665,9 @@ def test_saturation_lists_only_the_disagreeing_keys_shapes(monkeypatch):
         before = 1 << x | (1 << t if x == r else 0)
         return before, 1 << x | (1 << q if x == p else 0)
 
-    monkeypatch.setattr(posets, "_mask_and_scaled",
-                        lambda key, s, factor: fake(key))
+    monkeypatch.setattr(
+        posets, "_masks_and_scaled",
+        lambda keyed, factor: [fake(key) for key, *_ in keyed])
     listed = []
 
     def spy(rows):

@@ -4,7 +4,8 @@ from math import factorial
 
 import pytest
 
-from skewsupport import kernels
+from skewsupport import kernels, posets
+from skewsupport import shapes as shapes_module
 from skewsupport import tableaux as T
 from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.errors import ConsistencyError, InvalidShapeError, SizeLimitError
@@ -479,3 +480,144 @@ def test_key_frame_check_raises_on_corrupt_kernel(monkeypatch):
         T._component_tally.cache_clear()
     monkeypatch.setattr(kernels, "lr_tally", tally)
     assert T.key_schur_expansion(key) == good
+
+
+# ------------------------------------------------------ the support route
+
+
+def _coefficient_covers(keys):
+    return [T.f_support_cover(T.key_schur_expansion(key).coeffs)
+            for key in keys]
+
+
+def _check_support_covers(largest):
+    keys = [key for n in range(1, largest + 1)
+            for key, *_ in component_keys(n)]
+    # one call over every size, and one call per size
+    assert T.support_covers(keys) == _coefficient_covers(keys)
+    for n in range(1, largest + 1):
+        keys = [key for key, *_ in component_keys(n)]
+        assert T.support_covers(keys) == _coefficient_covers(keys)
+
+
+def test_support_covers_match_the_coefficient_route():
+    _check_support_covers(9)
+
+
+@pytest.mark.nightly
+def test_nightly_support_covers_match_the_coefficient_route():
+    _check_support_covers(11)
+
+
+def _partitions_in(bits, size, tables):
+    return set(T._members(bits, T._size_table(size, tables)[0]))
+
+
+def test_pair_supports_are_lr_product_keys():
+    # a product of two one-partition supports is the key set of
+    # _lr_product in either order, and every per-pair entry the route
+    # keeps is the key set of _lr_product with the larger partition on top
+    tables, pairs = {}, {}
+    for n in range(2, 9):
+        for a in range(1, n):
+            for lam in partitions_of(a):
+                for mu in partitions_of(n - a):
+                    bits = T._support_product(
+                        1 << T._size_table(a, tables)[1][lam], a,
+                        1 << T._size_table(n - a, tables)[1][mu], n - a,
+                        tables, pairs)
+                    got = _partitions_in(bits, n, tables)
+                    assert got == set(T._lr_product(lam, mu)), (lam, mu)
+                    assert got == set(T._lr_product(mu, lam)), (lam, mu)
+    assert len(pairs) == sum(
+        len(partitions_of(a)) * len(partitions_of(n - a))
+        for n in range(2, 9) for a in range((n + 1) // 2, n))
+    for (lam, mu), bits in pairs.items():
+        assert sum(lam) >= sum(mu)
+        size = sum(lam) + sum(mu)
+        assert _partitions_in(bits, size, tables) == set(
+            T._lr_product(lam, mu))
+
+
+def test_component_support_up_to_transpose():
+    # each component's support, whether tallied itself, tallied as its
+    # transpose, or conjugated from its transpose's, is lr_tally's support
+    # on the component; the frame comes back as its sorted row and column
+    # lengths
+    tables = {}
+    for size in range(1, 9):
+        for rows, _ in shapes_module._connected(size):
+            inner, outer = (tuple(side) for side in zip(*rows))
+            want = set(kernels.lr_tally(inner, outer))
+            cols = [0] * outer[0]
+            for a, b in rows:
+                for c in range(a, b):
+                    cols[c] += 1
+            frame = (sort_desc(b - a for a, b in rows), sort_desc(cols))
+            turned = T._transpose_rows(rows)
+            assert T._transpose_rows(turned) in (rows, T._half_turn(rows))
+            fresh = T._component_support(rows, {}, tables)
+            seen = {turned: T._component_support(turned, {}, tables)}
+            conjugated = T._component_support(rows, seen, tables)
+            for bits, got_size, *got_frame in (fresh, conjugated):
+                assert got_size == size
+                assert tuple(got_frame) == frame
+                assert _partitions_in(bits, size, tables) == want, rows
+
+
+def _support_sweeps():
+    return (lambda: posets.verify_conjecture(5),
+            lambda: posets.saturation_check(3, 2),
+            lambda: posets.build_suppf(5))
+
+
+def test_support_route_frame_check_raises_on_corrupt_kernel(monkeypatch):
+    # an lr_tally that drops its top term breaks each component's tally;
+    # one that drops it on disconnected shapes only, the straight products
+    # _lr_product asks for, breaks each key's composed support instead.
+    # Every support sweep must raise either way, on every call
+    tally = kernels.lr_tally
+
+    def drop_top(disconnected_only):
+        def dropped(inner, outer):
+            out = tally(inner, outer)
+            if not disconnected_only or any(
+                    below <= left for left, below in zip(inner, outer[1:])):
+                out.pop(max(out))
+            return out
+        return dropped
+
+    component = r"^Schur expansion of \S+ fails the row/column frame check: "
+    key = r"^Schur support of \S+ fails the row/column frame check: it lacks "
+    try:
+        for disconnected_only, message in ((False, component), (True, key)):
+            T._lr_product.cache_clear()  # so the corrupt kernel is reached
+            monkeypatch.setattr(kernels, "lr_tally",
+                                drop_top(disconnected_only))
+            for sweep in _support_sweeps():
+                for _ in range(2):
+                    with pytest.raises(ConsistencyError, match=message):
+                        sweep()
+    finally:
+        T._lr_product.cache_clear()
+    monkeypatch.setattr(kernels, "lr_tally", tally)
+    assert posets.verify_conjecture(5)["pass_theorem"]
+
+
+def test_support_route_checks_the_size_guard_on_every_key(monkeypatch):
+    # each key is checked, wherever it comes in the list, and before the
+    # kernel sees it
+    small = [key for key, *_ in component_keys(3)]
+    big = [key for key, *_ in component_keys(4)]
+    monkeypatch.setenv(ENV_MAX_SIZE, "3")
+    assert T.support_covers(small) == _coefficient_covers(small)
+    with pytest.raises(SizeLimitError, match="4 boxes, over the size limit 3"):
+        T.support_covers(small + big[:1])
+
+    def no_kernel(inner, outer):
+        raise AssertionError("the kernel ran on a key over the guard")
+
+    monkeypatch.setattr(kernels, "lr_tally", no_kernel)
+    for key in big:
+        with pytest.raises(SizeLimitError):
+            T.support_covers([key])
