@@ -1,13 +1,78 @@
 """The enumeration kernels.
 
-Both kernels take a shape as parallel tuples (inner, outer) of per-row column
-bounds: row i occupies columns inner[i] <= j < outer[i].  They are the hot
-loops of every exhaustive sweep.  descent_tally counts fillings by fill state
-rather than walking them, so its work grows with the number of order ideals
-of the shape rather than with the number of fillings.
+Every kernel takes a shape as parallel tuples (inner, outer) of per-row
+column bounds: row i occupies columns inner[i] <= j < outer[i].  They are
+the hot loops of every exhaustive sweep.  descent_counts and descent_support
+go over fill states rather than walking the fillings one by one, so their
+work grows with the number of order ideals of the shape rather than with
+the number of fillings.
+
+A packed count holds the count of descent mask m in field m of one int,
+each field field_width(n) bytes wide, so that whole expansions add, shift
+and mask as ints; zeta_masks(n, width) are the per-size masks that act on
+such fields one descent bit at a time.
 """
 
+import struct
+from functools import lru_cache
+from itertools import compress
+from math import factorial
+
 BACKEND = "python"  # named in `--version` and in benchmark records
+
+
+def field_width(n: int) -> int:
+    """Bytes per field of a packed count over the fillings of n boxes.
+
+    A count of standard fillings is at most n!, and so is every sum of
+    F or M coefficients of one shape; bitlen(n!) + 1 bits keep each
+    field's top bit clear, rounded up to whole bytes.
+    """
+    return (factorial(n).bit_length() + 8) // 8
+
+
+def repeat_field(pattern: bytes, count: int) -> int:
+    """The int of count copies of pattern, the first in the low bytes."""
+    return int.from_bytes(pattern * count, "little")
+
+
+@lru_cache(maxsize=None)
+def zeta_masks(n: int, width: int) -> tuple[int, ...]:
+    """Per bit b < n - 1, the whole fields whose index lacks bit b.
+
+    The fields are width bytes each, one per descent mask of size n.
+    Sizes stop at the size guard every caller checks first.
+    """
+    fields = 1 << max(0, n - 1)
+    return tuple(repeat_field(b"\xff" * (width << b) + bytes(width << b),
+                              fields >> (b + 1))
+                 for b in range(n - 1))
+
+
+_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes by size
+
+
+def unpack(packed: int, n: int, width: int) -> dict[int, int]:
+    """{mask: count} of the non-zero fields of a packed count, by mask.
+
+    The fields are spread to the next power-of-two width, byte by byte,
+    and read in one struct.unpack; struct has no code for fields over 8
+    bytes (n > 20), which are read one by one.
+    """
+    fields = 1 << max(0, n - 1)
+    data = packed.to_bytes(width * fields, "little")
+    wide = 1 << (width - 1).bit_length()
+    if wide in _UNSIGNED:
+        if wide != width:
+            spread = bytearray(wide * fields)
+            for k in range(width):
+                spread[k::wide] = data[k::width]
+            data = spread
+        counts = struct.unpack(f"<{fields}{_UNSIGNED[wide]}", data)
+    else:
+        counts = [int.from_bytes(data[i:i + width], "little")
+                  for i in range(0, len(data), width)]
+    return dict(compress(enumerate(counts), counts))
 
 
 def descent_tally(inner, outer):
@@ -15,59 +80,74 @@ def descent_tally(inner, outer):
 
     A standard filling places 1..n, rows increasing left to right and columns
     increasing top to bottom; position i is a descent when i+1 sits in a lower
-    row.  Returns {bitmask: count} with bit i-1 for a descent at i.
+    row.  Returns {bitmask: count} with bit i-1 for a descent at i, in
+    ascending mask order: descent_counts, unpacked.
+    """
+    n = sum(outer) - sum(inner)
+    width = field_width(n)
+    return unpack(descent_counts(inner, outer, width), n, width)
 
-    Standard fillings are the linear extensions of the poset of boxes, so
-    rather than walking them one by one this counts them with a transfer over
-    fill states: the per-row count of boxes filled so far, which is an order
-    ideal of that poset.  Each state is solved once (see _completions) and the
-    tally keeps the walk's first-seen key order.
+
+def descent_counts(inner, outer, width: int) -> int:
+    """The standard fillings counted by descent set, as one packed int.
+
+    Field m, width bytes wide, holds the number of fillings with descent
+    bitmask m (as keyed by descent_tally); width must hold n!, as
+    field_width(n) does.  Standard fillings are the linear extensions of
+    the poset of boxes, so rather than walking them one by one this counts
+    them with a transfer over fill states: the per-row count of boxes
+    filled so far, an order ideal of that poset, each solved once (see
+    _counts).  The transfer indexes fields with the last descent positions
+    in the low bits, so that the completions of a state with k entries
+    placed span only 2^(n-1-k) fields; one bit reversal of the field index
+    at the end gives field m.
     """
     n = sum(outer) - sum(inner)
     if n == 0:
-        return {0: 1}
+        return 1
     memo: dict = {}  # local to this call, so nothing outlives it
-    tally: dict[int, int] = {}
-    for masks in _completions(tuple(inner), 0, n, inner, outer, memo).values():
-        for mask, count in masks.items():
-            tally[mask] = tally.get(mask, 0) + count
-    return tally
+    packed = _counts(tuple(inner), 0, n, 8 * width, inner, outer, memo)[-1]
+    zeta = zeta_masks(n, width)
+    for p in range((n - 1) // 2):  # swap index bits p and n - 2 - p
+        q = n - 2 - p
+        gap = 8 * width * ((1 << q) - (1 << p))
+        moved = (packed >> gap ^ packed) & zeta[q] & ~zeta[p]
+        packed ^= moved ^ moved << gap
+    return packed
 
 
-def _completions(state, step, n, inner, outer, memo):
-    """{row of entry step+1: {descent bits: count}} over completions of state.
+def _counts(state, step, n, bits, inner, outer, memo):
+    """Prefix sums over rows of the packed completions of state.
 
     `state` holds the next unfilled column of each row with `step` entries
-    placed; the bits cover descents at positions step+1..n-1.  Rows come in
-    increasing order and each bit dict in first-seen order, which is the
-    order a top-row-first walk over the fillings meets them.
+    placed.  Entry i of the result sums, over the rows up to i, the
+    completions that place entry step+1 in that row, packed with fields of
+    `bits` bits: field j counts the completions whose descents at
+    step+1..n-1 are the positions n-1-b for the bits b of j.  A parent that
+    places entry step in row r reads its descent at step from the split at
+    r: the completions below r (total less prefix) have it, and it is the
+    field bit n-1-step, one shift.
     """
-    out = {}
-    bit = 1 << step  # a descent at step+1: entry step+2 sits in a lower row
+    out = []
+    acc = 0
+    last = step + 1 == n
+    shift = 0 if last else bits << (n - 2 - step)  # a descent at step+1
     for row in range(len(outer)):
         col = state[row]
-        if col >= outer[row]:
-            continue
-        if row and col >= inner[row - 1] and state[row - 1] <= col:
-            continue  # the box above exists and is still unfilled
-        if step + 1 == n:
-            out[row] = {0: 1}
-            continue
-        nxt = state[:row] + (col + 1,) + state[row + 1:]
-        rest = memo.get(nxt)
-        if rest is None:
-            rest = memo[nxt] = _completions(nxt, step + 1, n, inner, outer,
-                                            memo)
-        acc: dict[int, int] = {}
-        for below, masks in rest.items():
-            if below > row:
-                for mask, count in masks.items():
-                    mask |= bit
-                    acc[mask] = acc.get(mask, 0) + count
+        if col < outer[row] and not (
+                row and col >= inner[row - 1] and state[row - 1] <= col):
+            # the box is there and the box above it, if any, is filled
+            if last:
+                acc += 1  # the one completion: no descents left
             else:
-                for mask, count in masks.items():
-                    acc[mask] = acc.get(mask, 0) + count
-        out[row] = acc
+                nxt = state[:row] + (col + 1,) + state[row + 1:]
+                rest = memo.get(nxt)
+                if rest is None:
+                    rest = memo[nxt] = _counts(nxt, step + 1, n, bits,
+                                               inner, outer, memo)
+                low = rest[row]
+                acc += low + ((rest[-1] - low) << shift)
+        out.append(acc)
     return out
 
 
@@ -75,9 +155,9 @@ def descent_support(inner, outer):
     """The descent sets of the standard fillings, as one int.
 
     Bit m is set iff some standard filling has descent bitmask m, as keyed
-    by descent_tally; the counts are not kept.  This is descent_tally's
-    transfer with each completion set held as one int (see
-    _support_completions), so merging two sets is an OR.
+    by descent_tally; the counts are not kept.  This is descent_counts'
+    transfer over fill states with each completion set held as one int of
+    bits (see _support_completions), so merging two sets is an OR.
     """
     n = sum(outer) - sum(inner)
     if n == 0:
@@ -93,9 +173,10 @@ def descent_support(inner, outer):
 def _support_completions(state, step, n, inner, outer, memo):
     """{row of entry step+1: descent sets} over completions of state.
 
-    As _completions, with each {descent bits: count} dict replaced by an
-    int whose bit m says descent bits m occur.  Bit `step` of every mask
-    in a completion set is still clear, so adding the descent at step+1
+    `state` holds the next unfilled column of each row with `step` entries
+    placed.  A set of descent sets is one int whose bit m says descent bits
+    m occur, bits covering the descents at step+1..n-1.  Bit `step` of every
+    mask in a completion set is still clear, so adding the descent at step+1
     to a whole set adds 1 << step to each mask: a shift by 1 << step.
     """
     out = {}

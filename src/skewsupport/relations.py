@@ -36,9 +36,8 @@ at witnesses.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
-from skewsupport import bases, overlaps, tableaux
+from skewsupport import bases, kernels, overlaps, tableaux
 from skewsupport.orders import bit_indices, order_rows
 from skewsupport.shapes import (
     Partition,
@@ -135,8 +134,9 @@ class Layout:
     for Schur, the composition with descent mask i for F, M, S and D.
     Coefficients of Schur, F, M and S lie in 0..f^A, and f^A <= n!, so
     fields of bitlen(n!) + 1 bits keep their top bit, the guard bit, clear;
-    widths are rounded up to whole bytes so that ints are built with
-    int.from_bytes, in time linear in their size.  A D coefficient is a sum
+    kernels.field_width rounds that up to whole bytes, so that ints are
+    built with int.from_bytes, in time linear in their size, and the
+    descent kernel packs F in these fields itself.  A D coefficient is a sum
     over lambda of c_lambda times a signed count of at most n! permutations,
     and the c_lambda sum to at most f^A, so |d| <= (n!)^2: D fields are
     twice as wide and hold d + bias, with bias 2^(bits - 2).  Then every
@@ -152,11 +152,7 @@ class Layout:
     ones: tuple  # the low bit of every field, per basis
     guards: tuple  # guard bits, per basis and then per dominance key
     bias: int  # the bias in every D field
-    zeta: tuple  # per bit b < n - 1: the whole fields whose index lacks b
-
-
-def _repeat(pattern: bytes, count: int) -> int:
-    return int.from_bytes(pattern * count, "little")
+    zeta: tuple  # kernels.zeta_masks of the F fields
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +161,7 @@ def layout(n: int) -> Layout:
 
     One per size; record() checks the size guard before asking for one.
     """
-    w = (factorial(n).bit_length() + 8) // 8
+    w = kernels.field_width(n)
     comps = 1 << max(0, n - 1)
     parts = partitions_of(n)
     width = (w, w, w, w, 2 * w)
@@ -175,14 +171,13 @@ def layout(n: int) -> Layout:
         width,
         fields,
         {lam: i for i, lam in enumerate(parts)},
-        tuple(_repeat(b"\1".ljust(k, b"\0"), f)
+        tuple(kernels.repeat_field(b"\1".ljust(k, b"\0"), f)
               for k, f in zip(width, fields)),
-        tuple(_repeat(b"\x80".rjust(k, b"\0"), f)
+        tuple(kernels.repeat_field(b"\x80".rjust(k, b"\0"), f)
               for k, f in zip(width, fields))
         + (overlaps.dominance_guard(n),) * len(_DOM_KEYS),
-        _repeat(b"\x40".rjust(2 * w, b"\0"), comps),
-        tuple(_repeat(b"\xff" * (w << b) + bytes(w << b), comps >> (b + 1))
-              for b in range(n - 1)),
+        kernels.repeat_field(b"\x40".rjust(2 * w, b"\0"), comps),
+        kernels.zeta_masks(n, w),
     )
 
 
@@ -203,11 +198,12 @@ def _straight_packed(lam: Partition) -> tuple:
     """The F, S and D expansions of s_lam, packed; D's fields signed, unbiased.
 
     Built when a record first meets lam and kept, like bases._straight_d.
-    F counts the standard fillings of lam by descent set.
+    F counts the standard fillings of lam by descent set, packed by the
+    descent kernel itself.
     """
     lay = layout(sum(lam))
     fields, w_s, w_d = lay.fields[3], lay.width[3], lay.width[4]
-    f = _pack(tableaux._straight_f_masks(lam).items(), fields, lay.width[1])
+    f = kernels.descent_counts((0,) * len(lam), lam, lay.width[1])
     s = _pack(((comp_to_mask(alpha), 1)
                for alpha in distinct_permutations(lam)), fields, w_s)
     d = bases._straight_d(lam)

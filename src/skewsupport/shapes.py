@@ -450,11 +450,16 @@ def _row_lists(n: int, overlap: int, emit) -> None:
     canonical-form constraints translate to: a and b weakly decrease, each
     row is non-empty, consecutive rows satisfy b' >= a + overlap (no column
     gap for overlap 0; a shared column, so a connected shape, for overlap
-    1), and the last row starts at column 0.  rows is reused between calls.
+    1), and the last row starts at column 0.  So a row starting at a > 0
+    must leave at least a + overlap boxes for the rows below it: the next
+    row ends at b' >= a + overlap, and a row starting right of column 0
+    needs another below it.  A row that leaves fewer is never tried;
+    nothing it leads to would be emitted, so the lists come in the same
+    order.  rows is reused between calls.
     """
     rows: list[tuple[int, int]] = []
     for b in range(1, n + 1):
-        for a in range(0, b):
+        for a in range(0, b if b <= n - overlap else 1):
             rows.append((a, b))
             _extend_rows(rows, a, b, n - (b - a), overlap, emit)
             rows.pop()
@@ -463,17 +468,18 @@ def _row_lists(n: int, overlap: int, emit) -> None:
 def _extend_rows(rows, prev_a, prev_b, remaining, overlap, emit) -> None:
     """Every way to add rows of `remaining` boxes below rows, for _row_lists.
 
-    rows ends with [prev_a, prev_b).  A module function, not a closure: a
-    nested function that calls itself refers to itself, and that cycle
-    would keep emit alive until the cyclic collector runs.
+    rows ends with [prev_a, prev_b), and remaining is 0 only after a row
+    starting at column 0.  A module function, not a closure: a nested
+    function that calls itself refers to itself, and that cycle would keep
+    emit alive until the cyclic collector runs.
     """
     if remaining == 0:
-        if prev_a == 0:
-            emit(rows)
+        emit(rows)
         return
     for a in range(prev_a, -1, -1):
-        for b in range(max(a + 1, prev_a + overlap),
-                       min(prev_b, a + remaining) + 1):
+        # a row starting at a > 0 must leave a + overlap boxes below it
+        last = remaining - overlap if a else remaining
+        for b in range(max(a + 1, prev_a + overlap), min(prev_b, last) + 1):
             rows.append((a, b))
             _extend_rows(rows, a, b, remaining - (b - a), overlap, emit)
             rows.pop()

@@ -5,7 +5,10 @@ increase left to right, columns increase top to bottom) and their descent
 compositions.  Summing one fundamental quasisymmetric term per tableau gives
 the F-expansion of s_A; coarsening by the subset-sum transform gives the
 monomial expansion; counting lattice semistandard fillings gives the Schur
-expansion.
+expansion.  A shape's F- and M-expansions both come from one packed count
+of its own fillings by descent mask (kernels.descent_counts, kept per
+shape in _f_counts): F unpacks it, and M unpacks its zeta transform, taken
+on the packed fields one descent bit at a time.
 
 Every Schur expansion comes from one route: the shape's component key
 (shapes.component_key), whose connected components are each tallied by
@@ -229,8 +232,11 @@ def enumerate_syt(shape: SkewShape):
 
 
 @_guarded_cache
-def _f_masks(shape: SkewShape) -> dict:
-    return kernels.descent_tally(shape.inner_padded, shape.outer)
+def _f_counts(shape: SkewShape) -> int:
+    """The shape's standard fillings counted by descent set, packed
+    (kernels.descent_counts, fields kernels.field_width(size) bytes)."""
+    return kernels.descent_counts(shape.inner_padded, shape.outer,
+                                  kernels.field_width(shape.size))
 
 
 @lru_cache(maxsize=None)
@@ -243,10 +249,16 @@ def _compositions(n: int) -> tuple:
     return tuple(mask_to_comp(m, n) for m in range(1 << max(0, n - 1)))
 
 
+def _expansion(basis: str, packed: int, n: int) -> Expansion:
+    """The F- or M-expansion whose coefficient of mask m is field m."""
+    counts = kernels.unpack(packed, n, kernels.field_width(n))
+    comps = _compositions(n)
+    return Expansion(basis, {comps[m]: c for m, c in counts.items()})
+
+
 def f_expansion(shape: SkewShape) -> Expansion:
     """Fundamental quasisymmetric expansion, straight from standard fillings."""
-    masks, comps = _f_masks(shape), _compositions(shape.size)  # guard first
-    return Expansion("f", {comps[m]: c for m, c in masks.items()})
+    return _expansion("f", _f_counts(shape), shape.size)  # guard first
 
 
 def f_support(shape: SkewShape) -> frozenset:
@@ -258,20 +270,16 @@ def m_expansion(shape: SkewShape) -> Expansion:
 
     Each F term indexed by subset S contributes to every M term indexed by a
     superset of S, so the coefficient vector over subsets of [n-1] is the
-    zeta transform of the F vector.
+    zeta transform of the F vector: for each bit b, every field whose mask
+    has b gains the field of the mask without it.  No sum exceeds the
+    number of fillings, so no field overflows.
     """
-    masks = _f_masks(shape)  # checks the size guard first
+    packed = _f_counts(shape)  # checks the size guard first
     n = shape.size
-    vec = [0] * (1 << max(0, n - 1))
-    for mask, c in masks.items():
-        vec[mask] += c
-    for b in range(max(0, n - 1)):
-        bit = 1 << b
-        for m in range(len(vec)):
-            if m & bit:
-                vec[m] += vec[m ^ bit]
-    comps = _compositions(n)
-    return Expansion("m", {comps[m]: v for m, v in enumerate(vec) if v})
+    width = kernels.field_width(n)
+    for b, low in enumerate(kernels.zeta_masks(n, width)):
+        packed += (packed & low) << (8 * width << b)
+    return _expansion("m", packed, n)
 
 
 def schur_expansion_lr(shape: SkewShape) -> Expansion:
@@ -706,11 +714,16 @@ def f_support_from_mask(bits: int, n: int) -> frozenset:
 def is_f_multiplicity_free(shape: SkewShape) -> bool:
     """Whether every standard filling has a distinct descent composition.
 
-    The direct route, over the shape's own standard fillings.  The sweeps
-    read the same property from the Schur expansion
+    The direct route, over the shape's own standard fillings: no field of
+    their packed count (_f_counts) is above 1.  The sweeps read the same
+    property from the Schur expansion
     (posets._masks_and_multfree); the tests check the two routes agree.
     """
-    return all(c == 1 for c in _f_masks(shape).values())
+    packed = _f_counts(shape)  # checks the size guard first
+    n = shape.size
+    ones = kernels.repeat_field(b"\1".ljust(kernels.field_width(n), b"\0"),
+                                1 << max(0, n - 1))
+    return not packed & ~ones  # no field above 1
 
 
 def extreme_filling_dominant(shape: SkewShape) -> StandardTableau:

@@ -244,14 +244,14 @@ def test_records_and_multfree_tally_descents_of_straight_shapes_only(
     # straight shapes (an all-zero inner); the caches are emptied so that
     # every tally is asked for again
     inners = []
-    tally = kernels.descent_tally
+    counts = kernels.descent_counts
 
-    def spy(inner, outer):
+    def spy(inner, outer, width):
         inners.append(inner)
-        return tally(inner, outer)
+        return counts(inner, outer, width)
 
-    monkeypatch.setattr(kernels, "descent_tally", spy)
-    for cached in (tableaux._f_masks, tableaux._straight_support_bits,
+    monkeypatch.setattr(kernels, "descent_counts", spy)
+    for cached in (tableaux._f_counts, tableaux._straight_support_bits,
                    tableaux.syt_count, relations._straight_packed):
         cached.cache_clear()
     for n in range(7):

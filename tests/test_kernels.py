@@ -10,7 +10,13 @@ from skewsupport.shapes import (
     partitions_of,
     sort_desc,
 )
-from skewsupport.tableaux import enumerate_syt, syt_count
+from skewsupport.tableaux import (
+    enumerate_syt,
+    f_expansion,
+    f_expansion_via_schur,
+    m_expansion,
+    syt_count,
+)
 
 
 def test_backend_identifier():
@@ -77,7 +83,54 @@ def _assert_matches_walk(shape):
     ip, o = shape.inner_padded, shape.outer
     got, expected = kernels.descent_tally(ip, o), _walk_descent_tally(ip, o)
     assert got == expected, format_shape(shape)
-    assert list(got) == list(expected), format_shape(shape)  # key order
+    assert list(got) == sorted(expected), format_shape(shape)  # key order
+
+
+def _fields(packed, n):
+    """Every field of a packed count of size n, by mask."""
+    bits = 8 * kernels.field_width(n)
+    return [packed >> bits * m & (1 << bits) - 1
+            for m in range(1 << max(0, n - 1))]
+
+
+def test_descent_counts_match_walk():
+    # field m counts the fillings of descent mask m, and no field reaches
+    # its top bit, for every shape of size <= 7 and the size-8 samples
+    shapes = [s for n in range(8) for s in enumerate_shapes(n)]
+    shapes += map(parse_shape, SIZE8_SHAPES)
+    for s in shapes:
+        ip, o, n = s.inner_padded, s.outer, s.size
+        packed = kernels.descent_counts(ip, o, kernels.field_width(n))
+        fields = _fields(packed, n)
+        walk = _walk_descent_tally(ip, o)
+        assert fields == [walk.get(m, 0) for m in range(len(fields))], (
+            format_shape(s))
+        assert packed.bit_length() <= 8 * kernels.field_width(n) * len(fields)
+        assert max(fields) < 1 << 8 * kernels.field_width(n) - 1
+
+
+def test_unpack_reads_fields_of_every_width():
+    # fields up to 8 bytes are spread to a power-of-two width for struct,
+    # wider ones are read one by one; zero fields are left out
+    for width in range(1, 11):
+        top = (1 << 8 * width - 1) - 1  # the largest count a field holds
+        values = [0, 1, top, 5]
+        packed = sum(v << 8 * width * m for m, v in enumerate(values))
+        assert kernels.unpack(packed, 3, width) == {1: 1, 2: top, 3: 5}
+
+
+def test_descent_counts_fill_every_field_of_the_ten_box_antichain():
+    # every descent set occurs, the fields sum to 10!, and the M field of
+    # (1^10), the sum of every F field, holds 10! within the field width
+    antichain = parse_shape("10,9,8,7,6,5,4,3,2,1/9,8,7,6,5,4,3,2,1")
+    assert antichain.n_rows == antichain.n_cols == antichain.size == 10
+    packed = kernels.descent_counts(antichain.inner_padded, antichain.outer,
+                                    kernels.field_width(10))
+    fields = _fields(packed, 10)
+    assert len(fields) == 1 << 9 and all(fields)
+    assert sum(fields) == factorial(10)
+    assert m_expansion(antichain)[(1,) * 10] == factorial(10)
+    assert f_expansion(antichain) == f_expansion_via_schur(antichain)
 
 
 def test_pure_descent_tally_matches_walk_size7():
@@ -129,13 +182,16 @@ def test_lr_tally_totals_match_tableau_counts():
 
 
 def test_recursive_walks_leave_no_cycles():
-    # lr_tally's and partitions_of's walks are module functions, not
-    # closures, so a call leaves nothing for the cyclic collector
+    # lr_tally's, descent_counts' and partitions_of's walks are module
+    # functions, not closures, so a call leaves nothing for the cyclic
+    # collector
     gc.collect()
     gc.disable()
     try:
         assert kernels.lr_tally((1, 1, 0), (3, 2, 1)) == {
             (3, 1): 1, (2, 2): 1, (2, 1, 1): 1}
+        # 2,2/1: masks 0b01 and 0b10 once each, in one-byte fields
+        assert kernels.descent_counts((1, 0), (2, 2), 1) == 1 << 8 | 1 << 16
         assert len(partitions_of(8)) == 22
         assert gc.collect() == 0
     finally:

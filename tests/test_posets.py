@@ -586,15 +586,15 @@ def test_multfree_counts_n6():
 
 def test_multfree_tallies_each_partition_once(monkeypatch):
     # the support bits come from kernels.descent_support, so only the
-    # packed straight records ask descent_tally, once per partition
+    # packed straight records ask the counting kernel, once per partition
     outers = []
-    tally = kernels.descent_tally
+    counts = kernels.descent_counts
 
-    def spy(inner, outer):
+    def spy(inner, outer, width):
         outers.append(outer)
-        return tally(inner, outer)
+        return counts(inner, outer, width)
 
-    monkeypatch.setattr(kernels, "descent_tally", spy)
+    monkeypatch.setattr(kernels, "descent_counts", spy)
     tableaux._straight_support_bits.cache_clear()
     relations._straight_packed.cache_clear()
     assert multfree_report(10)["pass"]

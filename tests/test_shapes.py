@@ -439,3 +439,36 @@ def test_row_lists_frees_what_emit_holds_on_return():
     finally:
         if enabled:
             gc.enable()
+
+
+def _unpruned_row_lists(n, overlap):
+    """The row walk without pruning: every row list of non-empty rows with
+    weakly decreasing ends, consecutive rows meeting the overlap, kept when
+    the last row starts at column 0."""
+    out = []
+
+    def extend(rows, remaining):
+        prev_a, prev_b = rows[-1]
+        if remaining == 0:
+            if prev_a == 0:
+                out.append(tuple(rows))
+            return
+        for a in range(prev_a, -1, -1):
+            for b in range(max(a + 1, prev_a + overlap),
+                           min(prev_b, a + remaining) + 1):
+                extend(rows + [(a, b)], remaining - (b - a))
+
+    for b in range(1, n + 1):
+        for a in range(b):
+            extend([(a, b)], n - (b - a))
+    return out
+
+
+def test_row_lists_match_the_unpruned_walk():
+    # pruning rows that cannot reach column 0 drops no list and keeps the
+    # order, for all shapes (overlap 0) and connected shapes (overlap 1)
+    for overlap in (0, 1):
+        for n in range(1, 10):
+            got = []
+            shapes._row_lists(n, overlap, lambda rows: got.append(tuple(rows)))
+            assert got == _unpruned_row_lists(n, overlap), (n, overlap)

@@ -414,7 +414,7 @@ def test_schur_frame_check_raises_on_corrupt_route(monkeypatch):
 def test_size_guard_holds_on_cache_hits(monkeypatch):
     s = parse_shape("3,1")
     rows = ((0, 3), (0, 1))  # the component 3,1 as its row intervals
-    calls = ((schur_expansion, s), (f_support_mask, s), (T._f_masks, s),
+    calls = ((schur_expansion, s), (f_support_mask, s), (T._f_counts, s),
              (T._component_tally, rows))
     for cached, arg in calls:
         cached(arg)
@@ -437,7 +437,7 @@ def test_shape_keyed_caches_share_one_bound():
     # the straight-shape descent tallies are not cached at all: the
     # per-partition support bits and packed records summarise them
     bounds = {cached.cache_info().maxsize
-              for cached in (schur_expansion, f_support_mask, T._f_masks,
+              for cached in (schur_expansion, f_support_mask, T._f_counts,
                              T._component_tally)}
     assert len(bounds) == 1 and None not in bounds
     assert not hasattr(T._straight_f_masks, "cache_info")
