@@ -9,11 +9,10 @@ the number of fillings.
 
 A packed count holds the count of descent mask m in field m of one int,
 each field field_width(n) bytes wide, so that whole expansions add, shift
-and mask as ints; zeta_masks(n, width) are the per-size masks that act on
-such fields one descent bit at a time.
+and mask as ints; zeta_masks(n) are the per-size masks that act on such
+fields one descent bit at a time.
 """
 
-import struct
 from functools import lru_cache
 from itertools import compress
 from math import factorial
@@ -37,41 +36,25 @@ def repeat_field(pattern: bytes, count: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def zeta_masks(n: int, width: int) -> tuple[int, ...]:
+def zeta_masks(n: int) -> tuple[int, ...]:
     """Per bit b < n - 1, the whole fields whose index lacks bit b.
 
-    The fields are width bytes each, one per descent mask of size n.
-    Sizes stop at the size guard every caller checks first.
+    The fields are field_width(n) bytes each, one per descent mask of
+    size n.  Sizes stop at the size guard every caller checks first.
     """
+    width = field_width(n)
     fields = 1 << max(0, n - 1)
     return tuple(repeat_field(b"\xff" * (width << b) + bytes(width << b),
                               fields >> (b + 1))
                  for b in range(n - 1))
 
 
-_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes by size
-
-
-def unpack(packed: int, n: int, width: int) -> dict[int, int]:
-    """{mask: count} of the non-zero fields of a packed count, by mask.
-
-    The fields are spread to the next power-of-two width, byte by byte,
-    and read in one struct.unpack; struct has no code for fields over 8
-    bytes (n > 20), which are read one by one.
-    """
-    fields = 1 << max(0, n - 1)
-    data = packed.to_bytes(width * fields, "little")
-    wide = 1 << (width - 1).bit_length()
-    if wide in _UNSIGNED:
-        if wide != width:
-            spread = bytearray(wide * fields)
-            for k in range(width):
-                spread[k::wide] = data[k::width]
-            data = spread
-        counts = struct.unpack(f"<{fields}{_UNSIGNED[wide]}", data)
-    else:
-        counts = [int.from_bytes(data[i:i + width], "little")
-                  for i in range(0, len(data), width)]
+def unpack(packed: int, n: int) -> dict[int, int]:
+    """{mask: count} of the non-zero fields of a packed count of size n."""
+    width = field_width(n)
+    data = packed.to_bytes(width << max(0, n - 1), "little")
+    counts = [int.from_bytes(data[i:i + width], "little")
+              for i in range(0, len(data), width)]
     return dict(compress(enumerate(counts), counts))
 
 
@@ -83,31 +66,29 @@ def descent_tally(inner, outer):
     row.  Returns {bitmask: count} with bit i-1 for a descent at i, in
     ascending mask order: descent_counts, unpacked.
     """
-    n = sum(outer) - sum(inner)
-    width = field_width(n)
-    return unpack(descent_counts(inner, outer, width), n, width)
+    return unpack(descent_counts(inner, outer), sum(outer) - sum(inner))
 
 
-def descent_counts(inner, outer, width: int) -> int:
+def descent_counts(inner, outer) -> int:
     """The standard fillings counted by descent set, as one packed int.
 
-    Field m, width bytes wide, holds the number of fillings with descent
-    bitmask m (as keyed by descent_tally); width must hold n!, as
-    field_width(n) does.  Standard fillings are the linear extensions of
-    the poset of boxes, so rather than walking them one by one this counts
-    them with a transfer over fill states: the per-row count of boxes
-    filled so far, an order ideal of that poset, each solved once (see
-    _counts).  The transfer indexes fields with the last descent positions
-    in the low bits, so that the completions of a state with k entries
-    placed span only 2^(n-1-k) fields; one bit reversal of the field index
-    at the end gives field m.
+    Field m, field_width(n) bytes wide, holds the number of fillings with
+    descent bitmask m (as keyed by descent_tally).  Standard fillings are
+    the linear extensions of the poset of boxes, so rather than walking
+    them one by one this counts them with a transfer over fill states:
+    the per-row count of boxes filled so far, an order ideal of that
+    poset, each solved once (see _counts).  The transfer indexes fields
+    with the last descent positions in the low bits, so that the
+    completions of a state with k entries placed span only 2^(n-1-k)
+    fields; one bit reversal of the field index at the end gives field m.
     """
     n = sum(outer) - sum(inner)
     if n == 0:
         return 1
+    width = field_width(n)
     memo: dict = {}  # local to this call, so nothing outlives it
     packed = _counts(tuple(inner), 0, n, 8 * width, inner, outer, memo)[-1]
-    zeta = zeta_masks(n, width)
+    zeta = zeta_masks(n)
     for p in range((n - 1) // 2):  # swap index bits p and n - 2 - p
         q = n - 2 - p
         gap = 8 * width * ((1 << q) - (1 << p))

@@ -177,7 +177,7 @@ def layout(n: int) -> Layout:
               for k, f in zip(width, fields))
         + (overlaps.dominance_guard(n),) * len(_DOM_KEYS),
         kernels.repeat_field(b"\x40".rjust(2 * w, b"\0"), comps),
-        kernels.zeta_masks(n, w),
+        kernels.zeta_masks(n),
     )
 
 
@@ -203,7 +203,7 @@ def _straight_packed(lam: Partition) -> tuple:
     """
     lay = layout(sum(lam))
     fields, w_s, w_d = lay.fields[3], lay.width[3], lay.width[4]
-    f = kernels.descent_counts((0,) * len(lam), lam, lay.width[1])
+    f = kernels.descent_counts((0,) * len(lam), lam)
     s = _pack(((comp_to_mask(alpha), 1)
                for alpha in distinct_permutations(lam)), fields, w_s)
     d = bases._straight_d(lam)

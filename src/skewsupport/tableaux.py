@@ -235,8 +235,7 @@ def enumerate_syt(shape: SkewShape):
 def _f_counts(shape: SkewShape) -> int:
     """The shape's standard fillings counted by descent set, packed
     (kernels.descent_counts, fields kernels.field_width(size) bytes)."""
-    return kernels.descent_counts(shape.inner_padded, shape.outer,
-                                  kernels.field_width(shape.size))
+    return kernels.descent_counts(shape.inner_padded, shape.outer)
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +250,7 @@ def _compositions(n: int) -> tuple:
 
 def _expansion(basis: str, packed: int, n: int) -> Expansion:
     """The F- or M-expansion whose coefficient of mask m is field m."""
-    counts = kernels.unpack(packed, n, kernels.field_width(n))
+    counts = kernels.unpack(packed, n)
     comps = _compositions(n)
     return Expansion(basis, {comps[m]: c for m, c in counts.items()})
 
@@ -277,7 +276,7 @@ def m_expansion(shape: SkewShape) -> Expansion:
     packed = _f_counts(shape)  # checks the size guard first
     n = shape.size
     width = kernels.field_width(n)
-    for b, low in enumerate(kernels.zeta_masks(n, width)):
+    for b, low in enumerate(kernels.zeta_masks(n)):
         packed += (packed & low) << (8 * width << b)
     return _expansion("m", packed, n)
 

@@ -246,9 +246,9 @@ def test_records_and_multfree_tally_descents_of_straight_shapes_only(
     inners = []
     counts = kernels.descent_counts
 
-    def spy(inner, outer, width):
+    def spy(inner, outer):
         inners.append(inner)
-        return counts(inner, outer, width)
+        return counts(inner, outer)
 
     monkeypatch.setattr(kernels, "descent_counts", spy)
     for cached in (tableaux._f_counts, tableaux._straight_support_bits,

@@ -100,7 +100,7 @@ def test_descent_counts_match_walk():
     shapes += map(parse_shape, SIZE8_SHAPES)
     for s in shapes:
         ip, o, n = s.inner_padded, s.outer, s.size
-        packed = kernels.descent_counts(ip, o, kernels.field_width(n))
+        packed = kernels.descent_counts(ip, o)
         fields = _fields(packed, n)
         walk = _walk_descent_tally(ip, o)
         assert fields == [walk.get(m, 0) for m in range(len(fields))], (
@@ -109,14 +109,18 @@ def test_descent_counts_match_walk():
         assert max(fields) < 1 << 8 * kernels.field_width(n) - 1
 
 
-def test_unpack_reads_fields_of_every_width():
-    # fields up to 8 bytes are spread to a power-of-two width for struct,
-    # wider ones are read one by one; zero fields are left out
-    for width in range(1, 11):
-        top = (1 << 8 * width - 1) - 1  # the largest count a field holds
-        values = [0, 1, top, 5]
-        packed = sum(v << 8 * width * m for m, v in enumerate(values))
-        assert kernels.unpack(packed, 3, width) == {1: 1, 2: top, 3: 5}
+def test_unpack_reads_fields_of_each_width():
+    # fields of 1 to 4 bytes, the top one and the largest count a field
+    # holds among them; zero fields are left out
+    sizes = (3, 6, 9, 12)
+    assert [kernels.field_width(n) for n in sizes] == [1, 2, 3, 4]
+    assert kernels.unpack(1, 1) == {0: 1}
+    for n in sizes:
+        bits = 8 * kernels.field_width(n)
+        top = (1 << bits - 1) - 1
+        last = (1 << n - 1) - 1
+        packed = 1 << bits | top << bits * 2 | 5 << bits * last
+        assert kernels.unpack(packed, n) == {1: 1, 2: top, last: 5}
 
 
 def test_descent_counts_fill_every_field_of_the_ten_box_antichain():
@@ -124,8 +128,7 @@ def test_descent_counts_fill_every_field_of_the_ten_box_antichain():
     # (1^10), the sum of every F field, holds 10! within the field width
     antichain = parse_shape("10,9,8,7,6,5,4,3,2,1/9,8,7,6,5,4,3,2,1")
     assert antichain.n_rows == antichain.n_cols == antichain.size == 10
-    packed = kernels.descent_counts(antichain.inner_padded, antichain.outer,
-                                    kernels.field_width(10))
+    packed = kernels.descent_counts(antichain.inner_padded, antichain.outer)
     fields = _fields(packed, 10)
     assert len(fields) == 1 << 9 and all(fields)
     assert sum(fields) == factorial(10)
@@ -191,7 +194,7 @@ def test_recursive_walks_leave_no_cycles():
         assert kernels.lr_tally((1, 1, 0), (3, 2, 1)) == {
             (3, 1): 1, (2, 2): 1, (2, 1, 1): 1}
         # 2,2/1: masks 0b01 and 0b10 once each, in one-byte fields
-        assert kernels.descent_counts((1, 0), (2, 2), 1) == 1 << 8 | 1 << 16
+        assert kernels.descent_counts((1, 0), (2, 2)) == 1 << 8 | 1 << 16
         assert len(partitions_of(8)) == 22
         assert gc.collect() == 0
     finally:

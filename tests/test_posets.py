@@ -590,9 +590,9 @@ def test_multfree_tallies_each_partition_once(monkeypatch):
     outers = []
     counts = kernels.descent_counts
 
-    def spy(inner, outer, width):
+    def spy(inner, outer):
         outers.append(outer)
-        return counts(inner, outer, width)
+        return counts(inner, outer)
 
     monkeypatch.setattr(kernels, "descent_counts", spy)
     tableaux._straight_support_bits.cache_clear()
