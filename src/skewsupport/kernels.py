@@ -2,15 +2,17 @@
 
 Every kernel takes a shape as parallel tuples (inner, outer) of per-row
 column bounds: row i occupies columns inner[i] <= j < outer[i].  They are
-the hot loops of every exhaustive sweep.  descent_counts and descent_support
-go over fill states rather than walking the fillings one by one, so their
-work grows with the number of order ideals of the shape rather than with
-the number of fillings.
+the hot loops of every exhaustive sweep.  descent_counts, the one descent
+kernel, goes over fill states rather than walking the fillings one by one,
+so its work grows with the number of order ideals of the shape rather than
+with the number of fillings.
 
 A packed count holds the count of descent mask m in field m of one int,
 each field field_width(n) bytes wide, so that whole expansions add, shift
 and mask as ints; zeta_masks(n) are the per-size masks that act on such
-fields one descent bit at a time.
+fields one descent bit at a time.  A shape's descent support, the masks of
+its standard fillings, is the set of non-zero fields of its packed count
+(nonzero_masks).
 """
 
 from functools import lru_cache
@@ -56,6 +58,36 @@ def unpack(packed: int, n: int) -> dict[int, int]:
     counts = [int.from_bytes(data[i:i + width], "little")
               for i in range(0, len(data), width)]
     return dict(compress(enumerate(counts), counts))
+
+
+def nonzero_fields(packed: int, guard: int, one: int) -> int:
+    """The guard bits of the non-zero fields of packed.
+
+    guard holds the top bit of every field and one its low bit, and no
+    field of packed reaches its top bit.  Setting every guard bit and
+    taking one off every field clears the guard bit exactly of the zero
+    fields; no borrow crosses a field.
+    """
+    return ((packed | guard) - one) & guard
+
+
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
+
+
+def nonzero_masks(packed: int, n: int) -> int:
+    """The masks of the non-zero fields of a packed count of size n, as
+    one int: bit m is set iff field m is non-zero.
+
+    The top byte of each field of nonzero_fields holds its flag, so the
+    bits come from one slice of the bytes, read as binary digits.
+    """
+    width = field_width(n)
+    fields = 1 << max(0, n - 1)
+    flags = nonzero_fields(packed,
+                           repeat_field(b"\x80".rjust(width, b"\0"), fields),
+                           repeat_field(b"\1".ljust(width, b"\0"), fields))
+    data = flags.to_bytes(width * fields, "little")[width - 1::width]
+    return int(data.translate(_FLAG_DIGITS)[::-1], 2)
 
 
 def descent_tally(inner, outer):
@@ -129,57 +161,6 @@ def _counts(state, step, n, bits, inner, outer, memo):
                 low = rest[row]
                 acc += low + ((rest[-1] - low) << shift)
         out.append(acc)
-    return out
-
-
-def descent_support(inner, outer):
-    """The descent sets of the standard fillings, as one int.
-
-    Bit m is set iff some standard filling has descent bitmask m, as keyed
-    by descent_tally; the counts are not kept.  This is descent_counts'
-    transfer over fill states with each completion set held as one int of
-    bits (see _support_completions), so merging two sets is an OR.
-    """
-    n = sum(outer) - sum(inner)
-    if n == 0:
-        return 1
-    memo: dict = {}  # local to this call, so nothing outlives it
-    bits = 0
-    for rest in _support_completions(tuple(inner), 0, n, inner, outer,
-                                     memo).values():
-        bits |= rest
-    return bits
-
-
-def _support_completions(state, step, n, inner, outer, memo):
-    """{row of entry step+1: descent sets} over completions of state.
-
-    `state` holds the next unfilled column of each row with `step` entries
-    placed.  A set of descent sets is one int whose bit m says descent bits
-    m occur, bits covering the descents at step+1..n-1.  Bit `step` of every
-    mask in a completion set is still clear, so adding the descent at step+1
-    to a whole set adds 1 << step to each mask: a shift by 1 << step.
-    """
-    out = {}
-    shift = 1 << step  # a descent at step+1 is bit `step` of a mask
-    for row in range(len(outer)):
-        col = state[row]
-        if col >= outer[row]:
-            continue
-        if row and col >= inner[row - 1] and state[row - 1] <= col:
-            continue  # the box above exists and is still unfilled
-        if step + 1 == n:
-            out[row] = 1  # the one completion: no descents left
-            continue
-        nxt = state[:row] + (col + 1,) + state[row + 1:]
-        rest = memo.get(nxt)
-        if rest is None:
-            rest = memo[nxt] = _support_completions(nxt, step + 1, n, inner,
-                                                    outer, memo)
-        acc = 0
-        for below, sets in rest.items():
-            acc |= sets << shift if below > row else sets
-        out[row] = acc
     return out
 
 

@@ -214,15 +214,6 @@ def _straight_packed(lam: Partition) -> tuple:
     return f, s, above - below
 
 
-def _nonzero(packed: int, guard: int, one: int) -> int:
-    """The guard bits of the non-zero fields of packed.
-
-    Setting every guard bit and taking one off every field clears the
-    guard bit exactly of the zero fields; no borrow crosses a field.
-    """
-    return ((packed | guard) - one) & guard
-
-
 @dataclass(frozen=True)
 class ShapeRecord:
     """Everything compare() reads about one shape, in layout(size) fields."""
@@ -266,8 +257,9 @@ def _record(shape: SkewShape, schur) -> ShapeRecord:
     coeffs = (_pack(((part[lam], c) for lam, c in schur.items()),
                     lay.fields[0], lay.width[0]), f, m, s, d)
     g, one = lay.guards[4], lay.ones[4]
-    supports = (*map(_nonzero, coeffs[:4], lay.guards, lay.ones),
-                _nonzero(d ^ lay.bias, g, one),
+    supports = (*map(kernels.nonzero_fields, coeffs[:4], lay.guards,
+                     lay.ones),
+                kernels.nonzero_fields(d ^ lay.bias, g, one),
                 (d + (g - lay.bias - one)) & g)  # the fields above the bias
     outer, inner = shape.outer, shape.inner
     rows, rects = overlaps.profile_keys(outer, inner, n, with_rects=True)

@@ -20,7 +20,10 @@ whole diagram (schur_expansion_lr), and inverting the unitriangular Kostka
 matrix against the monomial expansion (schur_expansion_kostka).  The sweeps
 hold an F-support as its cover (f_support_cover): the partitions of n whose
 straight F-supports it contains, p(n) bits that order and group shapes as
-the 2^(n-1)-bit support masks do.  The cover depends only on the Schur
+the 2^(n-1)-bit support masks do.  A straight F-support is the set of
+non-zero fields of the straight shape's packed count (kernels.nonzero_masks),
+so the descent kernel is the only transfer over fillings; f^lam is the
+Kostka number K_{lam,1^n} (syt_count).  The cover depends only on the Schur
 support, so the support-only sweeps take their covers from the support
 route (support_covers), which composes each key's Schur support from its
 components' supports, each component tallied once up to transpose, and
@@ -480,14 +483,13 @@ def schur_support(shape: SkewShape) -> frozenset:
     return schur_expansion(shape).support()
 
 
-def _straight_f_masks(lam: Partition) -> dict:
-    return kernels.descent_tally((0,) * len(lam), lam)
-
-
-@lru_cache(maxsize=None)
 def syt_count(lam: Partition) -> int:
-    """f^lam, the number of standard fillings of the straight shape lam."""
-    return sum(_straight_f_masks(lam).values())
+    """f^lam, the number of standard fillings of the straight shape lam.
+
+    A semistandard filling of content 1^n is a standard one, so f^lam is
+    the Kostka number K_{lam,1^n}.
+    """
+    return kostka_number(lam, (1,) * sum(lam))
 
 
 def f_expansion_via_schur(shape: SkewShape) -> Expansion:
@@ -498,12 +500,10 @@ def f_expansion_via_schur(shape: SkewShape) -> Expansion:
     shapes' F-expansions.  Much faster than direct enumeration on shapes
     with many standard fillings; must agree with f_expansion exactly.
     """
-    n = shape.size
-    acc: dict[int, int] = {}
+    packed = 0
     for lam, c in schur_expansion(shape).items():
-        for mask, k in _straight_f_masks(lam).items():
-            acc[mask] = acc.get(mask, 0) + c * k
-    return Expansion("f", {mask_to_comp(m, n): v for m, v in acc.items()})
+        packed += c * kernels.descent_counts((0,) * len(lam), lam)
+    return _expansion("f", packed, shape.size)
 
 
 @_guarded_cache
@@ -558,7 +558,10 @@ def _straight_supports(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _straight_support_bits(lam: Partition) -> int:
-    return kernels.descent_support((0,) * len(lam), lam)
+    """The descent masks of the standard fillings of lam: the non-zero
+    fields of its packed count."""
+    return kernels.nonzero_masks(kernels.descent_counts((0,) * len(lam), lam),
+                                 sum(lam))
 
 
 # ------------------------------------------------------ the support route

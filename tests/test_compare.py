@@ -252,7 +252,7 @@ def test_records_and_multfree_tally_descents_of_straight_shapes_only(
 
     monkeypatch.setattr(kernels, "descent_counts", spy)
     for cached in (tableaux._f_counts, tableaux._straight_support_bits,
-                   tableaux.syt_count, relations._straight_packed):
+                   relations._straight_packed):
         cached.cache_clear()
     for n in range(7):
         for s in enumerate_shapes(n):

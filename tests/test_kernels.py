@@ -115,12 +115,14 @@ def test_unpack_reads_fields_of_each_width():
     sizes = (3, 6, 9, 12)
     assert [kernels.field_width(n) for n in sizes] == [1, 2, 3, 4]
     assert kernels.unpack(1, 1) == {0: 1}
+    assert kernels.nonzero_masks(1, 1) == 1
     for n in sizes:
         bits = 8 * kernels.field_width(n)
         top = (1 << bits - 1) - 1
         last = (1 << n - 1) - 1
         packed = 1 << bits | top << bits * 2 | 5 << bits * last
         assert kernels.unpack(packed, n) == {1: 1, 2: top, last: 5}
+        assert kernels.nonzero_masks(packed, n) == 1 << 1 | 1 << 2 | 1 << last
 
 
 def test_descent_counts_fill_every_field_of_the_ten_box_antichain():
@@ -131,6 +133,7 @@ def test_descent_counts_fill_every_field_of_the_ten_box_antichain():
     packed = kernels.descent_counts(antichain.inner_padded, antichain.outer)
     fields = _fields(packed, 10)
     assert len(fields) == 1 << 9 and all(fields)
+    assert kernels.nonzero_masks(packed, 10) == (1 << (1 << 9)) - 1
     assert sum(fields) == factorial(10)
     assert m_expansion(antichain)[(1,) * 10] == factorial(10)
     assert f_expansion(antichain) == f_expansion_via_schur(antichain)
@@ -154,13 +157,14 @@ def test_pure_descent_tally_matches_walk_size8():
 
 
 def test_descent_support_matches_tally():
-    # bit m set iff some filling has descent bits m, for every straight
+    # nonzero_masks sets bit m iff some filling has descent bits m, the
+    # masks unpack reads from the same packed count, for every straight
     # and skew shape of size <= 8
     for n in range(9):
         for s in enumerate_shapes(n):
-            ip, o = s.inner_padded, s.outer
-            bits = sum(1 << m for m in kernels.descent_tally(ip, o))
-            assert kernels.descent_support(ip, o) == bits, format_shape(s)
+            packed = kernels.descent_counts(s.inner_padded, s.outer)
+            bits = sum(1 << m for m in kernels.unpack(packed, n))
+            assert kernels.nonzero_masks(packed, n) == bits, format_shape(s)
 
 
 def test_descent_tally_frozen():

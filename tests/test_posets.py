@@ -8,7 +8,7 @@ from functools import lru_cache, partial
 
 import pytest
 
-from skewsupport import kernels, orders, posets, relations, tableaux
+from skewsupport import kernels, orders, posets, tableaux
 from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.errors import (
     InvalidShapeError,
@@ -336,8 +336,10 @@ def test_component_key():
 
 
 def _fillings_support(s: SkewShape) -> int:
-    """s's F-support mask from the descent sets of its standard fillings."""
-    return kernels.descent_support(s.inner_padded, s.outer)
+    """s's F-support mask from the descent sets of its standard fillings:
+    the non-zero fields of s's own packed count, not the Schur route's."""
+    return kernels.nonzero_masks(
+        kernels.descent_counts(s.inner_padded, s.outer), s.size)
 
 
 @lru_cache(maxsize=None)
@@ -585,8 +587,10 @@ def test_multfree_counts_n6():
 
 
 def test_multfree_tallies_each_partition_once(monkeypatch):
-    # the support bits come from kernels.descent_support, so only the
-    # packed straight records ask the counting kernel, once per partition
+    # the straight support bits are the non-zero fields of one packed
+    # count per partition, and f^lam is a Kostka number, so with the
+    # support tables emptied the counting kernel sees each of the 42
+    # partitions of 10 once, however warm syt_count is
     outers = []
     counts = kernels.descent_counts
 
@@ -596,7 +600,7 @@ def test_multfree_tallies_each_partition_once(monkeypatch):
 
     monkeypatch.setattr(kernels, "descent_counts", spy)
     tableaux._straight_support_bits.cache_clear()
-    relations._straight_packed.cache_clear()
+    tableaux._straight_supports.cache_clear()
     assert multfree_report(10)["pass"]
     assert len(outers) == len(set(outers)) == 42
 

@@ -433,14 +433,11 @@ def test_size_guard_holds_on_cache_hits(monkeypatch):
 
 
 def test_shape_keyed_caches_share_one_bound():
-    # every shape-keyed result sits in an LRU of the same finite size, and
-    # the straight-shape descent tallies are not cached at all: the
-    # per-partition support bits and packed records summarise them
+    # every shape-keyed result sits in an LRU of the same finite size
     bounds = {cached.cache_info().maxsize
               for cached in (schur_expansion, f_support_mask, T._f_counts,
                              T._component_tally)}
     assert len(bounds) == 1 and None not in bounds
-    assert not hasattr(T._straight_f_masks, "cache_info")
 
 
 def test_key_schur_expansion_matches_whole_shape_routes():
