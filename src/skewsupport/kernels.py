@@ -10,9 +10,9 @@ with the number of fillings.
 A packed count holds the count of descent mask m in field m of one int,
 each field field_width(n) bytes wide, so that whole expansions add, shift
 and mask as ints; zeta_masks(n) are the per-size masks that act on such
-fields one descent bit at a time.  A shape's descent support, the masks of
-its standard fillings, is the set of non-zero fields of its packed count
-(nonzero_masks).
+fields one descent bit at a time, as zeta_transform does.  A shape's
+descent support, the masks of its standard fillings, is the set of
+non-zero fields of its packed count (nonzero_masks).
 """
 
 from functools import lru_cache
@@ -49,6 +49,17 @@ def zeta_masks(n: int) -> tuple[int, ...]:
     return tuple(repeat_field(b"\xff" * (width << b) + bytes(width << b),
                               fields >> (b + 1))
                  for b in range(n - 1))
+
+
+def zeta_transform(packed: int, n: int) -> int:
+    """Field m of the result sums the fields of packed whose masks lie in m.
+
+    One bit b at a time, every field whose mask has b gains the field of
+    the mask without it; no sum may reach a field's top bit."""
+    width = field_width(n)
+    for b, low in enumerate(zeta_masks(n)):
+        packed += (packed & low) << (8 * width << b)
+    return packed
 
 
 def unpack(packed: int, n: int) -> dict[int, int]:

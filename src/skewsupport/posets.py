@@ -17,9 +17,9 @@ take every key's cover from one call of the support route
 coefficients; the multiplicity-free sweep reads coefficients, so it
 composes each key's Schur expansion (tableaux.key_schur_expansion).  The
 poset and multiplicity-free sweeps, which list every class member, build
-each shape from its key (shapes.key_shapes); verify_conjecture lists them
-only on a failure, and saturation_check only those of a disagreeing
-pair's keys (key_pair_shapes).
+each shape from its key (shapes.key_shapes); verify_conjecture and
+saturation_check list only the shapes of a failure's keys: its classes',
+or a disagreeing pair's (shapes.involved_shapes, key_pair_shapes).
 Every order is a list of bitset rows from the order-row module shared
 with relations' implication sweep (skewsupport.orders), bit-sliced over
 byte fields.  Support data is held as an F-support cover
@@ -49,6 +49,7 @@ from skewsupport.shapes import (
     component_keys,
     direct_sum,
     format_shape,
+    involved_shapes,
     key_pair_shapes,
     key_shapes,
     parse_shape,
@@ -234,79 +235,65 @@ def verify_conjecture(n: int) -> dict:
     Forward failures (containment without dominance) contradict a proved
     statement; reverse failures (dominance without containment) would be a
     genuine discovery.  The class partitions are compared, then every
-    ordered pair of distinct F-support classes.  One shape per component
-    key is fingerprinted; only a failure needs every shape, to name the
-    pairs as a per-shape sweep would.
+    ordered pair of distinct F-support classes, all from one fingerprint
+    per component key.  A failure is named as a per-shape sweep names it,
+    each class by its least shape, from the shapes of the failing classes'
+    keys only (involved_shapes).
     """
     keyed = component_keys(_sweep_size(n))
-    reps = [s for _, s, _ in keyed]
-    rows = _masks_and_keys(keyed)
-    shape_count = sum(count for *_, count in keyed)
-    report = _conjecture_report(n, shape_count, reps, rows)
-    if report["pass_theorem"] and report["pass_conjecture"]:
-        return report
-    shapes, slots = key_shapes(keyed)
-    return _conjecture_report(n, shape_count, shapes, [rows[k] for k in slots])
+    covers, keys = zip(*_masks_and_keys(keyed))
+    by_cover, by_key = _classes_of(covers), _classes_of(keys)
+    # the support classes of 2+ profiles, and the profile classes of 2+
+    mixed_support, mixed_profile = (
+        [m for m in groups.values() if len({other[x] for x in m}) > 1]
+        for groups, other in ((by_cover, keys), (by_key, covers)))
+    classes = list(by_cover.values())
+    # a mixed support class enters the orders with the key of its least
+    # shape, as a per-shape sweep's representative does
+    _, first = involved_shapes(keyed, [x for m in mixed_support for x in m])
+    reps = [min(m, key=lambda x: first[x][0]) if m[0] in first else m[0]
+            for m in classes]
+    contains = containing([covers[x] for x in reps])
+    dominance = dominated([keys[x] for x in reps], n)
+    rows = list(enumerate(zip(contains, dominance)))
+    forward = [(x, y) for x, (c, d) in rows for y in bit_indices(c & ~d)]
+    reverse = [(x, y) for x, (c, d) in rows for y in bit_indices(d & ~c)]
+    failing = [classes[x] for pair in forward + reverse for x in pair]
+    failing += mixed_support + mixed_profile
+    shapes, members = involved_shapes(keyed, [x for m in failing for x in m])
 
-
-def _conjecture_report(n, shape_count, shapes, prints) -> dict:
-    """verify_conjecture's report on shapes and their (cover, key) prints.
-
-    Given every shape, sorted, it names each class by its least shape.
-    Given one shape per component key, it has the same counts and pass
-    flags, so it is the same report whenever both flags pass.
-    """
-    covers, keys = zip(*prints)
-    by_cover = _classes_of(covers)
-    by_key = _classes_of(keys)
+    def least(m):
+        return min(members[x][0] for x in m)
 
     partition_mismatches = []
-    for groups, other_side, kind in (
-        (by_cover, keys, "equal_support_different_profile"),
-        (by_key, covers, "equal_profile_different_support"),
-    ):
-        for first, *rest in groups.values():
-            for other in rest:
-                if other_side[other] != other_side[first]:
-                    partition_mismatches.append(
-                        {
-                            "a": format_shape(shapes[first]),
-                            "b": format_shape(shapes[other]),
-                            "kind": kind,
-                        }
-                    )
+    for kind, other, mixed in (
+            ("equal_support_different_profile", keys, mixed_support),
+            ("equal_profile_different_support", covers, mixed_profile)):
+        for m in sorted(mixed, key=least):
+            (a, home), *rest = sorted((i, x) for x in m for i in members[x])
+            partition_mismatches.extend(
+                {"a": format_shape(shapes[a]), "b": format_shape(shapes[i]),
+                 "kind": kind}
+                for i, x in rest if other[x] != other[home])
 
-    # shapes are sorted, so the first index of a class is its least shape
-    reps = [members[0] for members in by_cover.values()]
-    names = [format_shape(shapes[i]) for i in reps]
-    contains = containing([covers[i] for i in reps])
-    dominance = dominated([keys[i] for i in reps], n)
-    rows = list(enumerate(zip(contains, dominance)))
-    forward = [{"a": names[x], "b": names[y]}
-               for x, (c, d) in rows for y in bit_indices(c & ~d)]
-    reverse = [{"a": names[x], "b": names[y]}
-               for x, (c, d) in rows for y in bit_indices(d & ~c)]
+    def named(pairs):
+        low = {x: least(classes[x]) for pair in pairs for x in pair}
+        return [{"a": format_shape(shapes[i]), "b": format_shape(shapes[j])}
+                for i, j in sorted((low[x], low[y]) for x, y in pairs)]
+
     return {
         "n": n,
         # a fixed field, kept so reports stay byte-identical to older ones
         "shard": {"index": 1, "count": 1},
-        "shape_count": shape_count,
+        "shape_count": sum(count for *_, count in keyed),
         "class_count_suppf": len(by_cover),
         "class_count_nc": len(by_key),
-        "pairs_checked": len(reps) * (len(reps) - 1),
+        "pairs_checked": len(classes) * (len(classes) - 1),
         "partition_mismatches": partition_mismatches,
-        "forward_violations": forward,
-        "reverse_counterexamples": reverse,
-        "pass_theorem": not forward
-        and not any(
-            m["kind"] == "equal_support_different_profile"
-            for m in partition_mismatches
-        ),
-        "pass_conjecture": not reverse
-        and not any(
-            m["kind"] == "equal_profile_different_support"
-            for m in partition_mismatches
-        ),
+        "forward_violations": named(forward),
+        "reverse_counterexamples": named(reverse),
+        "pass_theorem": not forward and not mixed_support,
+        "pass_conjecture": not reverse and not mixed_profile,
     }
 
 

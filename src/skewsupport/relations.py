@@ -152,7 +152,6 @@ class Layout:
     ones: tuple  # the low bit of every field, per basis
     guards: tuple  # guard bits, per basis and then per dominance key
     bias: int  # the bias in every D field
-    zeta: tuple  # kernels.zeta_masks of the F fields
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +176,6 @@ def layout(n: int) -> Layout:
               for k, f in zip(width, fields))
         + (overlaps.dominance_guard(n),) * len(_DOM_KEYS),
         kernels.repeat_field(b"\x40".rjust(2 * w, b"\0"), comps),
-        kernels.zeta_masks(n),
     )
 
 
@@ -239,8 +237,7 @@ def _record(shape: SkewShape, schur) -> ShapeRecord:
 
     F, S and D are the Schur combination of the straight shapes' packed
     expansions, so the descent kernel only sees straight shapes.  M is the
-    zeta transform of F over descent sets: for each bit b, every field
-    whose mask has b gains the field of the mask without it.
+    zeta transform of F over descent sets (kernels.zeta_transform).
     """
     n = shape.size
     lay = layout(n)
@@ -250,12 +247,10 @@ def _record(shape: SkewShape, schur) -> ShapeRecord:
         f += c * f_lam
         s += c * s_lam
         d += c * d_lam
-    m = f
-    for b, low in enumerate(lay.zeta):
-        m += (m & low) << (8 * lay.width[1] << b)
     part = lay.part_index
     coeffs = (_pack(((part[lam], c) for lam, c in schur.items()),
-                    lay.fields[0], lay.width[0]), f, m, s, d)
+                    lay.fields[0], lay.width[0]),
+              f, kernels.zeta_transform(f, n), s, d)
     g, one = lay.guards[4], lay.ones[4]
     supports = (*map(kernels.nonzero_fields, coeffs[:4], lay.guards,
                      lay.ones),

@@ -585,17 +585,26 @@ def key_shapes(keyed) -> tuple[list[SkewShape], list[int]]:
     return [s for s, _ in out], [slot for _, slot in out]
 
 
-def key_pair_shapes(keyed, pairs) -> list[tuple]:
-    """(a, b, pairs[x, y]) per ordered pair of distinct shapes of keys
-    keyed[x] and keyed[y], in the order of a scan over the ordered pairs of
-    key_shapes(keyed); only the keys in pairs have their shapes listed."""
-    if not pairs:
-        return []
-    involved = sorted({x for pair in pairs for x in pair})
+def involved_shapes(keyed, involved) -> tuple[list[SkewShape], dict]:
+    """(shapes, members): key_shapes of the keys keyed[x], x in involved,
+    and members[x], the ascending indices in shapes of keyed[x]'s shapes,
+    so members[x][0] is its least.  Nothing is listed if none is involved.
+    """
+    involved = sorted(set(involved))
+    if not involved:
+        return [], {}
     shapes, slots = key_shapes([keyed[x] for x in involved])
     members = {x: [] for x in involved}
     for i, slot in enumerate(slots):
         members[involved[slot]].append(i)
+    return shapes, members
+
+
+def key_pair_shapes(keyed, pairs) -> list[tuple]:
+    """(a, b, pairs[x, y]) per ordered pair of distinct shapes of keys
+    keyed[x] and keyed[y], in the order of a scan over the ordered pairs of
+    key_shapes(keyed); only the keys in pairs have their shapes listed."""
+    shapes, members = involved_shapes(keyed, [x for xy in pairs for x in xy])
     hits = sorted((i, j, value) for (x, y), value in pairs.items()
                   for i in members[x] for j in members[y] if i != j)
     return [(shapes[i], shapes[j], value) for i, j, value in hits]

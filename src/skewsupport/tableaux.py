@@ -272,16 +272,12 @@ def m_expansion(shape: SkewShape) -> Expansion:
 
     Each F term indexed by subset S contributes to every M term indexed by a
     superset of S, so the coefficient vector over subsets of [n-1] is the
-    zeta transform of the F vector: for each bit b, every field whose mask
-    has b gains the field of the mask without it.  No sum exceeds the
-    number of fillings, so no field overflows.
+    zeta transform of the F vector (kernels.zeta_transform).  No sum
+    exceeds the number of fillings, so no field overflows.
     """
     packed = _f_counts(shape)  # checks the size guard first
-    n = shape.size
-    width = kernels.field_width(n)
-    for b, low in enumerate(kernels.zeta_masks(n)):
-        packed += (packed & low) << (8 * width << b)
-    return _expansion("m", packed, n)
+    return _expansion("m", kernels.zeta_transform(packed, shape.size),
+                      shape.size)
 
 
 def schur_expansion_lr(shape: SkewShape) -> Expansion:

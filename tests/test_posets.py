@@ -202,6 +202,17 @@ def test_posets_imports_nothing_from_relations():
                    for name in imported), sorted(imported)
 
 
+def _empty_caches():
+    """Empty every package cache, so that a measurement counts what the
+    measured call puts in them, whatever ran before."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "skewsupport":
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+    gc.collect()
+
+
 def _conjecture_oracle(n, fingerprint):
     """verify_conjecture's failure lists, from a per-shape sweep."""
     shapes = enumerate_shapes(n)
@@ -248,32 +259,114 @@ def test_verify_conjecture_failures_match_a_per_shape_sweep(monkeypatch):
     # fake fingerprints that depend only on the component key break both
     # directions and both partitions; the sweep must list what a per-shape
     # sweep finds, in the same order
-    n = 5
-    full = (1 << 2 ** (n - 1)) - 1
+    counts, flags = {}, {}
+    for n in (4, 5, 6):
+        full = (1 << 2 ** (n - 1)) - 1
 
-    def complement_and_first_depth(s):
-        first = OverlapProfile(OverlapProfile.of(s).rows[:1])
-        return full & ~f_support_mask(s), _pack(first, n)
+        def complement_and_first_depth(s, n=n, full=full):
+            first = OverlapProfile(OverlapProfile.of(s).rows[:1])
+            return full & ~f_support_mask(s), _pack(first, n)
 
-    def three_supports(s):
-        return 1 << f_support_mask(s).bit_count() % 3, posets._key(s)
+        def three_supports(s):
+            return 1 << f_support_mask(s).bit_count() % 3, posets._key(s)
 
-    counts = []
-    for fake in (complement_and_first_depth, three_supports):
-        # the sweep hands its hook its keys and their representatives
-        monkeypatch.setattr(
-            posets, "_masks_and_keys",
-            lambda keyed, fake=fake: [fake(s) for _, s, _ in keyed])
-        report = verify_conjecture(n)
-        mismatches, forward, reverse = _conjecture_oracle(n, fake)
-        assert report["partition_mismatches"] == mismatches
-        assert report["forward_violations"] == forward
-        assert report["reverse_counterexamples"] == reverse
-        assert not report["pass_theorem"] and not report["pass_conjecture"]
-        kinds = Counter(m["kind"] for m in mismatches)
-        counts.append((len(forward), len(reverse), dict(kinds)))
-    assert counts[0] == (193, 345, {"equal_profile_different_support": 75})
-    assert counts[1][2] == {"equal_support_different_profile": 82}
+        for fake in (complement_and_first_depth, three_supports):
+            # the sweep hands its hook its keys and their representatives
+            monkeypatch.setattr(
+                posets, "_masks_and_keys",
+                lambda keyed, fake=fake: [fake(s) for _, s, _ in keyed])
+            report = verify_conjecture(n)
+            mismatches, forward, reverse = _conjecture_oracle(n, fake)
+            assert report["partition_mismatches"] == mismatches
+            assert report["forward_violations"] == forward
+            assert report["reverse_counterexamples"] == reverse
+            kinds = Counter(m["kind"] for m in mismatches)
+            assert report["pass_theorem"] == (
+                not forward and not kinds["equal_support_different_profile"])
+            assert report["pass_conjecture"] == (
+                not reverse and not kinds["equal_profile_different_support"])
+            name = fake.__name__
+            flags[n, name] = report["pass_theorem"], report["pass_conjecture"]
+            counts[n, name] = (len(forward), len(reverse), dict(kinds))
+    assert flags[5, "complement_and_first_depth"] == (False, False)
+    assert flags[5, "three_supports"] == (False, False)
+    assert counts[5, "complement_and_first_depth"] == (
+        193, 345, {"equal_profile_different_support": 75})
+    assert counts[5, "three_supports"][2] == {
+        "equal_support_different_profile": 82}
+
+
+def test_verify_conjecture_lists_only_the_failing_classes_keys(monkeypatch):
+    # one key given another key's cover splits a support class and a
+    # profile class and breaks both orders; the report is what a per-shape
+    # sweep finds, and only the keys of the classes it names are listed
+    n = 6
+    keyed = component_keys(n)
+    index = {key: x for x, (key, *_) in enumerate(keyed)}
+    rows = posets._masks_and_keys(keyed)
+    rows[12] = (rows[45][0], rows[12][1])
+    monkeypatch.setattr(posets, "_masks_and_keys", lambda keyed: rows)
+    listed = set()
+
+    def spy(part):
+        listed.update(key for key, *_ in part)
+        return key_shapes(part)
+
+    for module in (posets, shapes_module):
+        monkeypatch.setattr(module, "key_shapes", spy)
+    report = verify_conjecture(n)
+
+    def fingerprint(s):
+        return rows[index[component_key(s)]]
+
+    mismatches, forward, reverse = _conjecture_oracle(n, fingerprint)
+    assert report["partition_mismatches"] == mismatches
+    assert report["forward_violations"] == forward
+    assert report["reverse_counterexamples"] == reverse
+    assert forward and reverse
+    assert {m["kind"] for m in mismatches} == {
+        "equal_support_different_profile", "equal_profile_different_support"}
+    # a support class per violating shape and per support mismatch, a
+    # profile class per profile mismatch
+    named = [(0, v[end]) for v in forward + reverse for end in "ab"]
+    named += [(m["kind"] == "equal_profile_different_support", m["a"])
+              for m in mismatches]
+    failing = set()
+    for side, name in named:
+        print_ = fingerprint(parse_shape(name))[side]
+        failing.update(key for key, *_ in keyed
+                       if rows[index[key]][side] == print_)
+    assert listed == failing
+    assert len(listed) < len(keyed)
+
+
+def test_verify_conjecture_failure_memory_is_that_of_the_sweep(monkeypatch):
+    # naming a one-key failure lists the shapes of its few keys, not every
+    # shape of the size, so it peaks where the passing sweep does
+    def peak(n):
+        _empty_caches()
+        tracemalloc.start()
+        try:
+            report = verify_conjecture(n)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return report, top
+
+    passing, bound = peak(9)
+    assert passing["pass_theorem"] and passing["pass_conjecture"]
+    masks_and_keys = posets._masks_and_keys
+
+    def last_key_with_the_first_keys_cover(keyed):
+        rows = masks_and_keys(keyed)
+        rows[-1] = (rows[0][0], rows[-1][1])
+        return rows
+
+    monkeypatch.setattr(posets, "_masks_and_keys",
+                        last_key_with_the_first_keys_cover)
+    failing, top = peak(9)
+    assert not failing["pass_theorem"] and failing["partition_mismatches"]
+    assert top <= 1.25 * bound, (top, bound)
 
 
 def _components(s: SkewShape) -> tuple:
@@ -713,12 +806,7 @@ def _memory_held_after_saturation(n, factor):
     Every package cache is emptied first, so what the sweep leaves behind
     in them is counted, whatever ran before.
     """
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "skewsupport":
-            for obj in vars(module).values():
-                if callable(getattr(obj, "cache_clear", None)):
-                    obj.cache_clear()
-    gc.collect()
+    _empty_caches()
     tracemalloc.start()
     try:
         assert saturation_check(n, factor)["agreement"]
