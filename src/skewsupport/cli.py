@@ -242,9 +242,17 @@ def main(argv=None) -> int:
             if args.max_size < 1:
                 raise InvalidArgumentError("--max-size must be >= 1")
             os.environ[ENV_MAX_SIZE] = str(args.max_size)
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a reader that closed early is seen here
+        return code
     except SkewSupportError as exc:
         print(f"skewsupport: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the flush at interpreter exit would raise again on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("skewsupport: error: output closed by its reader",
+              file=sys.stderr)
         return EXIT_USAGE
     finally:
         if args.max_size is not None:

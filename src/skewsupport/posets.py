@@ -15,11 +15,13 @@ overlap data from the representative.  The support-only sweeps
 take every key's cover from one call of the support route
 (tableaux.support_covers), which composes Schur supports, not
 coefficients; the multiplicity-free sweep reads coefficients, so it
-composes each key's Schur expansion (tableaux.key_schur_expansion).  The
-poset and multiplicity-free sweeps, which list every class member, build
-each shape from its key (shapes.key_shapes); verify_conjecture and
-saturation_check list only the shapes of a failure's keys: its classes',
-or a disagreeing pair's (shapes.involved_shapes, key_pair_shapes).
+composes each key's Schur expansion (tableaux.key_schur_expansion) and
+classifies one representative per key.  Shapes are built from their keys
+(shapes.key_shapes): every class member's for the posets, and only the
+named keys' for the other sweeps: multfree_report's disagreeing keys and
+subposet classes, and a failure's classes or disagreeing pairs for
+verify_conjecture and saturation_check (shapes.involved_shapes,
+key_pair_shapes).
 Every order is a list of bitset rows from the order-row module shared
 with relations' implication sweep (skewsupport.orders), bit-sliced over
 byte fields.  Support data is held as an F-support cover
@@ -398,12 +400,26 @@ def multfree_report(n: int) -> dict:
     rules match computed support containment on every ordered pair of
     classified shapes.  Returns the restricted subposet of the support
     poset as well.
+
+    Both checks run per component key: a key's shapes are the orderings and
+    half-turns of its components, and every classified family is closed
+    under half-turn and transpose, so one representative's tag (None or
+    not, kind, ell, and whether it matched through a transpose) is every
+    shape's.  Only the keys the report names have their shapes listed
+    (key_shapes): those that disagree, and those whose cover is in a
+    class holding a free key, which takes in every classified key.
     """
-    shapes, prints = _shape_prints(n, _masks_and_multfree)
+    keyed = component_keys(_sweep_size(n))
+    prints = _masks_and_multfree(keyed)
+    tags = [multfree_classify(s) for _, s, _ in keyed]
+    free_covers = {cover for cover, free_f in prints if free_f}
+    named = [x for x, ((cover, free_f), tag) in enumerate(zip(prints, tags))
+             if cover in free_covers or (tag is not None) != free_f]
+    shapes, slots = key_shapes([keyed[x] for x in named])
     classification_mismatches = []
-    free, classified = set(), []
-    for s, (cover, free_f) in zip(shapes, prints):
-        tag = multfree_classify(s)
+    free, classified, kept = set(), [], []
+    for s, slot in zip(shapes, slots):
+        (cover, free_f), tag = prints[named[slot]], tags[named[slot]]
         if (tag is not None) != free_f:
             classification_mismatches.append(
                 {
@@ -412,6 +428,8 @@ def multfree_report(n: int) -> dict:
                     "expansion_multfree": free_f,
                 }
             )
+        if cover in free_covers:
+            kept.append((s, cover))
         if free_f:
             free.add(s)
             if tag is not None:
@@ -434,10 +452,8 @@ def multfree_report(n: int) -> dict:
                     }
                 )
     # the subposet: every class holding a multiplicity-free shape
-    free_covers = {cover for cover, free_f in prints if free_f}
-    kept = [i for i, (cover, _) in enumerate(prints) if cover in free_covers]
-    sub = _poset("suppf", n, [shapes[i] for i in kept],
-                 [prints[i][0] for i in kept], containing)
+    sub = _poset("suppf", n, [s for s, _ in kept],
+                 [cover for _, cover in kept], containing)
     impure = [
         format_shape(cls[0])
         for cls in sub.classes
@@ -445,8 +461,9 @@ def multfree_report(n: int) -> dict:
     ]
     return {
         "n": n,
-        "shape_count": len(shapes),
-        "multfree_count": len(free),
+        "shape_count": sum(count for *_, count in keyed),
+        "multfree_count": sum(count for (*_, count), (_, free_f)
+                              in zip(keyed, prints) if free_f),
         "classification_mismatches": classification_mismatches,
         "comparability_mismatches": comparability_mismatches,
         "classes_with_mixed_membership": impure,

@@ -327,3 +327,14 @@ def test_longrun_sweep(n, classes, monkeypatch):
     assert report["pass_conjecture"] is True
     assert report["class_count_suppf"] == classes
     assert report["pairs_checked"] == classes * (classes - 1)
+
+
+@pytest.mark.longrun
+@pytest.mark.parametrize("n, shapes, free", [(13, 797_175, 52),
+                                             (14, 2_494_307, 56)])
+def test_longrun_multfree(n, shapes, free):
+    # one classification and one Schur expansion per component key
+    report = multfree_report(n)
+    assert report["pass"] is True
+    assert report["shape_count"] == shapes
+    assert report["multfree_count"] == free

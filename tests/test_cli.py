@@ -411,6 +411,26 @@ def test_console_script_runs(child_env):
     assert out.stdout.strip() == "3"
 
 
+@pytest.mark.parametrize("argv", [["shapes", "--n", "8"],
+                                  ["shapes", "--n", "2", "--count"],
+                                  ["multfree", "--n", "4"]])
+def test_closed_output_pipe_exits_1_without_a_traceback(child_env, argv):
+    # the reader is gone before the first write, as `| head -0` leaves it;
+    # stdout is block-buffered, as in a shell, so a short output reaches
+    # the pipe only when it is flushed
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skewsupport", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(PYTHONUNBUFFERED=""),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == EXIT_USAGE
+    assert err == "skewsupport: error: output closed by its reader\n"
+
+
 def test_cli_import_leaves_multiprocessing_unloaded(child_env):
     # sweeps run in the calling process; no pool module is loaded at start
     out = subprocess.run(

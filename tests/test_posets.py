@@ -679,6 +679,122 @@ def test_multfree_counts_n6():
     assert len(report["subposet"].hasse_edges()) == 12
 
 
+def _tag(tag):
+    """What multfree_report reads of a classification tag."""
+    if tag is None:
+        return None
+    return tag["kind"], tag["ell"], "transpose" in tag["via"]
+
+
+def test_classification_tag_is_the_same_for_every_shape_of_a_key():
+    # multfree_report classifies one representative per component key
+    for n in range(1, 10):
+        reps = {key: _tag(multfree_classify(s))
+                for key, s, _ in component_keys(n)}
+        for s in enumerate_shapes(n):
+            assert _tag(multfree_classify(s)) == reps[component_key(s)], (
+                format_shape(s))
+
+
+def _multfree_reference(n):
+    """multfree_report as a per-shape sweep: every shape listed and
+    classified through its own four images."""
+    shapes, prints = posets._shape_prints(n, posets._masks_and_multfree)
+    classification_mismatches = []
+    free, classified = set(), []
+    for s, (cover, free_f) in zip(shapes, prints):
+        tag = multfree_classify(s)
+        if (tag is not None) != free_f:
+            classification_mismatches.append(
+                {"shape": format_shape(s), "classified": tag is not None,
+                 "expansion_multfree": free_f})
+        if free_f:
+            free.add(s)
+            if tag is not None:
+                classified.append((s, tag, cover))
+    comparability_mismatches = []
+    contains = orders.containing([cover for *_, cover in classified])
+    for x, ((a, ta, _), row) in enumerate(zip(classified, contains)):
+        row |= 1 << x
+        for y, (b, tb, _) in enumerate(classified):
+            predicted = posets._comparable(ta, tb, n)
+            actual = bool(row >> y & 1)
+            if predicted != actual:
+                comparability_mismatches.append(
+                    {"a": format_shape(a), "b": format_shape(b),
+                     "predicted": predicted, "computed": actual})
+    free_covers = {cover for cover, free_f in prints if free_f}
+    kept = [i for i, (cover, _) in enumerate(prints) if cover in free_covers]
+    sub = posets._poset("suppf", n, [shapes[i] for i in kept],
+                        [prints[i][0] for i in kept], orders.containing)
+    impure = [format_shape(cls[0]) for cls in sub.classes
+              if not all(s in free for s in cls)]
+    return {
+        "n": n,
+        "shape_count": len(shapes),
+        "multfree_count": len(free),
+        "classification_mismatches": classification_mismatches,
+        "comparability_mismatches": comparability_mismatches,
+        "classes_with_mixed_membership": impure,
+        "subposet": sub,
+        "pass": not classification_mismatches
+        and not comparability_mismatches,
+    }
+
+
+def _miss_two_row(match, s):
+    hit = match(s)
+    return None if hit and hit[0] == "two-row" else hit
+
+
+def _every_two_row(match, s):
+    # (n-3, 3) and (n-4, 4) are not multiplicity-free from n = 6 on
+    if not s.inner and len(s.outer) == 2 and s.outer[1] >= 2:
+        return ("two-row", None)
+    return match(s)
+
+
+@pytest.mark.parametrize("wrong, failing", [(None, 0), (_miss_two_row, 5),
+                                            (_every_two_row, 3)])
+def test_multfree_report_matches_a_per_shape_sweep(monkeypatch, wrong,
+                                                   failing):
+    # a family left out names free shapes as unclassified; a family
+    # stretched names tagged keys' shapes whose cover no free key has
+    if wrong:
+        monkeypatch.setattr(posets, "_match_pattern",
+                            partial(wrong, posets._match_pattern))
+    failed = 0
+    for n in range(1, 9):
+        report = multfree_report(n)
+        assert report == _multfree_reference(n), n
+        failed += not report["pass"]
+    assert failed == failing
+
+
+def test_multfree_lists_only_the_named_keys(monkeypatch):
+    n = 8
+    built = []
+
+    def spy(part):
+        out = key_shapes(part)
+        built.append(([key for key, *_ in part], out[0]))
+        return out
+
+    for module in (posets, shapes_module):
+        monkeypatch.setattr(module, "key_shapes", spy)
+    report = multfree_report(n)
+    [(keys, listed)] = built
+    # the keys of every shape the report names, and nothing else
+    ref = _multfree_reference(n)
+    named = {component_key(parse_shape(m["shape"]))
+             for m in ref["classification_mismatches"]}
+    named |= {component_key(s) for cls in ref["subposet"].classes
+              for s in cls}
+    assert set(keys) == named
+    assert (len(keys), len(listed)) == (24, 54)
+    assert report["shape_count"] == 2659
+
+
 def test_multfree_tallies_each_partition_once(monkeypatch):
     # the straight support bits are the non-zero fields of one packed
     # count per partition, and f^lam is a Kostka number, so with the
