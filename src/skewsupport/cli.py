@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_shapes(args) -> int:
     if args.count:
-        print(sum(count for *_, count in component_keys(args.n)))
+        print(sum(count for _, count in component_keys(args.n)))
     else:
         shapes = enumerate_shapes(args.n)
         _emit({"n": args.n, "count": len(shapes),

@@ -8,19 +8,19 @@ bigger support corresponds to more dominated overlaps.  The containment
 direction of the correspondence is a proved theorem (checked here as a
 sweep); the dominance-to-containment direction is open, so any reverse
 failure is reported as a discovery rather than an error.  Every sweep reads
-one fingerprint per component key, from the key and its representative
-(shapes.component_keys): support data from the key's Schur support, and
-overlap data from the representative.  The support-only sweeps
+one fingerprint per component key (shapes.component_keys), from the key's
+rows: support data from the key's Schur support, and overlap data from
+the rows of the key's direct sum.  The support-only sweeps
 (verify_conjecture, saturation_check with its scaled keys, build_suppf)
 take every key's cover from one call of the support route
 (tableaux.support_covers), which composes Schur supports, not
 coefficients; the multiplicity-free sweep reads coefficients, so it
 composes each key's Schur expansion (tableaux.key_schur_expansion) and
-classifies one representative per key.  Shapes are built from their keys
-(shapes.key_shapes): every class member's for the posets, and only the
-named keys' for the other sweeps: multfree_report's disagreeing keys and
-subposet classes, and a failure's classes or disagreeing pairs for
-verify_conjecture and saturation_check (shapes.involved_shapes,
+classifies one shape per key (shapes.key_shape).  Shapes are built from
+their keys (shapes.key_shapes): every class member's for the posets, and
+only the named keys' for the other sweeps: multfree_report's disagreeing
+keys and subposet classes, and a failure's classes or disagreeing pairs
+for verify_conjecture and saturation_check (shapes.involved_shapes,
 key_pair_shapes).
 Every order is a list of bitset rows from the order-row module shared
 with relations' implication sweep (skewsupport.orders), bit-sliced over
@@ -45,17 +45,19 @@ from skewsupport.orders import bit_indices, containing, dominated
 from skewsupport.overlaps import profile_keys
 from skewsupport.shapes import (
     SkewShape,
+    _direct_sum_rows,
     _sweep_size,
     check_same_size,
-    component_key,
     component_keys,
     direct_sum,
     format_shape,
     involved_shapes,
     key_pair_shapes,
+    key_shape,
     key_shapes,
     parse_shape,
     scale,
+    scale_key,
 )
 from skewsupport.tableaux import (
     f_support_cover,
@@ -136,23 +138,23 @@ def _classes_of(fingerprints) -> dict:
     return groups
 
 
-def _key(s: SkewShape) -> int:
-    return profile_keys(s.outer, s.inner, s.size)[0]
-
-
 # The fingerprints below take a sweep's rows of shapes.component_keys,
-# (key, representative, count), and give one fingerprint per row.
-# Support data is the key's F-support cover, from the support route
-# (tableaux.support_covers), which composes Schur supports only; overlap
-# data comes from the representative.
+# (key, count), and give one fingerprint per row.  Support data is the
+# key's F-support cover, from the support route (tableaux.support_covers),
+# which composes Schur supports only; overlap data is the dominance key of
+# the rows of the key's direct sum.
 
 
 def _masks(keyed) -> list[int]:
-    return support_covers([key for key, *_ in keyed])
+    return support_covers([key for key, _ in keyed])
 
 
 def _nc_keys(keyed) -> list[int]:
-    return [_key(s) for _, s, _ in keyed]
+    out = []
+    for key, _ in keyed:
+        inner, outer = zip(*_direct_sum_rows(key))
+        out.append(profile_keys(outer, inner, sum(outer) - sum(inner))[0])
+    return out
 
 
 def _masks_and_keys(keyed) -> list[tuple[int, int]]:
@@ -168,7 +170,7 @@ def _masks_and_multfree(keyed) -> list[tuple[int, bool]]:
     tests check it against the direct route, is_f_multiplicity_free.
     """
     out = []
-    for key, *_ in keyed:
+    for key, _ in keyed:
         schur = key_schur_expansion(key)  # checks the size guard first
         f_a = sum(c * syt_count(lam) for lam, c in schur.items())
         out.append((f_support_cover(schur.coeffs),
@@ -177,10 +179,10 @@ def _masks_and_multfree(keyed) -> list[tuple[int, bool]]:
 
 
 def _masks_and_scaled(keyed, factor: int) -> list[tuple[int, int]]:
-    """F-support covers of each key and of its representative scaled,
-    from one pass of the support route."""
-    keys = [key for key, *_ in keyed]
-    keys += [component_key(scale(s, factor)) for _, s, _ in keyed]
+    """F-support covers of each key and of its shapes scaled, from one
+    pass of the support route."""
+    keys = [key for key, _ in keyed]
+    keys += [scale_key(key, factor) for key in keys]
     covers = support_covers(keys)
     return list(zip(covers[:len(keyed)], covers[len(keyed):]))
 
@@ -287,7 +289,7 @@ def verify_conjecture(n: int) -> dict:
         "n": n,
         # a fixed field, kept so reports stay byte-identical to older ones
         "shard": {"index": 1, "count": 1},
-        "shape_count": sum(count for *_, count in keyed),
+        "shape_count": sum(count for _, count in keyed),
         "class_count_suppf": len(by_cover),
         "class_count_nc": len(by_key),
         "pairs_checked": len(classes) * (len(classes) - 1),
@@ -403,15 +405,16 @@ def multfree_report(n: int) -> dict:
 
     Both checks run per component key: a key's shapes are the orderings and
     half-turns of its components, and every classified family is closed
-    under half-turn and transpose, so one representative's tag (None or
-    not, kind, ell, and whether it matched through a transpose) is every
-    shape's.  Only the keys the report names have their shapes listed
-    (key_shapes): those that disagree, and those whose cover is in a
-    class holding a free key, which takes in every classified key.
+    under half-turn and transpose, so the tag of one shape of a key
+    (key_shape; None or not, kind, ell, and whether it matched through a
+    transpose) is every shape's.  Only the keys the report names have
+    their shapes listed (key_shapes): those that disagree, and those whose
+    cover is in a class holding a free key, which takes in every classified
+    key.
     """
     keyed = component_keys(_sweep_size(n))
     prints = _masks_and_multfree(keyed)
-    tags = [multfree_classify(s) for _, s, _ in keyed]
+    tags = [multfree_classify(key_shape(key)) for key, _ in keyed]
     free_covers = {cover for cover, free_f in prints if free_f}
     named = [x for x, ((cover, free_f), tag) in enumerate(zip(prints, tags))
              if cover in free_covers or (tag is not None) != free_f]
@@ -461,8 +464,8 @@ def multfree_report(n: int) -> dict:
     ]
     return {
         "n": n,
-        "shape_count": sum(count for *_, count in keyed),
-        "multfree_count": sum(count for (*_, count), (_, free_f)
+        "shape_count": sum(count for _, count in keyed),
+        "multfree_count": sum(count for (_, count), (_, free_f)
                               in zip(keyed, prints) if free_f),
         "classification_mismatches": classification_mismatches,
         "comparability_mismatches": comparability_mismatches,
@@ -537,7 +540,7 @@ def saturation_check(n: int, factor: int) -> dict:
         flips.update(((x, y), if_dir) for y in bit_indices(a & ~b))
     for a, b, out in key_pair_shapes(keyed, flips):
         out.append({"a": format_shape(a), "b": format_shape(b)})
-    shape_count = sum(count for *_, count in keyed)
+    shape_count = sum(count for _, count in keyed)
     return {
         "n": n,
         "factor": factor,

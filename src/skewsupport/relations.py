@@ -17,7 +17,7 @@ that its matrix breaks.
 
 verify_implications checks the diagram on every ordered pair of distinct
 same-size shapes without a matrix per pair.  It records one shape per
-component key (shapes.component_keys), from the key's Schur expansion
+component key (shapes.key_shape), from the key's Schur expansion
 (tableaux.key_schur_expansion) rather than through record(shape), which
 would find the shape's key again, and, per size, builds one bitset row
 per condition and key: bit y of row x is set when the condition holds for
@@ -50,6 +50,7 @@ from skewsupport.shapes import (
     distinct_permutations,
     format_shape,
     key_pair_shapes,
+    key_shape,
     parse_shape,
     partitions_of,
     transpose_partition,
@@ -372,13 +373,13 @@ def verify_implications(n: int) -> dict:
     largest = component_keys(_sweep_size(n))
     by_size = [component_keys(size) for size in range(1, n)] + [largest]
     violations, witnesses = [], {}
-    for keyed in by_size:  # arrows only pair shapes of one size
-        records = [_record(s, tableaux.key_schur_expansion(key))
-                   for key, s, _ in keyed]
-        index = {key: x for x, (key, *_) in enumerate(keyed)}
+    for size, keyed in enumerate(by_size, 1):  # arrows pair same-size shapes
+        records = [_record(key_shape(key), tableaux.key_schur_expansion(key))
+                   for key, _ in keyed]
+        index = {key: x for x, (key, _) in enumerate(keyed)}
         for a_str, b_str, holds, fails in WITNESSES:
             a, b = parse_shape(a_str), parse_shape(b_str)
-            if a.size == keyed[0][1].size:
+            if a.size == size:
                 m = compare(records[index[component_key(a)]],
                             records[index[component_key(b)]])
                 confirmed = m.get(holds) and not m.get(fails)
@@ -399,7 +400,7 @@ def verify_implications(n: int) -> dict:
             for a, b, arrows in key_pair_shapes(keyed, broken)
             for arrow in arrows
         ]
-    counts = [sum(count for *_, count in same) for same in by_size]
+    counts = [sum(count for _, count in same) for same in by_size]
     return {
         "max_size": n,
         "pairs_checked": sum(c * (c - 1) for c in counts),

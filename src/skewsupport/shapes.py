@@ -534,8 +534,8 @@ def _direct_sum_rows(comps) -> list[tuple[int, int]]:
     return rows
 
 
-def component_keys(n: int) -> list[tuple[tuple, SkewShape, int]]:
-    """(key, shape, count) for each component key of the n-box shapes.
+def component_keys(n: int) -> list[tuple[tuple, int]]:
+    """(key, count) for each component key of the n-box shapes.
 
     A shape is the direct sum of an ordered sequence of connected shapes,
     its components.  Its key is the sorted tuple of its components, each
@@ -544,11 +544,11 @@ def component_keys(n: int) -> list[tuple[tuple, SkewShape, int]]:
     Sec. 7.10); A + B has the row overlaps of A and B, which share no column
     (Reiner-Shaw-van Willigenburg 2007, Sec. 2); scale commutes with both.
     So the shapes of one key share every fingerprint a sweep reads, and
-    the sweeps fingerprint one shape per key.
+    the sweeps read each fingerprint from the key's rows.
 
     A key whose m components fall into classes c with multiplicities m_c
-    holds m!/prod(m_c!) * prod(orbit_c ** m_c) shapes; shape is one of
-    them.  Nothing walks the shapes; key_shapes lists them.
+    holds m!/prod(m_c!) * prod(orbit_c ** m_c) shapes.  Nothing walks the
+    shapes; key_shapes lists them, and key_shape builds one.
     """
     _check_n(n)
     connected = {size: _connected(size) for size in range(1, n + 1)}
@@ -561,9 +561,24 @@ def component_keys(n: int) -> list[tuple[tuple, SkewShape, int]]:
             count = factorial(len(comps))
             for (_, orbit), m in Counter(comps).items():
                 count = count // factorial(m) * orbit ** m
-            key = tuple(rows for rows, _ in comps)
-            out.append((key, _from_rows(_direct_sum_rows(key)), count))
+            out.append((tuple(rows for rows, _ in comps), count))
     return out
+
+
+def key_shape(key) -> SkewShape:
+    """The direct sum of key's components in key order, the first one
+    bottom-left: one shape of the key."""
+    return _from_rows(_direct_sum_rows(key))
+
+
+def scale_key(key, factor: int) -> tuple:
+    """The key of a shape of key scaled by factor: every row bound times
+    factor.  Scaling keeps row order, where components break (rows that
+    touch still touch), which of a component and its half-turn is the
+    lesser and the order of the components, so the scaled rows are already
+    written as a key."""
+    return tuple(tuple((a * factor, b * factor) for a, b in comp)
+                 for comp in key)
 
 
 def key_shapes(keyed) -> tuple[list[SkewShape], list[int]]:
@@ -576,7 +591,7 @@ def key_shapes(keyed) -> tuple[list[SkewShape], list[int]]:
     a key holds exactly its count shapes and no shape's key is computed.
     """
     out = []
-    for slot, (key, *_) in enumerate(keyed):
+    for slot, (key, _) in enumerate(keyed):
         turns = {comp: dict.fromkeys((comp, _half_turn(comp))) for comp in key}
         for order in distinct_permutations(key):
             for comps in product(*map(turns.get, order)):

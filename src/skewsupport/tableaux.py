@@ -47,11 +47,10 @@ from skewsupport.shapes import (
     Composition,
     Partition,
     SkewShape,
-    _direct_sum_rows,
-    _from_rows,
     _half_turn,
     component_key,
     format_shape,
+    key_shape,
     mask_to_comp,
     partitions_of,
     sort_desc,
@@ -403,7 +402,7 @@ def _check_frame(coeffs: dict, frame, key) -> None:
         found = " and ".join(
             f"{coeffs.get(lam, 0)} at {','.join(map(str, lam))}"
             for lam in frame)
-        shape = format_shape(_from_rows(_direct_sum_rows(key)))
+        shape = format_shape(key_shape(key))
         raise ConsistencyError(
             f"Schur expansion of {shape} fails the row/column frame check: "
             f"coefficients {found}, where both must be 1")
@@ -604,7 +603,7 @@ def support_covers(keys) -> list[int]:
         known = covers.setdefault(n, {})
         for lam in sort_desc(rows), transpose_partition(sort_desc(cols)):
             if not bits >> pos[lam] & 1:
-                shape = format_shape(_from_rows(_direct_sum_rows(key)))
+                shape = format_shape(key_shape(key))
                 raise ConsistencyError(
                     f"Schur support of {shape} fails the row/column frame "
                     f"check: it lacks {','.join(map(str, lam))}")

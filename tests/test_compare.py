@@ -19,6 +19,7 @@ from skewsupport.shapes import (
     component_keys,
     enumerate_shapes,
     format_shape,
+    key_shape,
     key_shapes,
     mask_to_comp,
     parse_shape,
@@ -183,7 +184,7 @@ def test_records_depend_only_on_the_component_key():
     # field compare() reads must be the same for all shapes with that key
     for n in range(1, 7):
         keyed = component_keys(n)
-        refs = [record(s) for _, s, _ in keyed]
+        refs = [record(key_shape(key)) for key, _ in keyed]
         for s, slot in zip(*key_shapes(keyed)):
             r, ref = record(s), refs[slot]
             assert r.coeffs == ref.coeffs, format_shape(s)
@@ -209,7 +210,7 @@ def _guarded(mask: int, fields: int, width: int) -> set:
     # M at 1^8 is 8!, the number of standard fillings: the widest field
     lambda: [parse_shape("8,7,6,5,4,3,2,1/7,6,5,4,3,2,1")],
     # one shape per component key: a record depends only on its key
-    lambda: [s for n in (7, 8) for _, s, _ in component_keys(n)],
+    lambda: [key_shape(key) for n in (7, 8) for key, _ in component_keys(n)],
 ], ids=["sizes 1-6", "8-box antichain", "keys of sizes 7-8"])
 def test_packed_records_decode_to_the_expansions(shapes):
     # every packed field decodes to the dict route's coefficient and stays
@@ -312,7 +313,7 @@ def test_violations_match_a_per_shape_sweep(monkeypatch):
 def _check_condition_rows(n):
     # bit y of row x holds exactly when compare(record(a), record(b)) says
     # the condition holds, for every ordered pair of distinct size-n keys
-    records = [record(s) for _, s, _ in component_keys(n)]
+    records = [record(key_shape(key)) for key, _ in component_keys(n)]
     rows = relations._condition_rows(records)
     assert list(rows) == list(relations._CONDITIONS)
     for x, ra in enumerate(records):
@@ -341,7 +342,7 @@ def _violations_per_pair(n):
     violations = []
     for size in range(1, n + 1):
         keyed = component_keys(size)
-        records = [record(s) for _, s, _ in keyed]
+        records = [record(key_shape(key)) for key, _ in keyed]
         broken = {}
         for (x, ra), (y, rb) in permutations(enumerate(records), 2):
             arrows = check_implications(compare(ra, rb))

@@ -19,6 +19,7 @@ from skewsupport.overlaps import (
     OverlapProfile,
     dominance_guard,
     key_dominated,
+    profile_keys,
 )
 from skewsupport.posets import (
     ShapeClassPoset,
@@ -42,6 +43,7 @@ from skewsupport.shapes import (
     direct_sum,
     enumerate_shapes,
     format_shape,
+    key_shape,
     key_shapes,
     parse_shape,
     partitions_of,
@@ -170,19 +172,38 @@ def test_verify_conjecture_small():
 
 def test_passing_key_sweeps_list_no_shapes(monkeypatch):
     # verify_conjecture, verify_implications and saturation_check fingerprint
-    # component_keys' representatives; only a failure lists the shapes
+    # component keys; only a failure lists the shapes, and the support-only
+    # sweeps build no shape at all but the Schur regression's
     def no_listing(keyed):
         raise AssertionError(f"key_shapes called on {len(keyed)} keys")
 
     for module in (posets, shapes_module):
         monkeypatch.setattr(module, "key_shapes", no_listing)
-    report = verify_conjecture(6)
+    built = []
+    post_init = SkewShape.__post_init__
+
+    def counted(self):
+        built.append(None)
+        post_init(self)
+
+    def shapes_built(sweep, *args):
+        del built[:]
+        report = sweep(*args)
+        return report, len(built)
+
+    monkeypatch.setattr(SkewShape, "__post_init__", counted)
+    report, count = shapes_built(verify_conjecture, 6)
     assert report["pass_theorem"] and report["pass_conjecture"]
     assert report["shape_count"] == 272
+    assert count == 0
     report = verify_implications(5)
     assert report["pass"] and report["pairs_checked"] == 8316
-    report = saturation_check(5, 2)
+    _, regression = shapes_built(schur_saturation_regression)
+    report, count = shapes_built(saturation_check, 4, 2)
+    assert report["agreement"] and count == regression
+    report, count = shapes_built(saturation_check, 5, 2)
     assert report["agreement"] and report["pairs_checked"] == 87 * 86
+    assert count == regression
 
 
 def test_posets_imports_nothing_from_relations():
@@ -243,6 +264,11 @@ def _conjecture_oracle(n, fingerprint):
     return mismatches, forward, reverse
 
 
+def _profile_key(s):
+    """s's dominance key, read from its partitions."""
+    return profile_keys(s.outer, s.inner, s.size)[0]
+
+
 def _pack(profile, n):
     """A profile's dominance key, shifted in one byte-wide prefix sum at a
     time."""
@@ -268,13 +294,15 @@ def test_verify_conjecture_failures_match_a_per_shape_sweep(monkeypatch):
             return full & ~f_support_mask(s), _pack(first, n)
 
         def three_supports(s):
-            return 1 << f_support_mask(s).bit_count() % 3, posets._key(s)
+            return 1 << f_support_mask(s).bit_count() % 3, _profile_key(s)
 
         for fake in (complement_and_first_depth, three_supports):
-            # the sweep hands its hook its keys and their representatives
+            # the sweep hands its hook its keys; the fakes read one shape
+            # of each
             monkeypatch.setattr(
                 posets, "_masks_and_keys",
-                lambda keyed, fake=fake: [fake(s) for _, s, _ in keyed])
+                lambda keyed, fake=fake: [fake(key_shape(key))
+                                          for key, _ in keyed])
             report = verify_conjecture(n)
             mismatches, forward, reverse = _conjecture_oracle(n, fake)
             assert report["partition_mismatches"] == mismatches
@@ -546,7 +574,7 @@ def test_dominated_rows_on_repeated_and_no_keys():
     # repeated keys, as a partition mismatch gives: equal keys never lie
     # under each other, and each copy gets the same row
     texts = ("3,1,1/1", "3,2/1", "2,2", "4", "1,1,1,1", "3,1", "2,1,1")
-    keys = [posets._key(parse_shape(t)) for t in texts]
+    keys = [_profile_key(parse_shape(t)) for t in texts]
     keys += [keys[0], keys[2], keys[0]]
     rows = orders.dominated(keys, 4)
     assert rows == _dominated_per_pair(keys, 4)
@@ -687,10 +715,10 @@ def _tag(tag):
 
 
 def test_classification_tag_is_the_same_for_every_shape_of_a_key():
-    # multfree_report classifies one representative per component key
+    # multfree_report classifies one shape per component key
     for n in range(1, 10):
-        reps = {key: _tag(multfree_classify(s))
-                for key, s, _ in component_keys(n)}
+        reps = {key: _tag(multfree_classify(key_shape(key)))
+                for key, _ in component_keys(n)}
         for s in enumerate_shapes(n):
             assert _tag(multfree_classify(s)) == reps[component_key(s)], (
                 format_shape(s))
@@ -839,11 +867,12 @@ def test_saturation_disagreements_match_a_per_shape_sweep(monkeypatch):
     # overlap key in its place) makes containment flip both ways; the
     # key-pair sweep must list the pairs a per-shape sweep finds, in order
     def fake(s, factor):
-        return f_support_mask(s), posets._key(s)
+        return f_support_mask(s), _profile_key(s)
 
     monkeypatch.setattr(
         posets, "_masks_and_scaled",
-        lambda keyed, factor: [fake(s, factor) for _, s, _ in keyed])
+        lambda keyed, factor: [fake(key_shape(key), factor)
+                               for key, _ in keyed])
     shapes = enumerate_shapes(5)
     lost, gained = [], []
     for a in shapes:

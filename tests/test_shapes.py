@@ -19,17 +19,20 @@ from skewsupport.shapes import (
     SkewShape,
     comp_of,
     comp_to_mask,
+    component_key,
     component_keys,
     direct_sum,
     enumerate_shapes,
     format_shape,
     key_pair_shapes,
+    key_shape,
     key_shapes,
     mask_to_comp,
     parse_shape,
     ribbon_from_composition,
     ribbon_stats,
     scale,
+    scale_key,
     sort_desc,
     straight,
     subset_of,
@@ -111,7 +114,7 @@ def test_canonical_shapes_are_not_canonicalised_again(monkeypatch):
     monkeypatch.setattr(shapes, "_canonical_rows",
                         lambda rows: calls.append(rows) or full(rows))
     listed = enumerate_shapes(7)
-    keyed = [s for _, s, _ in component_keys(7)]
+    keyed = [key_shape(key) for key, _ in component_keys(7)]
     for s in listed + keyed:
         s.rotate(), s.transpose()
     assert calls == []
@@ -215,9 +218,10 @@ def test_component_keys_match_enumeration():
         listed, slots = key_shapes(keyed)
         assert listed == enumerate_shapes(n), n
         assert Counter(slots) == {
-            slot: count for slot, (_, _, count) in enumerate(keyed)}, n
+            slot: count for slot, (_, count) in enumerate(keyed)}, n
         slot_of = dict(zip(listed, slots))
-        for slot, (_, shape, _) in enumerate(keyed):
+        for slot, (key, _) in enumerate(keyed):
+            shape = key_shape(key)
             assert shape.size == n and slot_of[shape] == slot
         key_counts.append(len(keyed))
     assert key_counts == [1, 1, 3, 6, 16, 34, 87, 198, 493, 1167]
@@ -257,7 +261,7 @@ def test_component_keys_usage_errors(monkeypatch):
                            match="n must be >= 0, got -1"):
             fn(-1)
     monkeypatch.setenv(ENV_MAX_SIZE, "3")
-    assert sum(count for *_, count in component_keys(3)) == 9
+    assert sum(count for _, count in component_keys(3)) == 9
     for fn in (enumerate_shapes, component_keys):
         with pytest.raises(SizeLimitError,
                            match="n=4 exceeds the size limit 3"):
@@ -363,6 +367,15 @@ def test_scale():
 def test_scale_rejects_factor_below_one():
     with pytest.raises(SkewSupportError, match="scale factor must be >= 1"):
         scale(parse_shape("21"), 0)
+
+
+def test_scale_key_is_the_key_of_the_scaled_shape():
+    # scale is the reference: the scaled key is read off the scaled shape
+    for n in range(8):
+        for s in enumerate_shapes(n):
+            for factor in (1, 2, 3):
+                assert scale_key(component_key(s), factor) == component_key(
+                    scale(s, factor)), (format_shape(s), factor)
 
 
 def test_ribbons():

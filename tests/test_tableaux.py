@@ -14,6 +14,7 @@ from skewsupport.shapes import (
     component_keys,
     enumerate_shapes,
     format_shape,
+    key_shape,
     parse_shape,
     partitions_of,
     ribbon_stats,
@@ -442,9 +443,10 @@ def test_shape_keyed_caches_share_one_bound():
 
 def test_key_schur_expansion_matches_whole_shape_routes():
     # composed from the components, it is the Schur expansion of the key's
-    # representative by lattice fillings and, at size <= 7, by Kostka
+    # shape (key_shape) by lattice fillings and, at size <= 7, by Kostka
     for n in range(1, 10):
-        for key, s, _ in component_keys(n):
+        for key, _ in component_keys(n):
+            s = key_shape(key)
             composed = T.key_schur_expansion(key)
             assert composed == schur_expansion_lr(s), format_shape(s)
             if n <= 7:
