@@ -19,9 +19,10 @@ composes each key's Schur expansion (tableaux.key_schur_expansion) and
 classifies one shape per key (shapes.key_shape).  Shapes are built from
 their keys (shapes.key_shapes): every class member's for the posets, and
 only the named keys' for the other sweeps: multfree_report's disagreeing
-keys and subposet classes, and a failure's classes or disagreeing pairs
-for verify_conjecture and saturation_check (shapes.involved_shapes,
-key_pair_shapes).
+keys, subposet classes and key pairs, saturation_check's disagreeing key
+pairs (shapes.key_pair_shapes), and the keys whose shapes a failing
+verify_conjecture prints, which names each class by its keys' least
+shapes (shapes.least_shape).
 Every order is a list of bitset rows from the order-row module shared
 with relations' implication sweep (skewsupport.orders), bit-sliced over
 byte fields.  Support data is held as an F-support cover
@@ -33,7 +34,7 @@ orders.dominated).
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from skewsupport.config import max_size
 from skewsupport.errors import (
@@ -51,10 +52,10 @@ from skewsupport.shapes import (
     component_keys,
     direct_sum,
     format_shape,
-    involved_shapes,
     key_pair_shapes,
     key_shape,
     key_shapes,
+    least_shape,
     parse_shape,
     scale,
     scale_key,
@@ -241,8 +242,8 @@ def verify_conjecture(n: int) -> dict:
     genuine discovery.  The class partitions are compared, then every
     ordered pair of distinct F-support classes, all from one fingerprint
     per component key.  A failure is named as a per-shape sweep names it,
-    each class by its least shape, from the shapes of the failing classes'
-    keys only (involved_shapes).
+    each class by the least of its keys' least shapes (least_shape); a
+    mixed class lists only the shapes it prints (key_shapes).
     """
     keyed = component_keys(_sweep_size(n))
     covers, keys = zip(*_masks_and_keys(keyed))
@@ -252,38 +253,36 @@ def verify_conjecture(n: int) -> dict:
         [m for m in groups.values() if len({other[x] for x in m}) > 1]
         for groups, other in ((by_cover, keys), (by_key, covers)))
     classes = list(by_cover.values())
+    # the least shape of each key the report names, kept for this call
+    low = cache(lambda x: least_shape(keyed[x][0]))
     # a mixed support class enters the orders with the key of its least
     # shape, as a per-shape sweep's representative does
-    _, first = involved_shapes(keyed, [x for m in mixed_support for x in m])
-    reps = [min(m, key=lambda x: first[x][0]) if m[0] in first else m[0]
+    split = {covers[m[0]] for m in mixed_support}
+    reps = [min(m, key=low) if covers[m[0]] in split else m[0]
             for m in classes]
     contains = containing([covers[x] for x in reps])
     dominance = dominated([keys[x] for x in reps], n)
     rows = list(enumerate(zip(contains, dominance)))
     forward = [(x, y) for x, (c, d) in rows for y in bit_indices(c & ~d)]
     reverse = [(x, y) for x, (c, d) in rows for y in bit_indices(d & ~c)]
-    failing = [classes[x] for pair in forward + reverse for x in pair]
-    failing += mixed_support + mixed_profile
-    shapes, members = involved_shapes(keyed, [x for m in failing for x in m])
-
-    def least(m):
-        return min(members[x][0] for x in m)
-
+    # a mixed class pairs its least shape with each shape of a key whose
+    # other fingerprint differs from that shape's key's
     partition_mismatches = []
     for kind, other, mixed in (
             ("equal_support_different_profile", keys, mixed_support),
             ("equal_profile_different_support", covers, mixed_profile)):
-        for m in sorted(mixed, key=least):
-            (a, home), *rest = sorted((i, x) for x in m for i in members[x])
+        for m in sorted(mixed, key=lambda group: min(map(low, group))):
+            home = min(m, key=low)
+            shapes, _ = key_shapes([keyed[x] for x in m
+                                    if other[x] != other[home]])
             partition_mismatches.extend(
-                {"a": format_shape(shapes[a]), "b": format_shape(shapes[i]),
-                 "kind": kind}
-                for i, x in rest if other[x] != other[home])
+                {"a": format_shape(low(home)), "b": format_shape(s),
+                 "kind": kind} for s in shapes)
 
     def named(pairs):
-        low = {x: least(classes[x]) for pair in pairs for x in pair}
-        return [{"a": format_shape(shapes[i]), "b": format_shape(shapes[j])}
-                for i, j in sorted((low[x], low[y]) for x, y in pairs)]
+        names = {x: min(map(low, classes[x])) for pair in pairs for x in pair}
+        return [{"a": format_shape(a), "b": format_shape(b)}
+                for a, b in sorted((names[x], names[y]) for x, y in pairs)]
 
     return {
         "n": n,
@@ -399,18 +398,18 @@ def multfree_report(n: int) -> dict:
     Checks, for every shape of size n, that the pattern classification
     matches multiplicity-freeness of the F-expansion, read from the Schur
     expansion (_masks_and_multfree), and that the published comparability
-    rules match computed support containment on every ordered pair of
-    classified shapes.  Returns the restricted subposet of the support
-    poset as well.
+    rules match computed support containment between classified shapes.
+    Returns the restricted subposet of the support poset as well.
 
     Both checks run per component key: a key's shapes are the orderings and
     half-turns of its components, and every classified family is closed
     under half-turn and transpose, so the tag of one shape of a key
     (key_shape; None or not, kind, ell, and whether it matched through a
-    transpose) is every shape's.  Only the keys the report names have
-    their shapes listed (key_shapes): those that disagree, and those whose
-    cover is in a class holding a free key, which takes in every classified
-    key.
+    transpose) is every shape's.  Two shapes of one key share a tag and a
+    cover, so the rules are compared per ordered pair of distinct
+    classified keys.  Only the keys the report names have their shapes
+    listed: those that disagree (key_shapes, key_pair_shapes), and those
+    whose cover is in a class holding a free key.
     """
     keyed = component_keys(_sweep_size(n))
     prints = _masks_and_multfree(keyed)
@@ -420,7 +419,7 @@ def multfree_report(n: int) -> dict:
              if cover in free_covers or (tag is not None) != free_f]
     shapes, slots = key_shapes([keyed[x] for x in named])
     classification_mismatches = []
-    free, classified, kept = set(), [], []
+    free, kept = set(), []
     for s, slot in zip(shapes, slots):
         (cover, free_f), tag = prints[named[slot]], tags[named[slot]]
         if (tag is not None) != free_f:
@@ -435,25 +434,20 @@ def multfree_report(n: int) -> dict:
             kept.append((s, cover))
         if free_f:
             free.add(s)
-            if tag is not None:
-                classified.append((s, tag, cover))
-    # the rules only speak of classified shapes; the rest are listed above
-    comparability_mismatches = []
-    contains = containing([cover for *_, cover in classified])
-    for x, ((a, ta, _), row) in enumerate(zip(classified, contains)):
-        row |= 1 << x  # each support contains itself
-        for y, (b, tb, _) in enumerate(classified):
-            predicted = _comparable(ta, tb, n)
-            actual = bool(row >> y & 1)
-            if predicted != actual:
-                comparability_mismatches.append(
-                    {
-                        "a": format_shape(a),
-                        "b": format_shape(b),
-                        "predicted": predicted,
-                        "computed": actual,
-                    }
-                )
+    # the rules only speak of classified keys
+    classified = [x for x, ((_, free_f), tag) in enumerate(zip(prints, tags))
+                  if free_f and tag is not None]
+    contains = containing([prints[x][0] for x in classified])
+    predicted = {}
+    for i, (x, row) in enumerate(zip(classified, contains)):
+        for j, y in enumerate(classified):
+            rule = _comparable(tags[x], tags[y], n)
+            if i != j and rule != bool(row >> j & 1):
+                predicted[x, y] = rule
+    comparability_mismatches = [
+        {"a": format_shape(a), "b": format_shape(b), "predicted": rule,
+         "computed": not rule}
+        for a, b, rule in key_pair_shapes(keyed, predicted)]
     # the subposet: every class holding a multiplicity-free shape
     sub = _poset("suppf", n, [s for s, _ in kept],
                  [cover for _, cover in kept], containing)

@@ -11,6 +11,10 @@ Conventions used throughout the package:
 
 Any pair of nested partitions describes the same diagram as its canonical
 form, so constructors normalise instead of rejecting.
+
+Shapes with the same connected components, up to order and half-turn,
+share a component key (component_keys).  key_shapes lists a key's shapes;
+least_shape builds only the least of them.
 """
 
 from bisect import bisect_left
@@ -581,45 +585,47 @@ def scale_key(key, factor: int) -> tuple:
                  for comp in key)
 
 
+def _key_rows(key):
+    """The rows of each of key's count shapes: the direct sum of one
+    distinct ordering of its components, each as written or half-turned."""
+    turns = {comp: dict.fromkeys((comp, _half_turn(comp))) for comp in key}
+    for order in distinct_permutations(key):
+        for comps in product(*map(turns.get, order)):
+            yield _direct_sum_rows(comps)
+
+
+def least_shape(key) -> SkewShape:
+    """The least shape of key, in enumerate_shapes order.  A key's shapes
+    have one row count, so right ends, then left ends, order them as
+    SkewShape does; only the least becomes a shape."""
+    return _from_rows(min(_key_rows(key), key=lambda rows: (
+        [b for _, b in rows], [a for a, _ in rows])))
+
+
 def key_shapes(keyed) -> tuple[list[SkewShape], list[int]]:
     """(shapes, slots): every shape of the keys in keyed, and its key.
 
     keyed is rows of component_keys for one size.  shapes is sorted as
     enumerate_shapes sorts it, and slots[i] is the index in keyed of the
-    key of shapes[i].  Each shape is the direct sum of one distinct
-    ordering of its key's components, each as written or half-turned, so
-    a key holds exactly its count shapes and no shape's key is computed.
+    key of shapes[i].  No shape's key is computed.
     """
-    out = []
-    for slot, (key, _) in enumerate(keyed):
-        turns = {comp: dict.fromkeys((comp, _half_turn(comp))) for comp in key}
-        for order in distinct_permutations(key):
-            for comps in product(*map(turns.get, order)):
-                out.append((_from_rows(_direct_sum_rows(comps)), slot))
+    out = [(_from_rows(rows), slot) for slot, (key, _) in enumerate(keyed)
+           for rows in _key_rows(key)]
     out.sort(key=lambda pair: (pair[0].outer, pair[0].inner))
     return [s for s, _ in out], [slot for _, slot in out]
-
-
-def involved_shapes(keyed, involved) -> tuple[list[SkewShape], dict]:
-    """(shapes, members): key_shapes of the keys keyed[x], x in involved,
-    and members[x], the ascending indices in shapes of keyed[x]'s shapes,
-    so members[x][0] is its least.  Nothing is listed if none is involved.
-    """
-    involved = sorted(set(involved))
-    if not involved:
-        return [], {}
-    shapes, slots = key_shapes([keyed[x] for x in involved])
-    members = {x: [] for x in involved}
-    for i, slot in enumerate(slots):
-        members[involved[slot]].append(i)
-    return shapes, members
 
 
 def key_pair_shapes(keyed, pairs) -> list[tuple]:
     """(a, b, pairs[x, y]) per ordered pair of distinct shapes of keys
     keyed[x] and keyed[y], in the order of a scan over the ordered pairs of
     key_shapes(keyed); only the keys in pairs have their shapes listed."""
-    shapes, members = involved_shapes(keyed, [x for xy in pairs for x in xy])
+    if not pairs:
+        return []
+    involved = sorted({x for xy in pairs for x in xy})
+    shapes, slots = key_shapes([keyed[x] for x in involved])
+    members = {x: [] for x in involved}
+    for i, slot in enumerate(slots):
+        members[involved[slot]].append(i)
     hits = sorted((i, j, value) for (x, y), value in pairs.items()
                   for i in members[x] for j in members[y] if i != j)
     return [(shapes[i], shapes[j], value) for i, j, value in hits]

@@ -327,7 +327,8 @@ def test_verify_conjecture_failures_match_a_per_shape_sweep(monkeypatch):
 def test_verify_conjecture_lists_only_the_failing_classes_keys(monkeypatch):
     # one key given another key's cover splits a support class and a
     # profile class and breaks both orders; the report is what a per-shape
-    # sweep finds, and only the keys of the classes it names are listed
+    # sweep finds, and only the keys of the shapes it prints as "b" are
+    # listed: fewer than the keys of the failing classes
     n = 6
     keyed = component_keys(n)
     index = {key: x for x, (key, *_) in enumerate(keyed)}
@@ -364,13 +365,17 @@ def test_verify_conjecture_lists_only_the_failing_classes_keys(monkeypatch):
         print_ = fingerprint(parse_shape(name))[side]
         failing.update(key for key, *_ in keyed
                        if rows[index[key]][side] == print_)
-    assert listed == failing
+    printed = {component_key(parse_shape(m["b"])) for m in mismatches}
+    assert listed == printed
+    assert listed < failing
     assert len(listed) < len(keyed)
 
 
 def test_verify_conjecture_failure_memory_is_that_of_the_sweep(monkeypatch):
     # naming a one-key failure lists the shapes of its few keys, not every
-    # shape of the size, so it peaks where the passing sweep does
+    # shape of the size, so it peaks where the passing sweep does; a failure
+    # that reaches most classes names them from their keys' least shapes
+    # and lists only the shapes it prints, so it stays near that peak too
     def peak(n):
         _empty_caches()
         tracemalloc.start()
@@ -385,16 +390,21 @@ def test_verify_conjecture_failure_memory_is_that_of_the_sweep(monkeypatch):
     assert passing["pass_theorem"] and passing["pass_conjecture"]
     masks_and_keys = posets._masks_and_keys
 
-    def last_key_with_the_first_keys_cover(keyed):
-        rows = masks_and_keys(keyed)
-        rows[-1] = (rows[0][0], rows[-1][1])
-        return rows
+    def given_the_cover_of(target, source):
+        def rows_with_one_moved(keyed):
+            rows = masks_and_keys(keyed)
+            rows[target] = (rows[source][0], rows[target][1])
+            return rows
+        return rows_with_one_moved
 
-    monkeypatch.setattr(posets, "_masks_and_keys",
-                        last_key_with_the_first_keys_cover)
-    failing, top = peak(9)
-    assert not failing["pass_theorem"] and failing["partition_mismatches"]
-    assert top <= 1.25 * bound, (top, bound)
+    # the last key given the first key's cover, then the first key given
+    # the last key's, which breaks the order of most classes
+    for target, source, ratio in ((-1, 0, 1.25), (0, -1, 2.5)):
+        monkeypatch.setattr(posets, "_masks_and_keys",
+                            given_the_cover_of(target, source))
+        failing, top = peak(9)
+        assert not failing["pass_theorem"] and failing["partition_mismatches"]
+        assert top <= ratio * bound, (target, top, bound)
 
 
 def _components(s: SkewShape) -> tuple:
@@ -797,6 +807,21 @@ def test_multfree_report_matches_a_per_shape_sweep(monkeypatch, wrong,
         assert report == _multfree_reference(n), n
         failed += not report["pass"]
     assert failed == failing
+
+
+def test_multfree_comparability_mismatches_match_a_per_shape_sweep(
+        monkeypatch):
+    # no classified pair breaks the published rules; a rule that reads only
+    # what they read and holds only within a tag class names every nesting
+    # pair across tag classes, in the order of a per-shape sweep
+    monkeypatch.setattr(posets, "_comparable",
+                        lambda ta, tb, n: _tag(ta) == _tag(tb))
+    mismatches = 0
+    for n in range(1, 9):
+        report = multfree_report(n)
+        assert report == _multfree_reference(n), n
+        mismatches += len(report["comparability_mismatches"])
+    assert mismatches == 228
 
 
 def test_multfree_lists_only_the_named_keys(monkeypatch):

@@ -27,6 +27,7 @@ from skewsupport.shapes import (
     key_pair_shapes,
     key_shape,
     key_shapes,
+    least_shape,
     mask_to_comp,
     parse_shape,
     ribbon_from_composition,
@@ -253,6 +254,35 @@ def test_nightly_key_shapes_match_enumeration(n, count):
     listed, slots = key_shapes(component_keys(n))
     assert len(listed) == len(slots) == count
     assert listed == enumerate_shapes(n)
+
+
+def _check_least_shapes(sizes, monkeypatch):
+    """least_shape(key) is the first shape key_shapes lists for the key,
+    and it builds that one shape only."""
+    built = []
+    post_init = SkewShape.__post_init__
+
+    def counted(self):
+        built.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(SkewShape, "__post_init__", counted)
+    for n in sizes:
+        for row in component_keys(n):
+            first = key_shapes([row])[0][0]
+            del built[:]
+            assert least_shape(row[0]) == first, (n, row)
+            assert len(built) == 1, (n, row)
+
+
+def test_least_shape_is_the_first_listed_shape_of_its_key(monkeypatch):
+    _check_least_shapes(range(1, 9), monkeypatch)
+
+
+@pytest.mark.nightly
+def test_nightly_least_shape_is_the_first_listed_shape_of_its_key(
+        monkeypatch):
+    _check_least_shapes((9, 10), monkeypatch)
 
 
 def test_component_keys_usage_errors(monkeypatch):
