@@ -17,7 +17,7 @@ from itertools import islice
 from skewsupport import __version__
 from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.bases import expansion_of
-from skewsupport.tableaux import BASES, enumerate_syt, f_expansion
+from skewsupport.tableaux import BASES, _check_size, enumerate_syt, f_expansion
 from skewsupport.errors import InvalidArgumentError, SkewSupportError
 from skewsupport.kernels import BACKEND
 from skewsupport.overlaps import OverlapProfile
@@ -141,6 +141,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_overlaps(args) -> int:
     shape = parse_shape(args.shape)
+    _check_size(shape.size)  # the statistics grow with the shape's width
     prof = OverlapProfile.of(shape)
     n_rows, n_cols = shape.n_rows, shape.n_cols
     # depth-k column statistics are the transpose's row statistics

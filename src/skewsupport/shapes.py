@@ -375,36 +375,32 @@ def _is_number(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-def _parse_parts(token: str, what: str) -> Partition:
+def _parse_parts(token: str, what: str) -> tuple[int, ...]:
+    """The parts written in token, not yet checked to be a partition."""
     if token == "":
         return ()
     if "," in token:
         pieces = token.split(",")
         if pieces[-1] == "":  # trailing comma forces comma form: "12," is (12)
             pieces = pieces[:-1]
-        if not all(map(_is_number, pieces)):
-            raise InvalidShapeError(f"cannot parse {what} {token!r}")
-        parts = tuple(int(p) for p in pieces)
+        if all(map(_is_number, pieces)):
+            return tuple(map(int, pieces))
     elif _is_number(token):
-        if len(token) == 1:
-            parts = (int(token),)
-        elif "0" in token:
+        if len(token) > 1 and "0" in token:
             raise InvalidShapeError(
                 f"cannot parse {what} {token!r}: digit shorthand has no 0 parts; "
                 "use the comma form for parts >= 10"
             )
-        else:
-            parts = tuple(int(ch) for ch in token)
-    else:
-        raise InvalidShapeError(f"cannot parse {what} {token!r}")
-    return check_partition(parts, what)
+        return tuple(map(int, token))
+    raise InvalidShapeError(f"cannot parse {what} {token!r}")
 
 
 def parse_shape(text: str) -> SkewShape:
     """Parse "5,5,3,1,1,1/3,1" or the digit shorthand "553111/31".
 
-    Parsing itself is never size-guarded; the expensive operations check
-    the size limit themselves.
+    Both halves are tokenised here and checked once, by SkewShape, with
+    the outer fault named first.  Parsing itself is never size-guarded;
+    the expensive operations check the size limit themselves.
     """
     text = text.strip()
     if not text:
@@ -413,16 +409,20 @@ def parse_shape(text: str) -> SkewShape:
     if not head or (sep and not tail):
         raise InvalidShapeError(f"cannot parse shape {text!r}")
     outer = _parse_parts(head, "outer shape")
-    inner = _parse_parts(tail, "inner shape") if sep else ()
+    try:
+        inner = _parse_parts(tail, "inner shape")
+    except InvalidShapeError:
+        check_partition(outer, "outer shape")  # a bad outer is named first
+        raise
     return SkewShape(outer, inner)
 
 
 def format_shape(shape: SkewShape) -> str:
     """Comma form, inner part omitted when empty."""
-    outer = ",".join(str(p) for p in shape.outer)
+    outer = ",".join(map(str, shape.outer))
     if not shape.inner:
         return outer
-    return outer + "/" + ",".join(str(p) for p in shape.inner)
+    return outer + "/" + ",".join(map(str, shape.inner))
 
 
 def check_same_size(a: SkewShape, b: SkewShape) -> None:

@@ -22,7 +22,8 @@ hold an F-support as its cover (f_support_cover): the partitions of n whose
 straight F-supports it contains, p(n) bits that order and group shapes as
 the 2^(n-1)-bit support masks do.  A straight F-support is the set of
 non-zero fields of the straight shape's packed count (kernels.nonzero_masks),
-so the descent kernel is the only transfer over fillings; f^lam is the
+so the descent kernel is the only transfer over fillings, run on one
+partition of each conjugate pair (_straight_support_bits); f^lam is the
 Kostka number K_{lam,1^n} (syt_count).  The cover depends only on the Schur
 support, so the support-only sweeps take their covers from the support
 route (support_covers), which composes each key's Schur support from its
@@ -32,7 +33,8 @@ never its coefficients.
 Per-size and per-partition tables are cached; no cache keeps a tally such a
 table summarises.  Each shape-keyed result, and each component's tally,
 goes through _guarded_cache, a bounded LRU that checks the size guard on
-every call, hit or miss.
+every call, hit or miss.  The comma text that Expansion.to_json_obj prints
+for an index tuple is kept in an LRU of the same size (_key_text).
 """
 
 from dataclasses import dataclass
@@ -75,10 +77,12 @@ class Expansion:
     def __post_init__(self):
         if self.basis not in BASES:
             raise ValueError(f"unknown basis {self.basis!r}")
-        clean = {
-            tuple(k): int(v) for k, v in self.coeffs.items() if int(v) != 0
-        }
-        sizes = {sum(k) for k in clean}
+        clean = {}
+        for key, value in self.coeffs.items():
+            value = int(value)
+            if value:
+                clean[tuple(key)] = value
+        sizes = set(map(sum, clean))
         if len(sizes) > 1:
             raise ValueError(f"mixed-degree expansion: {sorted(sizes)}")
         object.__setattr__(self, "coeffs", clean)
@@ -110,10 +114,14 @@ class Expansion:
 
     def to_json_obj(self) -> dict:
         """Coefficients keyed by comma strings, in index-tuple order."""
-        return {
-            ",".join(str(p) for p in key): self.coeffs[key]
-            for key in sorted(self.coeffs)
-        }
+        coeffs = self.coeffs
+        return {_key_text(key): coeffs[key] for key in sorted(coeffs)}
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _key_text(key: tuple) -> str:
+    """The comma string of an index tuple of ints, as to_json_obj prints it."""
+    return ",".join(map(str, key))
 
 
 def _check_size(size: int) -> None:
@@ -554,9 +562,20 @@ def _straight_supports(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _straight_support_bits(lam: Partition) -> int:
     """The descent masks of the standard fillings of lam: the non-zero
-    fields of its packed count."""
+    fields of its packed count.
+
+    Transposing a standard filling of lam' gives one of lam whose descent
+    set is the complement in {1..n-1}, and complementing a mask reverses
+    its place among the 2^(n-1) bits.  So the kernel runs on the lesser
+    of lam and lam' only, and the other reads those bits reversed.
+    """
+    n = sum(lam)
+    conj = transpose_partition(lam)
+    if conj < lam:  # then n >= 3
+        bits = format(_straight_support_bits(conj), f"0{1 << (n - 1)}b")
+        return int(bits[::-1], 2)
     return kernels.nonzero_masks(kernels.descent_counts((0,) * len(lam), lam),
-                                 sum(lam))
+                                 n)
 
 
 # ------------------------------------------------------ the support route

@@ -94,6 +94,17 @@ def test_overlaps_reads_rects_from_the_profile(capsys, monkeypatch):
     assert json.loads(out)["rects"]["2x2"] == 2
 
 
+def test_overlaps_is_size_guarded(capsys):
+    # the statistics grow with the shape's width, so the guard refuses a
+    # wide row before any is built, and --max-size lifts it
+    for argv in (["overlaps", "10000000000,"], ["overlaps", "15,"]):
+        err = _assert_one_line_error(capsys, argv)
+        assert "over the size limit 14" in err
+    code, out, _ = run_cli(capsys, "--max-size", "15", "overlaps", "15,")
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"] == ["15"]
+
+
 def test_compare_pair(capsys):
     code, out, _ = run_cli(capsys, "compare", "311/1", "22")
     assert code == EXIT_OK

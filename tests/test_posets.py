@@ -49,6 +49,7 @@ from skewsupport.shapes import (
     partitions_of,
     scale,
     straight,
+    transpose_partition,
 )
 from skewsupport.tableaux import f_support_mask, is_f_multiplicity_free
 
@@ -850,9 +851,10 @@ def test_multfree_lists_only_the_named_keys(monkeypatch):
 
 def test_multfree_tallies_each_partition_once(monkeypatch):
     # the straight support bits are the non-zero fields of one packed
-    # count per partition, and f^lam is a Kostka number, so with the
-    # support tables emptied the counting kernel sees each of the 42
-    # partitions of 10 once, however warm syt_count is
+    # count per conjugate pair of partitions (the greater one reads the
+    # lesser one's bits reversed), and f^lam is a Kostka number, so with
+    # the support tables emptied the counting kernel sees each of the 22
+    # partitions lam of 10 with lam <= lam' once, however warm syt_count is
     outers = []
     counts = kernels.descent_counts
 
@@ -864,7 +866,9 @@ def test_multfree_tallies_each_partition_once(monkeypatch):
     tableaux._straight_support_bits.cache_clear()
     tableaux._straight_supports.cache_clear()
     assert multfree_report(10)["pass"]
-    assert len(outers) == len(set(outers)) == 42
+    assert len(outers) == len(set(outers)) == 22
+    assert set(outers) == {lam for lam in partitions_of(10)
+                           if lam <= transpose_partition(lam)}
 
 
 # --------------------------------------------------------------- saturation

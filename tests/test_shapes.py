@@ -328,15 +328,42 @@ def test_parse_shape_rejects(text):
         parse_shape(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    # a text bad in both halves names the outer fault
+    ("0,1/x", "outer shape has non-positive part: (0, 1)"),
+    ("12/x", "outer shape parts must weakly decrease: (1, 2)"),
+    ("x/0,1", "cannot parse outer shape 'x'"),
+    ("3/4", "inner shape not contained in outer: (4,) inside (3,)"),
+    ("12/3", "outer shape parts must weakly decrease: (1, 2)"),
+    ("3//1", "cannot parse inner shape '/1'"),
+    ("\u0663", "cannot parse outer shape '\u0663'"),
+    ("3/", "cannot parse shape '3/'"),
+])
+def test_parse_shape_messages(text, message):
+    with pytest.raises(InvalidShapeError) as exc:
+        parse_shape(text)
+    assert str(exc.value) == message
+
+
 def test_parse_shape_is_not_size_guarded():
     # parsing is cheap; only expensive operations enforce the limit
     assert parse_shape("9,9,9,9/1").size == 35
     assert parse_shape("775333/64111").size == 15
 
 
-def test_format_round_trip(small_shapes):
-    for s in small_shapes:
-        assert parse_shape(format_shape(s)) == s
+def test_format_round_trip():
+    # the comma form prints back as given; the digit form names the same
+    # shape (every part of a shape of size <= 8 is one digit); the empty
+    # shape has no text
+    for n in range(1, 9):
+        for s in enumerate_shapes(n):
+            text = format_shape(s)
+            assert parse_shape(text) == s
+            assert format_shape(parse_shape(text)) == text
+            digits = "".join(map(str, s.outer))
+            if s.inner:
+                digits += "/" + "".join(map(str, s.inner))
+            assert parse_shape(digits) == s, digits
 
 
 # ------------------------------------------------------------- operations

@@ -7,10 +7,12 @@ import pytest
 from skewsupport import kernels, posets
 from skewsupport import shapes as shapes_module
 from skewsupport import tableaux as T
+from skewsupport.bases import expansion_of
 from skewsupport.config import ENV_MAX_SIZE
 from skewsupport.errors import ConsistencyError, InvalidShapeError, SizeLimitError
 from skewsupport.overlaps import dominance_leq
 from skewsupport.shapes import (
+    SkewShape,
     component_keys,
     enumerate_shapes,
     format_shape,
@@ -371,9 +373,13 @@ def test_column_row_minus_two_row_difference():
 def test_expansion_drops_zeros_and_validates():
     e = Expansion("schur", {(2, 1): 1, (3,): 0})
     assert len(e) == 1 and e[(3,)] == 0
-    with pytest.raises(ValueError):
-        Expansion("schur", {(2, 1): 1, (2,): 1})  # mixed degrees
-    with pytest.raises(ValueError):
+    # zero coefficients are dropped, numeric strings become ints
+    e = Expansion("f", {(1, 1): "3", (2,): 0, (1, 1, 0): "0", (0, 2): "-2"})
+    assert e.coeffs == {(1, 1): 3, (0, 2): -2}
+    assert all(type(v) is int for v in e.coeffs.values())
+    with pytest.raises(ValueError, match=r"^mixed-degree expansion: \[2, 3\]$"):
+        Expansion("schur", {(2, 1): 1, (2,): 1})
+    with pytest.raises(ValueError, match=r"^unknown basis 'bogus'$"):
         Expansion("bogus", {(2, 1): 1})
     assert Expansion("f", {}).support() == frozenset()
 
@@ -381,6 +387,18 @@ def test_expansion_drops_zeros_and_validates():
 def test_expansion_json_ordering():
     e = Expansion("f", {(2, 2): 2, (1, 3): 1, (3, 1): 1, (1, 1, 2): 1})
     assert list(e.to_json_obj()) == ["1,1,2", "1,3", "2,2", "3,1"]
+    # the memoised key text prints what sorting and joining every key did,
+    # in the same order, in every basis
+    shapes = [shape for n in range(7) for shape in enumerate_shapes(n)]
+    assert SkewShape((), ()) in shapes
+    for shape in shapes:
+        for basis in T.BASES:
+            e = expansion_of(shape, basis)
+            got = e.to_json_obj()
+            want = {",".join(str(p) for p in key): e.coeffs[key]
+                    for key in sorted(e.coeffs)}
+            assert list(got.items()) == list(want.items()), (shape, basis)
+    assert isinstance(T._key_text.cache_info().maxsize, int)
 
 
 def test_schur_frame_check_raises_on_corrupt_route(monkeypatch):
@@ -482,6 +500,26 @@ def test_key_frame_check_raises_on_corrupt_kernel(monkeypatch):
 
 
 # ------------------------------------------------------ the support route
+
+
+def _check_straight_support_bits(sizes):
+    # a partition whose conjugate is less reads that one's bits reversed;
+    # every partition's bits must be those the kernel gives it directly
+    T._straight_support_bits.cache_clear()
+    for n in sizes:
+        for lam in partitions_of(n):
+            direct = kernels.nonzero_masks(
+                kernels.descent_counts((0,) * len(lam), lam), n)
+            assert T._straight_support_bits(lam) == direct, lam
+
+
+def test_straight_support_bits_match_the_kernel():
+    _check_straight_support_bits(range(11))
+
+
+@pytest.mark.nightly
+def test_nightly_straight_support_bits_match_the_kernel():
+    _check_straight_support_bits((11, 12))
 
 
 def _coefficient_covers(keys):
